@@ -1,21 +1,17 @@
-"""Privacy-constrained Stackelberg communication equilibria for Gaussian sources."""
+"""Privacy-constrained Stackelberg communication equilibria for Gaussian sources.
 
-from .curves import (
-    CurveShapeReport,
-    SlopeReport,
-    TradeoffCurve,
-    check_concavity,
-    lagrangian_slope_check,
-    noise_for_rate,
-    privacy_floor,
-    sweep_privacy_distortion,
-    sweep_rate_distortion,
-)
+``model`` and ``equilibrium`` need only the standard library and load
+eagerly.  The numpy-backed names of ``curves``, ``montecarlo`` and ``oracle``
+load on first access (PEP 562), so solving a single equilibrium never
+imports numpy.
+"""
+
 from .equilibrium import (
     ChannelSpec,
+    DegenerateModelError,
+    DegeneratePrivacyTarget,
     EncoderPolicy,
     EquilibriumSolution,
-    DegeneratePrivacyTarget,
     InfeasiblePrivacyTarget,
     InfiniteRateError,
     Setting,
@@ -40,22 +36,47 @@ from .model import (
     privacy_bounds,
     validate_model,
 )
-from .montecarlo import (
-    ProbeReport,
-    SimConfig,
-    SimResult,
-    decoder_optimality_probe,
-    sample_joint,
-    simulate_policy,
-)
-from .oracle import (
-    OracleConfig,
-    OracleOptimum,
-    VerificationReport,
-    covariance_evaluate,
-    grid_search,
-    lagrangian_scan,
-    verify_equilibrium,
-)
 
 __version__ = "0.1.0"
+
+#: Public name -> submodule that defines it, resolved on first access.
+_LAZY = {
+    **dict.fromkeys(
+        ("CurveShapeReport", "SlopeReport", "TradeoffCurve", "check_concavity",
+         "lagrangian_slope_check", "noise_for_rate", "privacy_floor",
+         "sweep_privacy_distortion", "sweep_rate_distortion"),
+        "curves",
+    ),
+    **dict.fromkeys(
+        ("ProbeReport", "SimConfig", "SimResult", "decoder_optimality_probe",
+         "sample_joint", "simulate_policy"),
+        "montecarlo",
+    ),
+    **dict.fromkeys(
+        ("OracleConfig", "OracleOptimum", "VerificationReport", "covariance_evaluate",
+         "grid_search", "lagrangian_scan", "verify_equilibrium"),
+        "oracle",
+    ),
+}
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")}
+    | set(_LAZY)
+    | set(_LAZY.values())
+)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY.values():
+        return import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

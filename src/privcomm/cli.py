@@ -7,6 +7,9 @@ infeasible input, 2 verification failure (verify command only).
 
 Relative ``--output`` paths are resolved against the ``PRIVCOMM_OUTPUT_DIR``
 environment variable when it is set.
+
+The numpy-backed modules (curves, oracle, montecarlo) are imported by the
+subcommands that use them, so ``solve`` runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 import os
 import sys
 
-from .curves import sweep_privacy_distortion, sweep_rate_distortion
 from .equilibrium import (
     ChannelSpec,
     Setting,
@@ -28,12 +30,13 @@ from .equilibrium import (
     solve_setting3,
 )
 from .model import ModelError, validate_model
-from .montecarlo import SimConfig, simulate_policy
-from .oracle import OracleConfig, lagrangian_scan, verify_equilibrium
 
 OUTPUT_DIR_ENV = "PRIVCOMM_OUTPUT_DIR"
 
 NATS_PER_BIT = math.log(2.0)
+
+#: Config-file values of a ``store_true`` flag (case-insensitive).
+_BOOLEANS = {"true": True, "false": False}
 
 
 class CliError(Exception):
@@ -48,6 +51,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="privcomm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     def add_common(p, channel=True, dp=True):
         p.add_argument("--config", help="flat key=value config file; flags override")
@@ -96,15 +100,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill flags still unset from an optional flat key=value file."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _read_config(path: str, subparser: _Parser) -> dict:
+    """Values of a flat key=value config file, keyed by flag destination.
+
+    Each value is coerced like its flag on the command line: by the action's
+    ``type`` and ``choices``, and as a boolean for a ``store_true`` flag.
+    """
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     try:
         lines = open(path).read().splitlines()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}")
+    values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,14 +119,22 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", ".").replace(".", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.replace("-", ".").replace(".", "_"))
+        if action is None:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        if getattr(args, dest) is None:
-            current_type = float if key not in ("setting", "output") else str
-            if dest in ("grid", "samples", "seed", "oracle_grid", "lambda_count"):
-                current_type = int
-            setattr(args, dest, current_type(value))
+        if action.nargs == 0:  # a store_true flag
+            coerced = _BOOLEANS.get(value.lower())
+        else:
+            try:
+                coerced = (action.type or str)(value)
+            except ValueError:
+                coerced = None
+            if action.choices is not None and coerced not in action.choices:
+                coerced = None
+        if coerced is None:
+            raise CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
+        values[action.dest] = coerced
+    return values
 
 
 def _model_from(args) -> "validate_model":
@@ -162,7 +177,7 @@ def _csv(header: str, rows) -> str:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _solution_dict(setting: Setting, sol, rate=None, bits=False) -> dict:
@@ -205,6 +220,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_tradeoff(args) -> int:
+    from .curves import sweep_privacy_distortion
+
     model = _model_from(args)
     setting = Setting(args.setting)
     channel = _channel_from(args) if setting is Setting.CHANNEL else None
@@ -214,6 +231,8 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    from .curves import sweep_rate_distortion
+
     model = _model_from(args)
     if args.dp is None:
         raise CliError("missing required --dp")
@@ -231,6 +250,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import OracleConfig, verify_equilibrium
+
     model = _model_from(args)
     setting = Setting(args.setting)
     channel = _channel_from(args) if setting is Setting.CHANNEL else None
@@ -257,6 +278,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .montecarlo import SimConfig, simulate_policy
+
     model = _model_from(args)
     setting = Setting(args.setting)
     channel = _channel_from(args) if setting is Setting.CHANNEL else None
@@ -283,6 +306,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .oracle import lagrangian_scan
+
     model = _model_from(args)
     if model.rho == 0.0:
         raise CliError("scan requires rho > 0")
@@ -292,6 +317,8 @@ def _cmd_scan(args) -> int:
         except ValueError:
             raise CliError(f"bad --lambdas value: {args.lambdas!r}")
     else:
+        if args.lambda_count < 2:
+            raise CliError(f"--lambda-count must be >= 2, got {args.lambda_count}")
         lam_max = 1.0 / model.rho**2
         lams = [lam_max * i / (args.lambda_count - 1) for i in range(args.lambda_count)]
     points = lagrangian_scan(model, lams)
@@ -314,7 +341,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        if getattr(args, "config", None):
+            subparser = parser.subcommands[args.command]
+            subparser.set_defaults(**_read_config(args.config, subparser))
+            args = parser.parse_args(argv)  # explicit flags win over the file
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .model import SourceModel, privacy_bounds
 
 #: Relative tolerance for snapping privacy targets onto the endpoints of the
@@ -56,6 +54,15 @@ class InfiniteRateError(SolveError):
     """Compression with nonpositive test-channel noise has unbounded rate."""
 
 
+class DegenerateModelError(SolveError):
+    """rho^2 = r: theta = rho*X, and no encoder without noise reaches the interior."""
+
+    def __init__(self, model: SourceModel, reason: str):
+        super().__init__(
+            f"degenerate model rho^2 = r ({model.rho**2!r} vs {model.r!r}): {reason}"
+        )
+
+
 @dataclass(frozen=True)
 class EncoderPolicy:
     """Linear-plus-noise encoder: transmit beta*(X + alpha*theta) + noise."""
@@ -65,10 +72,12 @@ class EncoderPolicy:
     noise_var: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.noise_var < 0.0:
-            raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not (0.0 < self.beta < math.inf):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not (0.0 <= self.noise_var < math.inf):
+            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +88,10 @@ class ChannelSpec:
     sigma_z2: float
 
     def __post_init__(self) -> None:
-        if not (self.p_t > 0.0):
-            raise ValueError(f"p_t must be positive, got {self.p_t}")
-        if self.sigma_z2 < 0.0:
-            raise ValueError(f"sigma_z2 must be >= 0, got {self.sigma_z2}")
+        if not (0.0 < self.p_t < math.inf):
+            raise ValueError(f"p_t must be positive and finite, got {self.p_t}")
+        if not (0.0 <= self.sigma_z2 < math.inf):
+            raise ValueError(f"sigma_z2 must be finite and >= 0, got {self.sigma_z2}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +113,14 @@ def second_order_dc_dp(model: SourceModel, alpha, n_eff):
 
     ``n_eff`` is the noise variance normalized by sigma_x2.  Accepts scalars
     or numpy arrays; this is the single source of truth for the D_C / D_P
-    formulas, shared by solvers, sweeps and the brute-force oracle.
+    formulas, shared by solvers, sweeps and the brute-force oracle.  A NaN
+    output variance passes the guard, as it would under ``numpy.any``.
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     den = mixing_gain(model, alpha) + n_eff
-    if np.any(den <= 0.0):
+    nonpositive = den <= 0.0
+    # a Python float gives a bool; numpy scalars and arrays need .any()
+    if nonpositive if isinstance(nonpositive, bool) else nonpositive.any():
         raise RuntimeError("nonpositive output variance; invalid policy")
     # cancellation-free rewrites of 1 - (1+a*rho)^2/den and r - (rho+r*a)^2/den
     d_c = s2 * (alpha * alpha * (r - rho**2) + n_eff) / den
@@ -188,14 +200,33 @@ def solve_alpha_quadratic(model: SourceModel, d_target: float, n_eff: float):
     return -rho / r + delta, -rho / r - delta
 
 
+_NO_NOISELESS_ENCODER = "no encoder without noise meets the privacy target {!r}"
+
+
+def _finite_target(d_p_target: float) -> None:
+    if not math.isfinite(d_p_target):
+        raise SolveError(f"privacy target must be finite, got {d_p_target}")
+
+
 def _lower_dc_root(model: SourceModel, roots, n_eff: float) -> float:
-    """Pick the root with the lower distortion; both hit the target exactly."""
-    d_c = [second_order_dc_dp(model, a, n_eff)[0] for a in roots]
-    alpha = roots[0] if d_c[0] <= d_c[1] else roots[1]
+    """Pick the root with the lower distortion; both hit the target exactly.
+
+    On a degenerate model both roots give the same distortion in exact
+    arithmetic, so rounding must not rank them: alpha_plus is taken.
+    """
+    if model.degenerate:
+        alpha = roots[0]
+    else:
+        d_c = [second_order_dc_dp(model, a, n_eff)[0] for a in roots]
+        alpha = roots[0] if d_c[0] <= d_c[1] else roots[1]
     # the constrained minimizer always sits in [-rho/r, 0]; clip last-ulp drift
     lo, hi = -model.rho / model.r, 0.0
     if alpha < lo - 1e-9 or alpha > hi + 1e-9:
-        raise RuntimeError(f"selected root {alpha} outside [-rho/r, 0]")
+        # only rounding can rank the roots the wrong way round, when rho^2 ~ r
+        raise DegenerateModelError(
+            model, f"the roots of the privacy constraint tie to rounding; "
+            f"selected {alpha} outside [-rho/r, 0]"
+        )
     return min(max(alpha, lo), hi)
 
 
@@ -206,6 +237,7 @@ def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution
     distortion, constraint inactive); targets above dp_max are infeasible.
     Encoder noise is never used: it is strictly suboptimal on the frontier.
     """
+    _finite_target(d_p_target)
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     d = d_p_target / s2
     if d > r * (1.0 + ENDPOINT_RTOL):
@@ -228,6 +260,8 @@ def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution
             d_p=s2 * r,
             constraint_active=True,
         )
+    if model.degenerate:
+        raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
     roots = solve_alpha_quadratic(model, d, 0.0)
     alpha = _lower_dc_root(model, roots, 0.0)
     kappa = (1.0 + alpha * rho) / mixing_gain(model, alpha)
@@ -243,6 +277,8 @@ def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution
 
 def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
     """Privacy MMSE delivered at alpha = 0 by the test-channel noise alone."""
+    if not math.isfinite(sigma_n2):
+        raise SolveError(f"sigma_n2 must be finite, got {sigma_n2}")
     if sigma_n2 <= 0.0:
         raise InfiniteRateError(f"sigma_n2 must be positive, got {sigma_n2}")
     n = sigma_n2 / model.sigma_x2
@@ -258,6 +294,7 @@ def solve_setting2(
     inactive (alpha = 0) whenever the target sits at or below the floor
     sigma_x2 * (r - rho^2 / (1 + n)).
     """
+    _finite_target(d_p_target)
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     floor = compression_privacy_floor(model, sigma_n2)
     n = sigma_n2 / s2
@@ -299,8 +336,11 @@ def solve_setting3(
     The active privacy constraint reduces to the noiseless quadratic through
     the effective target d' = d - (r - d) * sigma_z2 / P_T (normalized).
     The decoder gain is the MMSE coefficient beta*sigma_x2*(1+alpha*rho) /
-    (P_T + sigma_z2).
+    (P_T + sigma_z2).  On a degenerate model (rho^2 = r) every encoder
+    without noise either leaks at the free floor or sends nothing, so an
+    active constraint raises :class:`DegenerateModelError`.
     """
+    _finite_target(d_p_target)
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     d = d_p_target / s2
     if d > r * (1.0 + ENDPOINT_RTOL):
@@ -311,6 +351,8 @@ def solve_setting3(
     if rho == 0.0 or d_p_target <= floor * (1.0 + ENDPOINT_RTOL):
         alpha = 0.0
         active = False
+    elif model.degenerate:
+        raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
     elif d >= r * (1.0 - ENDPOINT_RTOL):
         alpha = -rho / r
         active = True

@@ -58,6 +58,11 @@ class SourceModel:
                 f"need rho^2 <= r, got rho^2={self.rho**2} > r={self.r}"
             )
 
+    @property
+    def degenerate(self) -> bool:
+        """rho^2 = r (or just above it, within BOUNDARY_EPS): theta = rho*X."""
+        return self.r - self.rho**2 <= 0.0
+
 
 @dataclass(frozen=True)
 class PrivacyBounds:

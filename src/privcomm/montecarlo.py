@@ -103,6 +103,8 @@ def _analytic_theta_coefficient(
     var_y = policy.beta**2 * (s2 * mixing_gain(model, policy.alpha) + policy.noise_var)
     if channel is not None:
         var_y += channel.sigma_z2
+    if not var_y > 0.0:
+        raise ValueError("the policy sends nothing (Var(Y) = 0); privacy MMSE undefined")
     return cov / var_y
 
 

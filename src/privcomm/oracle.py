@@ -16,6 +16,7 @@ import numpy as np
 
 from .equilibrium import (
     ChannelSpec,
+    DegenerateModelError,
     EquilibriumSolution,
     InfeasiblePrivacyTarget,
     Setting,
@@ -141,6 +142,10 @@ def _dc_dp(model, setting, channel, alpha, noise_var):
     )
 
 
+#: Why a grid over noise from 0 fails on a degenerate model: Y = 0 there.
+_SENDS_NOTHING = "{} holds alpha = -rho/r without noise, which sends nothing"
+
+
 def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
     a, b = lo, hi
@@ -209,6 +214,8 @@ def grid_search(
             raise ValueError("compression search requires a positive sigma_n2")
         noise_axis = np.array([sigma_n2])
     else:
+        if model.degenerate:
+            raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle grid"))
         noise_axis = np.linspace(*config.resolved_noise_range(model), config.grid)
     alpha_axis = np.linspace(*config.resolved_alpha_range(model), config.grid)
 
@@ -308,6 +315,8 @@ def lagrangian_scan(
     """
     if model.rho == 0.0:
         raise ValueError("multiplier scan is degenerate for rho = 0")
+    if model.degenerate:
+        raise DegenerateModelError(model, _SENDS_NOTHING.format("the multiplier scan grid"))
     if config is None:
         config = OracleConfig()
     lam_max = 1.0 / model.rho**2

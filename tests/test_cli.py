@@ -101,6 +101,84 @@ class TestSolve:
         assert code == 1 and "error:" in err
 
 
+class TestRejectedInputs:
+    """Inputs that exit 1 with one ``error:`` line: no output, no traceback."""
+
+    DEGENERATE = ["--sigma-x2", "1", "--rho", "1", "--r", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--setting", "simple", *MODEL_FLAGS, "--dp", "nan"],
+            ["--setting", "channel", *MODEL_FLAGS, "--dp", "0.92", "--pt", "inf",
+             "--sigma-z2", "1"],
+            ["--setting", "channel", *MODEL_FLAGS, "--dp", "0.92", "--pt", "1",
+             "--sigma-z2", "inf"],
+            ["--setting", "compression", *MODEL_FLAGS, "--dp", "0.9", "--sigma-n2", "nan"],
+        ],
+        ids=["dp-nan", "pt-inf", "sigma-z2-inf", "sigma-n2-nan"],
+    )
+    def test_non_finite_solve_input_exits_1(self, argv):
+        code, out, err = run(["solve", *argv])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    def test_json_refuses_nan(self):
+        from privcomm.cli import _json
+
+        with pytest.raises(ValueError):
+            _json({"d_c": float("nan")})
+
+    def test_degenerate_simple_exits_1(self):
+        code, out, err = run(
+            ["solve", "--setting", "simple", *self.DEGENERATE, "--dp", "0.5"]
+        )
+        assert code == 1 and out == ""
+        assert "error:" in err and "rho^2 = r" in err
+
+    def test_degenerate_compression_is_finite(self):
+        code, out, _ = run(
+            ["solve", "--setting", "compression", *self.DEGENERATE, "--dp", "0.7",
+             "--sigma-n2", "1"]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert -1.0 <= doc["alpha"] <= 0.0
+        assert doc["d_p"] == pytest.approx(0.7, rel=1e-12)
+
+    def test_degenerate_channel_exits_1(self):
+        code, out, err = run(
+            ["solve", "--setting", "channel", *self.DEGENERATE, "--dp", "1", "--pt", "1",
+             "--sigma-z2", "1"]
+        )
+        assert code == 1 and out == ""
+        assert "error:" in err and "rho^2 = r" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tradeoff", "--setting", "simple", "--grid", "5"],
+            ["tradeoff", "--setting", "channel", "--pt", "1", "--sigma-z2", "1"],
+            ["verify", "--setting", "simple", "--dp", "0.5"],
+            ["verify", "--setting", "simple", "--dp", "1"],
+            ["scan"],
+        ],
+        ids=["tradeoff-simple", "tradeoff-channel", "verify-interior", "verify-endpoint",
+             "scan"],
+    )
+    def test_degenerate_sweeps_and_checks_exit_1(self, argv):
+        code, out, err = run([*argv, *self.DEGENERATE])
+        assert code == 1 and out == ""
+        assert "error:" in err and "rho^2 = r" in err
+
+    @pytest.mark.parametrize("count", ["1", "0"])
+    def test_scan_lambda_count_below_2_exits_1(self, count):
+        code, out, err = run(["scan", *MODEL_FLAGS, "--lambda-count", count])
+        assert code == 1 and out == ""
+        assert "--lambda-count must be >= 2" in err
+
+
 class TestVerifyExitCodes:
     def test_coarse_oracle_fails_with_2(self):
         # a 5-point grid with no refinement cannot land within the tolerance
@@ -163,6 +241,43 @@ class TestConfigFile:
         cfg.write_text("sigma-x2 1\n")
         code, _, err = run(["solve", "--setting", "simple", "--config", str(cfg)])
         assert code == 1 and "error:" in err
+
+    def test_string_flag_from_config(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("lambdas = 0,1.0\n")
+        code, out, _ = run(["scan", *MODEL_FLAGS, "--config", str(cfg)])
+        assert code == 0
+        assert out == run(["scan", *MODEL_FLAGS, "--lambdas", "0,1.0"])[1]
+
+    def test_boolean_flag_from_config(self, tmp_path):
+        cfg = tmp_path / "bits.cfg"
+        cfg.write_text("bits = true\n")
+        argv = ["solve", "--setting", "compression", *MODEL_FLAGS, "--dp", "0.9",
+                "--sigma-n2", "0.5"]
+        code, out, _ = run([*argv, "--config", str(cfg)])
+        assert code == 0
+        assert out == run([*argv, "--bits"])[1]
+        cfg.write_text("bits = false\n")
+        assert run([*argv, "--config", str(cfg), "--bits"])[1] == run([*argv, "--bits"])[1]
+
+    def test_int_flag_from_config_and_override(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("grid = 3\n")
+        argv = ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--config", str(cfg)]
+        assert len(run(argv)[1].splitlines()) == 4
+        assert run([*argv, "--grid", "2"])[1] == (GOLDEN / "tradeoff_simple_grid2.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "line", ["bits = maybe", "grid = 2.5", "rho = high", "setting = other", "bogus = 1"]
+    )
+    def test_bad_config_value_exits_1(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"sigma-x2 = 1\nrho = 0.6\nr = 1\n{line}\n")
+        code, out, err = run(
+            ["tradeoff", "--setting", "simple", "--config", str(cfg)]
+        )
+        assert code == 1 and out == ""
+        assert f"{cfg}:4:" in err
 
     def test_missing_config_exits_1(self):
         code, _, err = run(

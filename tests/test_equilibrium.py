@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from privcomm import (
     ChannelSpec,
+    DegenerateModelError,
     DegeneratePrivacyTarget,
     EncoderPolicy,
     InfeasiblePrivacyTarget,
     InfiniteRateError,
+    SolveError,
     evaluate_setting1,
     evaluate_setting2,
     evaluate_setting3,
@@ -291,3 +293,112 @@ class TestXiSign:
     def test_rho_zero_trivial(self):
         m = validate_model(1.0, 0.0, 1.0)
         assert xi_sign_check(m, 0.0, 0.0) == 1.0
+
+
+class TestOutputVarianceGuard:
+    """The guard raises exactly where ``numpy.any(den <= 0)`` is true."""
+
+    # alpha = -rho/r on the model rho^2 = r gives den = 0 exactly
+    DEG = validate_model(1.0, 1.0, 1.0)
+
+    def test_python_float(self):
+        with pytest.raises(RuntimeError, match="nonpositive"):
+            second_order_dc_dp(self.DEG, -1.0, 0.0)
+        with pytest.raises(RuntimeError, match="nonpositive"):
+            second_order_dc_dp(M, -0.6, -0.7)
+
+    def test_numpy_scalar(self):
+        with pytest.raises(RuntimeError, match="nonpositive"):
+            second_order_dc_dp(self.DEG, np.float64(-1.0), np.float64(0.0))
+
+    def test_array_with_one_bad_cell(self):
+        alpha = np.array([-0.5, -1.0, 0.0])
+        with pytest.raises(RuntimeError, match="nonpositive"):
+            second_order_dc_dp(self.DEG, alpha, np.zeros(3))
+        d_c, d_p = second_order_dc_dp(self.DEG, alpha, np.full(3, 0.5))
+        assert np.all(np.isfinite(d_c)) and np.all(np.isfinite(d_p))
+
+    def test_nan_does_not_raise(self):
+        d_c, d_p = second_order_dc_dp(M, math.nan, 0.0)
+        assert math.isnan(d_c) and math.isnan(d_p)
+        d_c, _ = second_order_dc_dp(M, np.float64(math.nan), 0.0)
+        assert math.isnan(d_c)
+        d_c, _ = second_order_dc_dp(M, np.array([math.nan, -0.3]), 0.0)
+        assert math.isnan(d_c[0]) and math.isfinite(d_c[1])
+
+    def test_float_result_stays_float(self):
+        d_c, d_p = second_order_dc_dp(M, -0.3, 0.1)
+        assert type(d_c) is float and type(d_p) is float
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_targets_rejected(self, target):
+        for solve in (
+            lambda: solve_setting1(M, target),
+            lambda: solve_setting2(M, target, 0.5),
+            lambda: solve_setting3(M, target, ChannelSpec(p_t=1.0, sigma_z2=1.0)),
+        ):
+            with pytest.raises(SolveError, match="finite"):
+                solve()
+
+    @pytest.mark.parametrize("sigma_n2", [math.nan, math.inf])
+    def test_compression_noise_rejected(self, sigma_n2):
+        with pytest.raises(SolveError, match="finite"):
+            solve_setting2(M, 0.9, sigma_n2)
+
+    @pytest.mark.parametrize(
+        "fields", [dict(p_t=math.inf, sigma_z2=1.0), dict(p_t=math.nan, sigma_z2=1.0),
+                   dict(p_t=1.0, sigma_z2=math.inf), dict(p_t=1.0, sigma_z2=math.nan)]
+    )
+    def test_channel_spec(self, fields):
+        with pytest.raises(ValueError):
+            ChannelSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "fields", [dict(alpha=math.nan), dict(alpha=-math.inf), dict(alpha=0.0, beta=math.inf),
+                   dict(alpha=0.0, beta=math.nan), dict(alpha=0.0, noise_var=math.inf),
+                   dict(alpha=0.0, noise_var=math.nan)]
+    )
+    def test_encoder_policy(self, fields):
+        with pytest.raises(ValueError):
+            EncoderPolicy(**fields)
+
+
+class TestDegenerateModel:
+    """rho^2 = r: theta = rho*X, so a noiseless encoder either leaks or sends nothing."""
+
+    DEG = validate_model(1.0, 1.0, 1.0)
+
+    def test_simple_interior_raises(self):
+        with pytest.raises(DegenerateModelError, match="rho\\^2 = r"):
+            solve_setting1(self.DEG, 0.5)
+
+    def test_simple_free_floor_and_endpoint_stay_finite(self):
+        assert solve_setting1(self.DEG, 0.0).d_c == 0.0
+        sol = solve_setting1(self.DEG, 1.0)
+        assert (sol.policy.alpha, sol.d_c, sol.d_p) == (-1.0, 1.0, 1.0)
+
+    def test_compression_takes_the_root_in_range(self):
+        # both roots give the same distortion; only alpha_plus lies in [-rho/r, 0]
+        for sigma_n2 in (0.5, 1.0, 2.0):  # floors 1/3, 1/2, 2/3 lie below 0.7
+            sol = solve_setting2(self.DEG, 0.7, sigma_n2)
+            assert -1.0 <= sol.policy.alpha <= 0.0
+            assert sol.d_p == pytest.approx(0.7, rel=1e-12)
+            # theta = X, so the privacy MMSE is the distortion
+            assert sol.d_c == pytest.approx(0.7, rel=1e-12)
+
+    @pytest.mark.parametrize("target", [0.7, 1.0])
+    def test_channel_active_raises(self, target):
+        with pytest.raises(DegenerateModelError, match="rho\\^2 = r"):
+            solve_setting3(self.DEG, target, ChannelSpec(p_t=1.0, sigma_z2=1.0))
+
+    def test_near_degenerate_root_tie_raises_solve_error(self):
+        # r - rho^2 = 3.6e-14: the two roots tie to rounding and rank the wrong way
+        m = validate_model(1.0, 0.6, 0.36 * (1.0 + 1e-13))
+        with pytest.raises(DegenerateModelError, match="tie to rounding"):
+            solve_setting1(m, 0.9 * m.r)
+
+    def test_channel_free_floor_stays_finite(self):
+        sol = solve_setting3(self.DEG, 0.2, ChannelSpec(p_t=1.0, sigma_z2=1.0))
+        assert sol.constraint_active is False and sol.policy.alpha == 0.0

@@ -1,0 +1,95 @@
+"""The scalar path stays numpy-free; the package's public names stay the same."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import privcomm
+
+#: Every public name ``privcomm`` exported when it imported all submodules eagerly.
+EXPORTED = (
+    "ChannelSpec", "CorrelationBoundError", "CurveShapeReport", "DegeneratePrivacyTarget",
+    "EncoderPolicy", "EquilibriumSolution", "InfeasiblePrivacyTarget", "InfiniteRateError",
+    "ModelError", "NegativeCorrelationError", "NonPositiveVarianceError", "OracleConfig",
+    "OracleOptimum", "PrivacyBounds", "ProbeReport", "Setting", "SimConfig", "SimResult",
+    "SlopeReport", "SolveError", "SourceModel", "TradeoffCurve", "VerificationReport",
+    "check_concavity", "covariance_evaluate", "curves", "decoder_optimality_probe",
+    "equilibrium", "evaluate_setting1", "evaluate_setting2", "evaluate_setting3",
+    "gaussian_conditional_entropy", "grid_search", "lagrangian_scan",
+    "lagrangian_slope_check", "model", "montecarlo", "noise_for_rate", "oracle",
+    "privacy_bounds", "privacy_floor", "sample_joint", "simulate_policy",
+    "solve_alpha_quadratic", "solve_setting1", "solve_setting2", "solve_setting3",
+    "sweep_privacy_distortion", "sweep_rate_distortion", "validate_model",
+    "verify_equilibrium", "xi_sign_check",
+)
+
+# Runs cli.main on each argv in one fresh interpreter and reports, after each
+# call, its exit status and whether numpy has been imported so far.
+CHILD = """
+import contextlib, io, json, sys
+from privcomm.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    report.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+MODEL_FLAGS = ["--sigma-x2", "1", "--rho", "0.6", "--r", "1"]
+
+
+def test_solve_never_imports_numpy(tmp_path):
+    cfg = tmp_path / "channel.cfg"
+    cfg.write_text("sigma-x2 = 1\nrho = 0.6\nr = 1\ndp = 0.92\npt = 1\nsigma-z2 = 1\n")
+    argvs = [
+        ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"],
+        ["solve", "--setting", "compression", *MODEL_FLAGS, "--dp", "0.9",
+         "--sigma-n2", "0.5", "--bits"],
+        ["solve", "--setting", "channel", "--config", str(cfg)],
+        ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "1.5"],
+        ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "3"],
+    ]
+    src = str(pathlib.Path(privcomm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == [
+        ["solve", 0, False],
+        ["solve", 0, False],
+        ["solve", 0, False],
+        ["solve", 1, False],
+        ["tradeoff", 0, True],
+    ]
+
+
+def test_every_exported_name_resolves():
+    import privcomm.curves
+    import privcomm.montecarlo
+    import privcomm.oracle
+
+    for name in EXPORTED:
+        value = getattr(privcomm, name)
+        owner = getattr(value, "__module__", None)
+        if owner in ("privcomm.curves", "privcomm.montecarlo", "privcomm.oracle"):
+            assert value is getattr(sys.modules[owner], name)
+    assert set(EXPORTED) <= set(privcomm.__all__)
+    assert set(EXPORTED) <= set(dir(privcomm))
+
+
+def test_star_import():
+    namespace = {}
+    exec("from privcomm import *", namespace)
+    assert set(EXPORTED) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        privcomm.no_such_name
