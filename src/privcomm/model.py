@@ -9,6 +9,7 @@ the validated ``SourceModel`` defined here.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 #: Tolerance for boundary checks on normalized quantities (e.g. rho^2 <= r).
@@ -101,3 +102,21 @@ def gaussian_conditional_entropy(mmse: float) -> float:
     if not (mmse > 0.0):
         raise ValueError(f"mmse must be positive, got {mmse}")
     return 0.5 * math.log(2.0 * math.pi * math.e * mmse)
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or ``None`` where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ``ValueError`` before allocating ``nbytes`` that physical memory cannot hold."""
+    total = physical_memory()
+    if total is not None and nbytes > total:
+        raise ValueError(
+            f"{what} needs {nbytes / 2**20:.0f} MiB of arrays, more than the "
+            f"{total / 2**20:.0f} MiB of physical memory"
+        )

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import ChannelSpec, EncoderPolicy, Setting, mixing_gain
-from .model import SourceModel, gaussian_conditional_entropy
+from .model import SourceModel, gaussian_conditional_entropy, require_memory
 
 #: Identifier of the normal-variate stream recorded in results.
 GENERATOR = "numpy-pcg64"
+
+#: Bytes the signal chain holds per sample: four float64 arrays.
+BYTES_PER_SAMPLE = 4 * 8
 
 
 @dataclass(frozen=True)
@@ -29,6 +32,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
+        require_memory(BYTES_PER_SAMPLE * self.samples, f"samples={self.samples}")
 
 
 @dataclass(frozen=True)
@@ -56,13 +60,25 @@ class ProbeReport:
     gap_to_reference: float | None
 
 
+def _draw_joint(model: SourceModel, rng, count: int):
+    """A (2, count) array whose rows are paired x and theta samples.
+
+    Cholesky factorization of the 2x2 covariance, applied in place to one
+    draw of standard normals.
+    """
+    z = rng.standard_normal((2, count))
+    x, theta = z
+    theta *= math.sqrt(max(model.r - model.rho**2, 0.0))
+    theta += model.rho * x
+    sigma_x = math.sqrt(model.sigma_x2)
+    theta *= sigma_x
+    x *= sigma_x
+    return z
+
+
 def sample_joint(model: SourceModel, count: int, seed: int):
     """Draw paired (x, theta) samples by Cholesky factorization of the 2x2 covariance."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2, count))
-    sigma_x = math.sqrt(model.sigma_x2)
-    x = sigma_x * z[0]
-    theta = sigma_x * (model.rho * z[0] + math.sqrt(max(model.r - model.rho**2, 0.0)) * z[1])
+    x, theta = _draw_joint(model, np.random.default_rng(seed), count)
     return x, theta
 
 
@@ -72,26 +88,56 @@ def _signal_chain(
     channel: ChannelSpec | None,
     config: SimConfig,
 ):
-    """Return (x, theta, y, u) arrays for the configured setting."""
-    rng = np.random.default_rng(config.seed)
-    z = rng.standard_normal((2, config.samples))
-    sigma_x = math.sqrt(model.sigma_x2)
-    x = sigma_x * z[0]
-    theta = sigma_x * (model.rho * z[0] + math.sqrt(max(model.r - model.rho**2, 0.0)) * z[1])
-    w = x + policy.alpha * theta
-    if policy.noise_var > 0.0:
-        w = w + math.sqrt(policy.noise_var) * rng.standard_normal(config.samples)
+    """Return (x, theta, y, scratch, power_hat) for the configured setting.
+
+    The chain lives in four arrays of ``samples`` float64 values
+    (``BYTES_PER_SAMPLE``): x and theta share one draw, y is built in
+    place, and the scratch buffer takes the encoder noise, then the channel
+    noise, and is free for the caller.  ``power_hat`` is the mean of u^2
+    before the channel noise (``None`` outside the channel setting).
+    """
     if config.setting is Setting.CHANNEL:
         if channel is None:
             raise ValueError("channel setting requires a ChannelSpec")
-        u = policy.beta * w
-        y = u + math.sqrt(channel.sigma_z2) * rng.standard_normal(config.samples)
-    else:
-        if policy.beta != 1.0:
-            raise ValueError("settings 1/2 use a unit transmit gain")
-        u = w
-        y = w
-    return x, theta, y, u
+    elif policy.beta != 1.0:
+        raise ValueError("settings 1/2 use a unit transmit gain")
+    rng = np.random.default_rng(config.seed)
+    x, theta = _draw_joint(model, rng, config.samples)
+    y = np.multiply(theta, policy.alpha)
+    y += x
+    scratch = np.empty_like(y)
+    if policy.noise_var > 0.0:
+        rng.standard_normal(out=scratch)
+        scratch *= math.sqrt(policy.noise_var)
+        y += scratch
+    power_hat = None
+    if config.setting is Setting.CHANNEL:
+        y *= policy.beta
+        power_hat = _mean(np.square(y, out=scratch))
+        rng.standard_normal(out=scratch)
+        scratch *= math.sqrt(channel.sigma_z2)
+        y += scratch
+    return x, theta, y, scratch, power_hat
+
+
+def _mean(a) -> float:
+    """``np.mean(a)`` of a 1-d array: its pairwise sum over its size."""
+    return float(np.add.reduce(a) / a.size)
+
+
+def _mean_stderr(a) -> tuple[float, float]:
+    """``np.mean(a)`` and ``np.std(a, ddof=1) / sqrt(n)``, bit for bit; overwrites ``a``."""
+    mean = _mean(a)
+    a -= mean
+    np.square(a, out=a)
+    return mean, math.sqrt(np.add.reduce(a) / (a.size - 1)) / math.sqrt(a.size)
+
+
+def _squared_error(target, gain: float, y, out):
+    """(target - gain*y)^2, written into ``out``."""
+    np.multiply(y, gain, out=out)
+    np.subtract(target, out, out=out)
+    return np.square(out, out=out)
 
 
 def _analytic_theta_coefficient(
@@ -121,22 +167,17 @@ def simulate_policy(
     coefficient, and through on-sample least squares of theta on y; both are
     reported so statistical and modelling errors can be told apart.
     """
-    x, theta, y, u = _signal_chain(model, policy, channel, config)
-    n = config.samples
-
-    err_c = (x - decoder_gain * y) ** 2
-    d_c_hat = float(np.mean(err_c))
-    stderr_dc = float(np.std(err_c, ddof=1) / math.sqrt(n))
+    x, theta, y, e, power_hat = _signal_chain(model, policy, channel, config)
+    d_c_hat, stderr_dc = _mean_stderr(_squared_error(x, decoder_gain, y, e))
 
     c = _analytic_theta_coefficient(model, policy, channel)
-    err_p = (theta - c * y) ** 2
-    d_p_hat = float(np.mean(err_p))
-    stderr_dp = float(np.std(err_p, ddof=1) / math.sqrt(n))
+    d_p_hat, stderr_dp = _mean_stderr(_squared_error(theta, c, y, e))
 
-    c_hat = float(np.dot(theta, y) / np.dot(y, y))
-    d_p_reg = float(np.mean((theta - c_hat * y) ** 2))
+    # pairwise sums, not BLAS dot products, so the thread count cannot matter
+    theta_y = np.add.reduce(np.multiply(theta, y, out=e))
+    c_hat = float(theta_y / np.add.reduce(np.square(y, out=e)))
+    d_p_reg = _mean(_squared_error(theta, c_hat, y, e))
 
-    power_hat = float(np.mean(u**2)) if config.setting is Setting.CHANNEL else None
     return SimResult(
         d_c_hat=d_c_hat,
         d_p_hat=d_p_hat,
@@ -145,7 +186,7 @@ def simulate_policy(
         entropy_hat=gaussian_conditional_entropy(d_p_hat),
         stderr_dc=stderr_dc,
         stderr_dp=stderr_dp,
-        samples=n,
+        samples=config.samples,
         seed=config.seed,
     )
 
@@ -163,10 +204,10 @@ def decoder_optimality_probe(
     All gains are evaluated on the same sample draw, so the comparison is
     exact in the empirical second moments.
     """
-    x, _, y, _ = _signal_chain(model, policy, channel, config)
-    mxx = float(np.mean(x * x))
-    mxy = float(np.mean(x * y))
-    myy = float(np.mean(y * y))
+    x, _, y, e, _ = _signal_chain(model, policy, channel, config)
+    mxx = _mean(np.square(x, out=e))
+    mxy = _mean(np.multiply(x, y, out=e))
+    myy = _mean(np.square(y, out=e))
     gains = [float(g) for g in gain_grid]
     d_c = [mxx - 2.0 * g * mxy + g * g * myy for g in gains]
     best = int(np.argmin(d_c))

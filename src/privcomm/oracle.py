@@ -26,9 +26,13 @@ from .equilibrium import (
     solve_setting2,
     solve_setting3,
 )
-from .model import SourceModel
+from .model import SourceModel, require_memory
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Peak number of float64 arrays of the oracle grid's size that the grid
+#: search or the multiplier scan holds at once (measured with tracemalloc).
+GRID_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,8 @@ class OracleConfig:
     def resolved_alpha_range(self, model: SourceModel) -> tuple[float, float]:
         if self.alpha_range is not None:
             return self.alpha_range
+        if model.rho == 0.0:  # r may be 0 (theta = 0)
+            return (-0.5, 0.5)
         return (-2.0 * model.rho / model.r - 0.5, 0.5)
 
     def resolved_noise_range(self, model: SourceModel) -> tuple[float, float]:
@@ -142,6 +148,15 @@ def _dc_dp(model, setting, channel, alpha, noise_var):
     )
 
 
+def _dc_dp_grid(model, setting, channel, alpha_axis, noise_axis):
+    """(d_c, d_p) on the alpha x noise grid, by broadcasting the two axes."""
+    require_memory(
+        GRID_ARRAYS * 8 * alpha_axis.size * noise_axis.size,
+        f"an oracle grid of {alpha_axis.size} x {noise_axis.size}",
+    )
+    return _dc_dp(model, setting, channel, alpha_axis[:, None], noise_axis[None, :])
+
+
 #: Why a grid over noise from 0 fails on a degenerate model: Y = 0 there.
 _SENDS_NOTHING = "{} holds alpha = -rho/r without noise, which sends nothing"
 
@@ -200,10 +215,11 @@ def grid_search(
 ) -> OracleOptimum:
     """Constrained brute-force minimizer of D_C subject to D_P >= d_p_target.
 
-    Grid stage: feasibility filtering with one-grid-cell slack, minimum D_C
-    with a deterministic (D_C, alpha, noise) lexicographic tie-break.
-    Refinement stage: bisection onto the constraint boundary in alpha, plus a
-    golden-section pass over the encoder noise (settings 1/3).
+    Grid stage: rejects the target when no grid point meets it within
+    one-grid-cell slack.  Refinement stage: bisection onto the constraint
+    boundary in alpha, plus a golden-section pass over the encoder noise
+    (settings 1/3), which must not lose to the best strictly feasible grid
+    point.
     """
     if config is None:
         config = OracleConfig()
@@ -219,8 +235,7 @@ def grid_search(
         noise_axis = np.linspace(*config.resolved_noise_range(model), config.grid)
     alpha_axis = np.linspace(*config.resolved_alpha_range(model), config.grid)
 
-    alpha_g, noise_g = np.meshgrid(alpha_axis, noise_axis, indexing="ij")
-    d_c, d_p = _dc_dp(model, setting, channel, alpha_g, noise_g)
+    d_c, d_p = _dc_dp_grid(model, setting, channel, alpha_axis, noise_axis)
 
     slack = 0.0
     if d_p.shape[0] > 1:
@@ -232,11 +247,6 @@ def grid_search(
         raise InfeasiblePrivacyTarget(
             f"no feasible grid point for target {d_p_target}"
         )
-    masked = np.where(feasible, d_c, np.inf)
-    best = float(np.min(masked))
-    ties = np.argwhere(masked <= best + 0.0)
-    i, j = min(ties.tolist(), key=lambda ij: (alpha_g[ij[0], ij[1]], noise_g[ij[0], ij[1]]))
-    alpha0, noise0 = float(alpha_g[i, j]), float(noise_g[i, j])
 
     tol = config.refine_tol
     if setting is Setting.COMPRESSION:
@@ -256,12 +266,12 @@ def grid_search(
         if constrained_dc(lo_n) <= constrained_dc(noise):
             noise = lo_n
         alpha = _boundary_alpha(model, setting, channel, noise, d_p_target, tol)
-        # refinement must never lose to a strictly feasible grid point
+        # refinement must never lose to a strictly feasible grid point (with
+        # none, the minimum is inf, which no distortion exceeds)
         strict = np.where(d_p >= d_p_target, d_c, np.inf)
-        if np.any(np.isfinite(strict)):
-            k, l = np.unravel_index(int(np.argmin(strict)), strict.shape)
-            if _dc_dp(model, setting, channel, alpha, noise)[0] > strict[k, l]:
-                alpha, noise = float(alpha_g[k, l]), float(noise_g[k, l])
+        k, l = np.unravel_index(int(np.argmin(strict)), strict.shape)
+        if _dc_dp(model, setting, channel, alpha, noise)[0] > strict[k, l]:
+            alpha, noise = float(alpha_axis[k]), float(noise_axis[l])
     d_c_opt, d_p_opt = _dc_dp(model, setting, channel, alpha, noise)
     return OracleOptimum(
         alpha=float(alpha), noise_var=float(noise), d_c=float(d_c_opt), d_p=float(d_p_opt)
@@ -323,27 +333,30 @@ def lagrangian_scan(
     setting = Setting.SIMPLE
     alpha_axis = np.linspace(*config.resolved_alpha_range(model), config.grid)
     noise_axis = np.linspace(*config.resolved_noise_range(model), config.grid)
-    alpha_g, noise_g = np.meshgrid(alpha_axis, noise_axis, indexing="ij")
-    d_c_g, d_p_g = _dc_dp(model, setting, None, alpha_g, noise_g)
+    d_c_g, d_p_g = _dc_dp_grid(model, setting, None, alpha_axis, noise_axis)
+    obj = np.empty_like(d_c_g)
+    # Python floats: numpy scalars would make every cost evaluation slow
+    lo_a, hi_a = float(alpha_axis[0]), float(alpha_axis[-1])
+    lo_n, hi_n = float(noise_axis[0]), float(noise_axis[-1])
 
     out = []
     for lam in lambda_grid:
         lam = float(lam)
-        if lam < -1e-15 or lam > lam_max * (1.0 + 1e-12):
+        if not (-1e-15 <= lam <= lam_max * (1.0 + 1e-12)):  # NaN fails too
             raise ValueError(f"lam={lam} outside [0, 1/rho^2]")
-        obj = d_c_g - lam * d_p_g
-        i, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
-        alpha, noise = float(alpha_g[i, j]), float(noise_g[i, j])
+        np.multiply(d_p_g, lam, out=obj)
+        np.subtract(d_c_g, obj, out=obj)
+        # the grid minimizer seeds the noise; the first pass re-solves alpha
+        _, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
+        noise = float(noise_axis[j])
 
         def cost(a, s):
             d_c, d_p = _dc_dp(model, setting, None, a, s)
             return d_c - lam * d_p
 
         for _ in range(4):
-            alpha = _golden_min(lambda a: cost(a, noise), alpha_axis[0], alpha_axis[-1],
-                                config.refine_tol)
-            noise = _golden_min(lambda s: cost(alpha, s), noise_axis[0], noise_axis[-1],
-                                config.refine_tol)
+            alpha = _golden_min(lambda a: cost(a, noise), lo_a, hi_a, config.refine_tol)
+            noise = _golden_min(lambda s: cost(alpha, s), lo_n, hi_n, config.refine_tol)
         if noise > 1e-4 * model.sigma_x2:
             raise RuntimeError(
                 f"multiplier scan found noisy minimizer (lam={lam}, noise={noise})"

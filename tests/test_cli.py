@@ -172,6 +172,40 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert "error:" in err and "rho^2 = r" in err
 
+    def test_scan_nan_multiplier_exits_1(self):
+        code, out, err = run(["scan", *MODEL_FLAGS, "--lambdas", "nan"])
+        assert code == 1 and out == ""
+        assert "error:" in err and "lam=nan" in err and "Traceback" not in err
+
+    def test_verify_without_theta_is_finite(self):
+        # r = 0 (theta = 0): no error to leak, every field finite
+        code, out, err = run(
+            ["verify", "--setting", "compression", "--sigma-x2", "1", "--rho", "0",
+             "--r", "0", "--dp", "0", "--sigma-n2", "1"]
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert doc["oracle"] == {"alpha": 0.0, "d_c": 0.5, "d_p": 0.0, "noise_var": 1.0}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84",
+             "--samples", "1000000"],
+            ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84",
+             "--oracle-grid", "1001"],
+        ],
+        ids=["simulate-samples", "verify-oracle-grid"],
+    )
+    def test_arrays_beyond_physical_memory_exit_1(self, argv, monkeypatch):
+        import privcomm.model
+
+        monkeypatch.setattr(privcomm.model, "physical_memory", lambda: 2**20)
+        code, out, err = run(argv)
+        assert code == 1 and out == ""
+        assert "error:" in err and "physical memory" in err
+
     @pytest.mark.parametrize("count", ["1", "0"])
     def test_scan_lambda_count_below_2_exits_1(self, count):
         code, out, err = run(["scan", *MODEL_FLAGS, "--lambda-count", count])

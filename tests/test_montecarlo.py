@@ -1,8 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import privcomm.model
 from privcomm import (
     ChannelSpec,
     EncoderPolicy,
@@ -141,3 +147,42 @@ def test_probe_gains_coincide_noiseless():
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(samples=1, seed=0, setting=Setting.SIMPLE)
+
+
+def test_kernel_peak_memory():
+    # every draw (encoder and channel noise) runs; the chain holds four arrays
+    n = 200_000
+    ch = ChannelSpec(p_t=1.0, sigma_z2=1.0)
+    policy = EncoderPolicy(alpha=-0.3, noise_var=0.2, beta=0.8)
+    cfg = SimConfig(samples=n, seed=4, setting=Setting.CHANNEL)
+    simulate_policy(M, policy, ch, 0.7, cfg)
+    tracemalloc.start()
+    try:
+        simulate_policy(M, policy, ch, 0.7, cfg)
+        decoder_optimality_probe(M, policy, ch, cfg, [0.5, 0.7])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * n
+
+
+def test_samples_beyond_physical_memory_rejected(monkeypatch):
+    monkeypatch.setattr(privcomm.model, "physical_memory", lambda: 32 * 1000)
+    SimConfig(samples=1000, seed=0, setting=Setting.SIMPLE)
+    with pytest.raises(ValueError, match="physical memory"):
+        SimConfig(samples=1001, seed=0, setting=Setting.SIMPLE)
+
+
+def test_output_independent_of_blas_threads():
+    # at 10^6 samples a BLAS dot product would change with the thread count
+    argv = [sys.executable, "-m", "privcomm.cli", "simulate", "--setting", "compression",
+            "--sigma-x2", "1", "--rho", "0.6", "--r", "1", "--dp", "0.92",
+            "--sigma-n2", "0.7", "--seed", "2"]
+    src = str(pathlib.Path(privcomm.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

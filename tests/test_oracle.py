@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,9 @@ from privcomm import (
     validate_model,
     verify_equilibrium,
 )
+import privcomm.model
 from privcomm.equilibrium import evaluate_setting1, mixing_gain
+from privcomm.oracle import GRID_ARRAYS
 
 from conftest import source_models
 
@@ -174,6 +178,51 @@ class TestLagrangianScan:
     def test_rho_zero_rejected(self):
         with pytest.raises(ValueError):
             lagrangian_scan(validate_model(1.0, 0.0, 1.0), [0.5])
+
+    def test_nan_multiplier_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            lagrangian_scan(M, [0.5, float("nan")])
+
+
+class TestGridMemory:
+    GRID = 201
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg: grid_search(M, Setting.SIMPLE, None, 0.84, cfg),
+            lambda cfg: grid_search(M, Setting.CHANNEL, ChannelSpec(1.0, 1.0), 0.92, cfg),
+            lambda cfg: lagrangian_scan(M, [0.0, 1.0, 1.0 / 0.36], cfg),
+        ],
+        ids=["simple", "channel", "scan"],
+    )
+    def test_peak_within_grid_arrays(self, run):
+        cfg = OracleConfig(grid=self.GRID)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= GRID_ARRAYS * 8 * self.GRID**2
+
+    def test_grid_beyond_physical_memory_rejected(self, monkeypatch):
+        limit = GRID_ARRAYS * 8 * self.GRID**2
+        monkeypatch.setattr(privcomm.model, "physical_memory", lambda: limit)
+        grid_search(M, Setting.SIMPLE, None, 0.84, OracleConfig(grid=self.GRID))
+        big = OracleConfig(grid=self.GRID + 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            grid_search(M, Setting.SIMPLE, None, 0.84, big)
+        with pytest.raises(ValueError, match="physical memory"):
+            lagrangian_scan(M, [1.0], big)
+        # compression holds one noise value: grid x 1 arrays only
+        grid_search(M, Setting.COMPRESSION, None, 0.9, big, sigma_n2=0.5)
+
+
+def test_alpha_range_without_theta():
+    # r = 0 forces rho = 0 (theta = 0): the default range must not divide by r
+    assert OracleConfig().resolved_alpha_range(validate_model(1.0, 0.0, 0.0)) == (-0.5, 0.5)
+    assert OracleConfig().resolved_alpha_range(validate_model(2.0, 0.0, 3.0)) == (-0.5, 0.5)
 
 
 def test_effective_noise_channel_consistency():
