@@ -3,7 +3,9 @@
 
 Writes one CSV per setting plus a Lagrange-multiplier scan, and prints a
 short summary of the frontier shape (endpoint values, steepest measured
-slope).  Output lands in ./frontier_out by default.
+slope).  Output lands in ./frontier_out by default.  The CSVs are written by
+the ``privcomm`` CLI (``tradeoff`` and ``scan``), so they are the bytes that
+the same commands give.
 
 Usage:
     python3 scripts/trace_frontier.py [--outdir DIR] [--grid N]
@@ -15,21 +17,21 @@ import os
 import numpy as np
 
 from privcomm import (
-    ChannelSpec,
     Setting,
-    lagrangian_scan,
     lagrangian_slope_check,
     privacy_bounds,
     sweep_privacy_distortion,
     validate_model,
 )
+from privcomm.cli import main as cli_main
+
+MODEL_FLAGS = ["--sigma-x2", "1", "--rho", "0.6", "--r", "1"]
 
 
-def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def cli(argv, path):
+    # absolute, so that PRIVCOMM_OUTPUT_DIR cannot redirect it
+    if cli_main([*argv, *MODEL_FLAGS, "--output", os.path.abspath(path)]) != 0:
+        raise SystemExit(f"privcomm {argv[0]} failed")
     print(f"wrote {path}")
 
 
@@ -41,23 +43,16 @@ def main():
     os.makedirs(args.outdir, exist_ok=True)
 
     model = validate_model(1.0, 0.6, 1.0)
-    channel = ChannelSpec(p_t=1.0, sigma_z2=1.0)
     bounds = privacy_bounds(model)
     print(f"model: sigma_x2=1 rho=0.6 r=1; d_p range [{bounds.dp_min}, {bounds.dp_max}]")
 
-    simple = sweep_privacy_distortion(model, Setting.SIMPLE, grid=args.grid)
-    write_csv(
-        os.path.join(args.outdir, "frontier_simple.csv"),
-        "d_p,d_c,alpha,kappa",
-        simple.points,
-    )
-    noisy = sweep_privacy_distortion(model, Setting.CHANNEL, channel, grid=args.grid)
-    write_csv(
-        os.path.join(args.outdir, "frontier_channel.csv"),
-        "d_p,d_c,alpha,kappa",
-        noisy.points,
-    )
+    grid = ["--grid", str(args.grid)]
+    cli(["tradeoff", "--setting", "simple", *grid],
+        os.path.join(args.outdir, "frontier_simple.csv"))
+    cli(["tradeoff", "--setting", "channel", "--pt", "1", "--sigma-z2", "1", *grid],
+        os.path.join(args.outdir, "frontier_channel.csv"))
 
+    simple = sweep_privacy_distortion(model, Setting.SIMPLE, grid=args.grid)
     slopes = lagrangian_slope_check(simple, model)
     print(
         f"simple frontier: d_c {simple.points[0][1]:.4f} -> {simple.points[-1][1]:.4f}, "
@@ -65,15 +60,11 @@ def main():
         f"(multiplier cap {slopes.upper_bound:.3f})"
     )
 
-    lam_max = 1.0 / model.rho**2
-    scan = lagrangian_scan(model, np.linspace(0.0, lam_max, 17))
-    write_csv(
-        os.path.join(args.outdir, "frontier_scan.csv"),
-        "lambda,alpha,noise_var,d_p,d_c",
-        [(p.lam, p.alpha, p.noise_var, p.d_p, p.d_c) for p in scan],
-    )
+    scan_path = os.path.join(args.outdir, "frontier_scan.csv")
+    cli(["scan", "--lambda-count", "17"], scan_path)
+    d_p = np.loadtxt(scan_path, delimiter=",", skiprows=1, usecols=3)
     print(
-        f"multiplier scan covers d_p in [{scan[0].d_p:.4f}, {scan[-1].d_p:.4f}] "
+        f"multiplier scan covers d_p in [{d_p[0]:.4f}, {d_p[-1]:.4f}] "
         f"of [{bounds.dp_min}, {bounds.dp_max}]"
     )
 

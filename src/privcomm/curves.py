@@ -1,4 +1,4 @@
-"""Trade-off curve sweeps and curve-level structural checks.
+"""Trade-off curve sweeps and the curve-level slope check.
 
 Sweeps are parameterized directly by the privacy target (settings 1/3) or by
 the test-channel noise (setting 2); the Lagrange multiplier is recoverable as
@@ -56,21 +56,6 @@ class TradeoffCurve:
 
     def column(self, name: str) -> np.ndarray:
         return np.array([p[self.columns.index(name)] for p in self.points])
-
-
-@dataclass(frozen=True)
-class CurveShapeReport:
-    """Monotonicity / discrete-concavity verdict for a privacy-distortion curve."""
-
-    monotone_ok: bool
-    concave_ok: bool
-    max_violation: float
-    violation_index: int | None
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.monotone_ok and self.concave_ok
 
 
 @dataclass(frozen=True)
@@ -134,32 +119,6 @@ def sweep_privacy_distortion(
         points=tuple(points),
         model=model,
         channel=channel,
-    )
-
-
-def check_concavity(curve: TradeoffCurve, tol: float | None = None) -> CurveShapeReport:
-    """Check non-decreasing distortion and non-positive second differences.
-
-    Second differences are taken on the curve's uniform privacy grid; a
-    positive second difference beyond ``tol`` (default 1e-9 * sigma_x2) is a
-    concavity violation and its index is reported.
-    """
-    if len(curve.points) < 3:
-        raise ValueError("concavity check needs at least 3 points")
-    if tol is None:
-        tol = 1e-9 * curve.model.sigma_x2
-    y = np.array([p[1] for p in curve.points])
-    monotone_ok = bool(np.all(np.diff(y) >= -tol))
-    second = y[2:] - 2.0 * y[1:-1] + y[:-2]
-    worst = int(np.argmax(second))
-    max_violation = float(second[worst])
-    concave_ok = max_violation <= tol
-    return CurveShapeReport(
-        monotone_ok=monotone_ok,
-        concave_ok=concave_ok,
-        max_violation=max_violation,
-        violation_index=None if concave_ok else worst + 1,
-        tolerance=tol,
     )
 
 

@@ -1,13 +1,19 @@
 """Closed-form privacy-constrained Stackelberg equilibria for three settings.
 
 All three settings share one linear-plus-noise encoder family
-Y = beta * (X + alpha*theta) + noise and one quadratic-root engine for the
-active privacy constraint:
+Y = beta * (X + alpha*theta) + noise and one solve core for the active
+privacy constraint, a quadratic in alpha:
 
     r*d*alpha^2 + 2*rho*d*alpha + (rho^2 - r + d - (r - d)*n_eff) = 0,
 
-where d is the normalized privacy target D_P / sigma_x2 and n_eff the
-normalized effective noise variance seen at the decoder.
+where d is the normalized privacy target D_P / sigma_x2 (or the setting's
+effective target) and n_eff the normalized effective noise variance seen at
+the decoder.  The core tests, in order: a finite target, feasibility, the
+setting's free privacy floor, the max-privacy endpoint, the degenerate model
+rho^2 = r without noise, and otherwise takes the root alpha_plus, the
+constrained minimizer.  Near rho^2 = r rounding can defeat the closed form,
+so a solution is refused with :class:`DegenerateModelError` when its encoder
+sends nothing or its D_P misses an active target by more than ``SOLVE_TOL``.
 
 Settings:
   simple       Y = X + alpha*theta (noiseless, unit gain)
@@ -21,14 +27,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import SourceModel, privacy_bounds
+from .model import SourceModel
 
 #: Relative tolerance for snapping privacy targets onto the endpoints of the
 #: feasible range; endpoint targets (max/min privacy) are legitimate inputs and
 #: the square root in the quadratic amplifies last-ulp noise there.
 ENDPOINT_RTOL = 1e-12
 
-#: Back-substitution residual tolerance on normalized quantities.
+#: Back-substitution residual tolerance: an active solution's D_P meets its
+#: target to SOLVE_TOL relative and to SOLVE_TOL * sigma_x2 at most, beyond
+#: the ENDPOINT_RTOL snap onto max privacy.
 SOLVE_TOL = 1e-9
 
 
@@ -139,8 +147,7 @@ def evaluate_setting2(model: SourceModel, policy: EncoderPolicy):
     """(rate, d_c, d_p) for the compression setting.
 
     The rate is the Gaussian mutual information across the forward test
-    channel, in nats.  The distortion is evaluated through two algebraically
-    equivalent expressions and cross-checked to 1e-10 relative.
+    channel, in nats.
     """
     if policy.beta != 1.0:
         raise ValueError("setting 2 uses a unit transmit gain")
@@ -149,16 +156,8 @@ def evaluate_setting2(model: SourceModel, policy: EncoderPolicy):
             f"test-channel noise must be positive, got {policy.noise_var}"
         )
     s2 = model.sigma_x2
-    n = policy.noise_var / s2
-    alpha = policy.alpha
-    a_gain = mixing_gain(model, alpha)
-    rate = 0.5 * math.log1p(a_gain * s2 / policy.noise_var)
-    d_c, d_p = second_order_dc_dp(model, alpha, n)
-    # cross-check against the direct 1 - (1+a*rho)^2/(A+n) expression; the
-    # absolute floor absorbs its subtractive cancellation near d_c = 0
-    d_c_alt = s2 * (1.0 - (1.0 + alpha * model.rho) ** 2 / (a_gain + n))
-    if abs(d_c - d_c_alt) > 1e-10 * max(abs(d_c), abs(d_c_alt)) + 1e-13 * s2:
-        raise RuntimeError(f"distortion expressions disagree: {d_c} vs {d_c_alt}")
+    rate = 0.5 * math.log1p(mixing_gain(model, policy.alpha) * s2 / policy.noise_var)
+    d_c, d_p = second_order_dc_dp(model, policy.alpha, policy.noise_var / s2)
     return rate, d_c, d_p
 
 
@@ -203,31 +202,60 @@ def solve_alpha_quadratic(model: SourceModel, d_target: float, n_eff: float):
 _NO_NOISELESS_ENCODER = "no encoder without noise meets the privacy target {!r}"
 
 
-def _finite_target(d_p_target: float) -> None:
+def _constrained_alpha(
+    model: SourceModel,
+    d_p_target: float,
+    floor: float,
+    n_eff: float = 0.0,
+    d_eff: float | None = None,
+    floor_unit: float = 1.0,
+):
+    """(alpha, active) of the privacy-constrained encoder, for every setting.
+
+    ``floor`` is the setting's free privacy level in units of ``floor_unit``
+    (1 for the target's own units, sigma_x2 for a normalized floor).  The
+    active constraint is the quadratic in ``n_eff`` at the normalized target,
+    or at ``d_eff`` when the setting shifts it; its root alpha_plus is the
+    constrained minimizer, because alpha_minus lies below -rho/r.
+    """
     if not math.isfinite(d_p_target):
         raise SolveError(f"privacy target must be finite, got {d_p_target}")
+    rho, r, s2 = model.rho, model.r, model.sigma_x2
+    d = d_p_target / s2
+    if d > r * (1.0 + ENDPOINT_RTOL):
+        raise InfeasiblePrivacyTarget(f"d_p_target={d_p_target} exceeds dp_max={s2 * r}")
+    if rho == 0.0 or d_p_target / floor_unit <= floor * (1.0 + ENDPOINT_RTOL):
+        return 0.0, False
+    if _at_max_privacy(model, d_p_target):
+        return -rho / r, True  # transmit the prediction error of X from theta
+    if model.degenerate and n_eff == 0.0:
+        raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
+    alpha, _ = solve_alpha_quadratic(model, d if d_eff is None else d_eff, n_eff)
+    return min(alpha, 0.0), True  # clip last-ulp drift above alpha = 0
 
 
-def _lower_dc_root(model: SourceModel, roots, n_eff: float) -> float:
-    """Pick the root with the lower distortion; both hit the target exactly.
+def _at_max_privacy(model: SourceModel, d_p_target: float) -> bool:
+    return d_p_target / model.sigma_x2 >= model.r * (1.0 - ENDPOINT_RTOL)
 
-    On a degenerate model both roots give the same distortion in exact
-    arithmetic, so rounding must not rank them: alpha_plus is taken.
-    """
-    if model.degenerate:
-        alpha = roots[0]
-    else:
-        d_c = [second_order_dc_dp(model, a, n_eff)[0] for a in roots]
-        alpha = roots[0] if d_c[0] <= d_c[1] else roots[1]
-    # the constrained minimizer always sits in [-rho/r, 0]; clip last-ulp drift
-    lo, hi = -model.rho / model.r, 0.0
-    if alpha < lo - 1e-9 or alpha > hi + 1e-9:
-        # only rounding can rank the roots the wrong way round, when rho^2 ~ r
+
+def _transmit_variance(model: SourceModel, alpha: float, n_eff: float) -> float:
+    """Normalized Var(X + alpha*theta + noise); refuses an encoder that sends nothing."""
+    var = mixing_gain(model, alpha) + n_eff
+    if not var > 0.0:
+        raise DegenerateModelError(model, f"the encoder alpha={alpha!r} sends nothing")
+    return var
+
+
+def _solution(model, d_p_target, policy, kappa, d_c, d_p, active) -> EquilibriumSolution:
+    """The solution, refused when rounding leaves an active D_P off its target."""
+    tol = SOLVE_TOL * min(model.sigma_x2, d_p_target) + ENDPOINT_RTOL * d_p_target
+    if active and abs(d_p - d_p_target) > tol:
         raise DegenerateModelError(
-            model, f"the roots of the privacy constraint tie to rounding; "
-            f"selected {alpha} outside [-rho/r, 0]"
+            model, f"rounding misses the privacy target {d_p_target!r}: d_p = {d_p!r}"
         )
-    return min(max(alpha, lo), hi)
+    return EquilibriumSolution(
+        policy=policy, kappa=kappa, d_c=d_c, d_p=d_p, constraint_active=active
+    )
 
 
 def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution:
@@ -237,42 +265,18 @@ def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution
     distortion, constraint inactive); targets above dp_max are infeasible.
     Encoder noise is never used: it is strictly suboptimal on the frontier.
     """
-    _finite_target(d_p_target)
     rho, r, s2 = model.rho, model.r, model.sigma_x2
-    d = d_p_target / s2
-    if d > r * (1.0 + ENDPOINT_RTOL):
-        raise InfeasiblePrivacyTarget(
-            f"d_p_target={d_p_target} exceeds dp_max={privacy_bounds(model).dp_max}"
-        )
     floor = r - rho**2
-    if rho == 0.0 or d <= floor * (1.0 + ENDPOINT_RTOL):
-        policy = EncoderPolicy(alpha=0.0)
-        return EquilibriumSolution(
-            policy=policy, kappa=1.0, d_c=0.0, d_p=s2 * floor, constraint_active=False
-        )
-    if d >= r * (1.0 - ENDPOINT_RTOL):
-        # max-privacy endpoint: transmit the prediction error of X from theta
-        alpha = -rho / r
-        return EquilibriumSolution(
-            policy=EncoderPolicy(alpha=alpha),
-            kappa=1.0,
-            d_c=s2 * rho**2 / r,
-            d_p=s2 * r,
-            constraint_active=True,
-        )
-    if model.degenerate:
-        raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
-    roots = solve_alpha_quadratic(model, d, 0.0)
-    alpha = _lower_dc_root(model, roots, 0.0)
-    kappa = (1.0 + alpha * rho) / mixing_gain(model, alpha)
-    d_c, d_p = second_order_dc_dp(model, alpha, 0.0)
-    return EquilibriumSolution(
-        policy=EncoderPolicy(alpha=alpha),
-        kappa=kappa,
-        d_c=d_c,
-        d_p=d_p,
-        constraint_active=True,
-    )
+    alpha, active = _constrained_alpha(model, d_p_target, floor, floor_unit=s2)
+    policy = EncoderPolicy(alpha=alpha)
+    if not active:
+        d_c, d_p, kappa = 0.0, s2 * floor, 1.0
+    elif _at_max_privacy(model, d_p_target):
+        d_c, d_p, kappa = s2 * rho**2 / r, s2 * r, 1.0
+    else:
+        kappa = (1.0 + alpha * rho) / _transmit_variance(model, alpha, 0.0)
+        d_c, d_p = second_order_dc_dp(model, alpha, 0.0)
+    return _solution(model, d_p_target, policy, kappa, d_c, d_p, active)
 
 
 def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
@@ -294,31 +298,13 @@ def solve_setting2(
     inactive (alpha = 0) whenever the target sits at or below the floor
     sigma_x2 * (r - rho^2 / (1 + n)).
     """
-    _finite_target(d_p_target)
-    rho, r, s2 = model.rho, model.r, model.sigma_x2
     floor = compression_privacy_floor(model, sigma_n2)
-    n = sigma_n2 / s2
-    d = d_p_target / s2
-    if d > r * (1.0 + ENDPOINT_RTOL):
-        raise InfeasiblePrivacyTarget(
-            f"d_p_target={d_p_target} exceeds dp_max={s2 * r}"
-        )
-    if rho == 0.0 or d_p_target <= floor * (1.0 + ENDPOINT_RTOL):
-        alpha = 0.0
-        active = False
-    elif d >= r * (1.0 - ENDPOINT_RTOL):
-        alpha = -rho / r
-        active = True
-    else:
-        roots = solve_alpha_quadratic(model, d, n)
-        alpha = _lower_dc_root(model, roots, n)
-        active = True
-    policy = EncoderPolicy(alpha=alpha, noise_var=sigma_n2)
-    kappa = (1.0 + alpha * rho) / (mixing_gain(model, alpha) + n)
+    n = sigma_n2 / model.sigma_x2
+    alpha, active = _constrained_alpha(model, d_p_target, floor, n_eff=n)
+    kappa = (1.0 + alpha * model.rho) / _transmit_variance(model, alpha, n)
     d_c, d_p = second_order_dc_dp(model, alpha, n)
-    return EquilibriumSolution(
-        policy=policy, kappa=kappa, d_c=d_c, d_p=d_p, constraint_active=active
-    )
+    policy = EncoderPolicy(alpha=alpha, noise_var=sigma_n2)
+    return _solution(model, d_p_target, policy, kappa, d_c, d_p, active)
 
 
 def channel_privacy_floor(model: SourceModel, channel: ChannelSpec) -> float:
@@ -340,40 +326,23 @@ def solve_setting3(
     without noise either leaks at the free floor or sends nothing, so an
     active constraint raises :class:`DegenerateModelError`.
     """
-    _finite_target(d_p_target)
     rho, r, s2 = model.rho, model.r, model.sigma_x2
+    p_t, sigma_z2 = channel.p_t, channel.sigma_z2
     d = d_p_target / s2
-    if d > r * (1.0 + ENDPOINT_RTOL):
-        raise InfeasiblePrivacyTarget(
-            f"d_p_target={d_p_target} exceeds dp_max={s2 * r}"
-        )
+    d_eff = d - (r - d) * sigma_z2 / p_t
     floor = channel_privacy_floor(model, channel)
-    if rho == 0.0 or d_p_target <= floor * (1.0 + ENDPOINT_RTOL):
-        alpha = 0.0
-        active = False
-    elif model.degenerate:
+    alpha, active = _constrained_alpha(model, d_p_target, floor, d_eff=d_eff)
+    if active and model.degenerate:  # max privacy: X - (rho/r)*theta = 0
         raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
-    elif d >= r * (1.0 - ENDPOINT_RTOL):
-        alpha = -rho / r
-        active = True
-    else:
-        d_eff = d - (r - d) * channel.sigma_z2 / channel.p_t
-        roots = solve_alpha_quadratic(model, d_eff, 0.0)
-        # both roots share the transmit variance A, hence the same effective
-        # receiver noise A*sigma_z2/P_T; rank them under it
-        n_eff = mixing_gain(model, roots[0]) * channel.sigma_z2 / channel.p_t
-        alpha = _lower_dc_root(model, roots, n_eff)
-        active = True
-    beta = math.sqrt(channel.p_t / (s2 * mixing_gain(model, alpha)))
+    beta = math.sqrt(p_t / (s2 * _transmit_variance(model, alpha, 0.0)))
     policy = EncoderPolicy(alpha=alpha, beta=beta)
-    kappa = beta * s2 * (1.0 + alpha * rho) / (channel.p_t + channel.sigma_z2)
-    d_c, d_p, _power = evaluate_setting3(model, policy, channel)
-    if active and d >= r * (1.0 - ENDPOINT_RTOL):
-        d_p = s2 * r  # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
-        d_c = s2 * (1.0 - (1.0 - rho**2 / r) * channel.p_t / (channel.p_t + channel.sigma_z2))
-    return EquilibriumSolution(
-        policy=policy, kappa=kappa, d_c=d_c, d_p=d_p, constraint_active=active
-    )
+    kappa = beta * s2 * (1.0 + alpha * rho) / (p_t + sigma_z2)
+    if active and _at_max_privacy(model, d_p_target):
+        # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
+        d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / (p_t + sigma_z2)), s2 * r
+    else:
+        d_c, d_p, _power = evaluate_setting3(model, policy, channel)
+    return _solution(model, d_p_target, policy, kappa, d_c, d_p, active)
 
 
 def xi_sign_check(model: SourceModel, lam: float, alpha: float) -> float:

@@ -22,6 +22,8 @@ GENERATOR = "numpy-pcg64"
 #: Bytes the signal chain holds per sample: four float64 arrays.
 BYTES_PER_SAMPLE = 4 * 8
 
+_SENDS_NOTHING = "the policy sends nothing (Var(Y) = 0); privacy MMSE undefined"
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -150,7 +152,7 @@ def _analytic_theta_coefficient(
     if channel is not None:
         var_y += channel.sigma_z2
     if not var_y > 0.0:
-        raise ValueError("the policy sends nothing (Var(Y) = 0); privacy MMSE undefined")
+        raise ValueError(_SENDS_NOTHING)
     return cov / var_y
 
 
@@ -175,7 +177,10 @@ def simulate_policy(
 
     # pairwise sums, not BLAS dot products, so the thread count cannot matter
     theta_y = np.add.reduce(np.multiply(theta, y, out=e))
-    c_hat = float(theta_y / np.add.reduce(np.square(y, out=e)))
+    y_y = np.add.reduce(np.square(y, out=e))
+    if not y_y > 0.0:  # rounding can leave Var(Y) > 0 while every sample is 0
+        raise ValueError(_SENDS_NOTHING)
+    c_hat = float(theta_y / y_y)
     d_p_reg = _mean(_squared_error(theta, c_hat, y, e))
 
     return SimResult(

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -154,6 +156,40 @@ class TestRejectedInputs:
         )
         assert code == 1 and out == ""
         assert "error:" in err and "rho^2 = r" in err
+
+    # r - rho^2 = 2.8e-17 > 0: not degenerate, but the transmit variance near
+    # alpha = -rho/r cancels to rounding
+    NEAR_DEGENERATE = ["--sigma-x2", "0.5350258788176954", "--rho", "0.4369635009422466",
+                       "--r", "0.19093710115570478"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--setting", "simple", "--dp", "0.03561611617484084"],
+            ["--setting", "channel", "--dp", "0.10215629034473414",
+             "--pt", "2.6229552193297145", "--sigma-z2", "1.4039560157226145"],
+        ],
+        ids=["simple-interior", "channel-endpoint"],
+    )
+    def test_near_degenerate_solve_exits_1(self, argv):
+        code, out, err = run(["solve", *self.NEAR_DEGENERATE, *argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "rho^2 = r" in err
+
+    def test_simulate_sending_nothing_exits_1(self):
+        # r = rho^2 exactly: at the max-privacy endpoint every sampled y is 0
+        argv = ["simulate", "--setting", "simple", "--sigma-x2", "0.9134717985533981",
+                "--rho", "0.40147136495787894", "--r", "0.16117925688114243",
+                "--dp", "0.14723270567271735", "--samples", "3", "--seed", "1306269759"]
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "privcomm.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: the policy sends nothing (Var(Y) = 0); privacy MMSE undefined\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,7 +8,6 @@ from privcomm import (
     ChannelSpec,
     Setting,
     TradeoffCurve,
-    check_concavity,
     lagrangian_slope_check,
     noise_for_rate,
     privacy_floor,
@@ -93,33 +92,6 @@ class TestCurveValidation:
                 points=((0.7, 0.1), (0.8, math.inf)),
                 model=M,
             )
-
-
-class TestConcavityCheck:
-    def test_concave_synthetic_passes(self):
-        xs = np.linspace(0.0, 1.0, 64)
-        pts = tuple((float(x), float(np.sqrt(x))) for x in xs)
-        curve = TradeoffCurve(Setting.SIMPLE, ("d_p", "d_c"), pts, M)
-        assert check_concavity(curve).passed
-
-    def test_planted_kink_fails_with_index(self):
-        xs = np.linspace(0.0, 1.0, 16)
-        ys = np.sqrt(xs)
-        ys[8] -= 0.02  # convex kink, still monotone
-        curve = TradeoffCurve(
-            Setting.SIMPLE, ("d_p", "d_c"), tuple(zip(xs.tolist(), ys.tolist())), M
-        )
-        report = check_concavity(curve)
-        assert not report.passed
-        assert report.violation_index in (7, 8, 9)
-        assert report.max_violation > 0.01
-
-    def test_two_points_rejected(self):
-        curve = TradeoffCurve(
-            Setting.SIMPLE, ("d_p", "d_c"), ((0.0, 0.0), (1.0, 1.0)), M
-        )
-        with pytest.raises(ValueError):
-            check_concavity(curve)
 
 
 class TestRateSweep:

@@ -24,6 +24,7 @@ from privcomm import (
     xi_sign_check,
 )
 from privcomm.equilibrium import mixing_gain, second_order_dc_dp
+from privcomm.oracle import covariance_evaluate
 
 from conftest import models_with_targets, source_models
 
@@ -117,7 +118,6 @@ class TestEvaluators:
     @given(source_models(), st.floats(-2.0, 1.0), st.floats(1e-3, 10.0))
     @settings(max_examples=300)
     def test_setting2_dc_forms_agree(self, model, alpha, noise):
-        # the evaluator also cross-checks the two expressions internally
         _, d_c, _ = evaluate_setting2(model, EncoderPolicy(alpha=alpha, noise_var=noise))
         n = noise / model.sigma_x2
         alt = model.sigma_x2 * (
@@ -394,10 +394,16 @@ class TestDegenerateModel:
             solve_setting3(self.DEG, target, ChannelSpec(p_t=1.0, sigma_z2=1.0))
 
     def test_near_degenerate_root_tie_raises_solve_error(self):
-        # r - rho^2 = 3.6e-14: the two roots tie to rounding and rank the wrong way
+        # r - rho^2 = 3.6e-14: the transmit variance cancels to rounding near -rho/r
         m = validate_model(1.0, 0.6, 0.36 * (1.0 + 1e-13))
-        with pytest.raises(DegenerateModelError, match="tie to rounding"):
-            solve_setting1(m, 0.9 * m.r)
+        # at 0.999*r rounding leaves d_p at 0.359202 for a target of 0.359640
+        with pytest.raises(DegenerateModelError, match="rho\\^2 = r"):
+            solve_setting1(m, 0.999 * m.r)
+        # at 0.9*r alpha_plus is accurate to 3e-11: the answer stands
+        sol = solve_setting1(m, 0.9 * m.r)
+        d_c, d_p = covariance_evaluate(m, sol.policy.alpha, 0.0)
+        assert sol.d_c == pytest.approx(d_c, rel=0.0, abs=1e-9 * m.sigma_x2)
+        assert sol.d_p == pytest.approx(d_p, rel=0.0, abs=1e-9 * m.sigma_x2)
 
     def test_channel_free_floor_stays_finite(self):
         sol = solve_setting3(self.DEG, 0.2, ChannelSpec(p_t=1.0, sigma_z2=1.0))

@@ -10,14 +10,14 @@ import pytest
 
 import privcomm
 
-#: Every public name ``privcomm`` exported when it imported all submodules eagerly.
+#: Every public name ``privcomm`` exports, eagerly or on first access.
 EXPORTED = (
-    "ChannelSpec", "CorrelationBoundError", "CurveShapeReport", "DegeneratePrivacyTarget",
+    "ChannelSpec", "CorrelationBoundError", "DegeneratePrivacyTarget",
     "EncoderPolicy", "EquilibriumSolution", "InfeasiblePrivacyTarget", "InfiniteRateError",
     "ModelError", "NegativeCorrelationError", "NonPositiveVarianceError", "OracleConfig",
     "OracleOptimum", "PrivacyBounds", "ProbeReport", "Setting", "SimConfig", "SimResult",
     "SlopeReport", "SolveError", "SourceModel", "TradeoffCurve", "VerificationReport",
-    "check_concavity", "covariance_evaluate", "curves", "decoder_optimality_probe",
+    "covariance_evaluate", "curves", "decoder_optimality_probe",
     "equilibrium", "evaluate_setting1", "evaluate_setting2", "evaluate_setting3",
     "gaussian_conditional_entropy", "grid_search", "lagrangian_scan",
     "lagrangian_slope_check", "model", "montecarlo", "noise_for_rate", "oracle",
