@@ -1,19 +1,24 @@
-"""Trade-off curve sweeps and the curve-level slope check.
+"""Trade-off curve sweeps, the inverse of the rate map and the slope check.
 
 Sweeps are parameterized directly by the privacy target (settings 1/3) or by
 the test-channel noise (setting 2); the Lagrange multiplier is recoverable as
 the local slope of the privacy-distortion curve and is checked, not swept.
+``noise_for_rate`` runs setting 2 backwards: the test-channel noise that
+meets a privacy target at a given rate comes in closed form, checked by one
+solve at the noise it returns.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import (
     ChannelSpec,
+    DegenerateModelError,
     EquilibriumSolution,
     Setting,
     channel_privacy_floor,
@@ -23,6 +28,10 @@ from .equilibrium import (
     solve_setting3,
 )
 from .model import SourceModel, privacy_bounds
+
+#: Largest rate error that ``noise_for_rate`` accepts, relative to max(1, R):
+#: the stopping width of the bisection the closed form replaced.
+RATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -178,33 +187,47 @@ def lagrangian_slope_check(
     )
 
 
-def noise_for_rate(
-    model: SourceModel,
-    d_p_target: float,
-    rate_target: float,
-    bracket: tuple[float, float] = (1e-12, 1e12),
-    tol: float = 1e-10,
-) -> float:
-    """Invert the rate map: find sigma_n2 whose equilibrium rate hits the target.
+def noise_for_rate(model: SourceModel, d_p_target: float, rate_target: float) -> float:
+    """Invert the rate map in closed form: the sigma_n2 whose equilibrium rate is R.
 
-    The achieved rate is strictly decreasing in sigma_n2, so plain bisection
-    suffices.
+    With g = expm1(2R) and d = D_P / sigma_x2, the rate fixes A / n = g, where
+    A = Var(X + alpha*theta) / sigma_x2 and n = sigma_n2 / sigma_x2.  When the
+    compression floor at n = 1/g already meets the target (r - rho^2*g/(g+1)
+    >= d), alpha = 0 and sigma_n2 = sigma_x2 / g.  Otherwise the active
+    constraint gives A = (r - rho^2)*g / (d*(g+1) - r), so
+    sigma_n2 = sigma_x2 * (r - rho^2) / (d*g - (r - d)), the same denominator
+    written so that rounding g + 1 cannot lose a small g.  One solve at the
+    returned noise guards the answer: a rate off R by more than
+    1e-10*max(1, R), which rounding causes near rho^2 = r, raises
+    :class:`DegenerateModelError`.  A rate that is not positive and finite, or
+    whose noise under- or overflows a float, raises ``ValueError``.
     """
-    if rate_target <= 0.0:
-        raise ValueError(f"rate_target must be positive, got {rate_target}")
-
-    def achieved(sigma_n2: float) -> float:
-        sol = solve_setting2(model, d_p_target, sigma_n2)
-        rate, _, _ = evaluate_setting2(model, sol.policy)
-        return rate
-
-    lo, hi = bracket
-    if achieved(lo) < rate_target or achieved(hi) > rate_target:
-        raise ValueError(f"rate_target={rate_target} not bracketed by {bracket}")
-    while hi - lo > tol * max(1.0, hi):
-        mid = math.sqrt(lo * hi)  # rate varies on a log scale in sigma_n2
-        if achieved(mid) >= rate_target:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    if not 0.0 < rate_target < math.inf:
+        raise ValueError(f"rate_target must be positive and finite, got {rate_target}")
+    s2, rho, r = model.sigma_x2, model.rho, model.r
+    d = d_p_target / s2
+    try:
+        g = math.expm1(2.0 * rate_target)
+    except OverflowError:
+        raise ValueError(
+            f"rate_target={rate_target} needs a noise below any float"
+        ) from None
+    # a NaN target takes the inactive branch; the guard solve refuses it
+    if not d > r - rho**2 * g / (g + 1.0):
+        sigma_n2 = s2 / g
+    elif model.degenerate:
+        raise DegenerateModelError(
+            model, f"the rate is ln(r/d)/2 at every noise once D_P={d_p_target!r} binds"
+        )
+    else:
+        sigma_n2 = s2 * (r - rho**2) / (d * g - (r - d))
+    if not sys.float_info.min <= sigma_n2 < math.inf:
+        raise ValueError(f"rate_target={rate_target} needs sigma_n2={sigma_n2}, "
+                         "outside the normal floats")
+    sol = solve_setting2(model, d_p_target, sigma_n2)
+    rate, _, _ = evaluate_setting2(model, sol.policy)
+    if abs(rate - rate_target) > RATE_TOL * max(1.0, rate_target):
+        raise DegenerateModelError(
+            model, f"rounding misses the rate {rate_target!r}: rate = {rate!r}"
+        )
+    return sigma_n2

@@ -59,7 +59,7 @@ class DegeneratePrivacyTarget(SolveError):
 
 
 class InfiniteRateError(SolveError):
-    """Compression with nonpositive test-channel noise has unbounded rate."""
+    """Compression with nonpositive or vanishing test-channel noise has unbounded rate."""
 
 
 class DegenerateModelError(SolveError):
@@ -147,7 +147,8 @@ def evaluate_setting2(model: SourceModel, policy: EncoderPolicy):
     """(rate, d_c, d_p) for the compression setting.
 
     The rate is the Gaussian mutual information across the forward test
-    channel, in nats.
+    channel, in nats; a noise so small that it overflows raises
+    :class:`InfiniteRateError`.
     """
     if policy.beta != 1.0:
         raise ValueError("setting 2 uses a unit transmit gain")
@@ -157,6 +158,10 @@ def evaluate_setting2(model: SourceModel, policy: EncoderPolicy):
         )
     s2 = model.sigma_x2
     rate = 0.5 * math.log1p(mixing_gain(model, policy.alpha) * s2 / policy.noise_var)
+    if not math.isfinite(rate):
+        raise InfiniteRateError(
+            f"rate overflows at test-channel noise {policy.noise_var!r}"
+        )
     d_c, d_p = second_order_dc_dp(model, policy.alpha, policy.noise_var / s2)
     return rate, d_c, d_p
 
@@ -348,14 +353,15 @@ def solve_setting3(
 def xi_sign_check(model: SourceModel, lam: float, alpha: float) -> float:
     """The noise-suppression sign quantity (1+alpha*rho)^2 - lam*(rho+r*alpha)^2.
 
-    Nonnegativity of this quantity at the frontier's own multiplier,
-    xi(lam*(alpha), alpha) > 0 for every alpha in [-rho/r, 0], is what makes
-    encoder noise useless on the frontier.  The rectangle lam in [0, 1/rho^2]
-    that this function accepts misses the top ~6.4% of the frontier (for the
-    model (1, 0.6, 1)), where lam* > 1/rho^2; there xi stays positive too,
-    because (rho + r*alpha)^2 vanishes at the max-privacy endpoint and xi
-    tends to (1 - rho^2/r)^2.  Measured along the swept frontiers of the
-    acceptance tests its minimum is 0.43.
+    Its sign at the frontier's own multiplier is what makes encoder noise
+    useless on the frontier.  In the simple setting that multiplier is the
+    frontier slope lam*(alpha) = -alpha*(1+alpha*rho) / (rho+r*alpha), and
+    xi(lam*(alpha), alpha) = (1+alpha*rho) * A(alpha) is an identity, with A
+    the transmit variance of :func:`mixing_gain`.  Both factors grow on
+    [-rho/r, 0], so xi >= (1 - rho^2/r)^2 there, with equality at the
+    max-privacy endpoint alpha = -rho/r.  This function accepts lam in
+    [0, 1/rho^2] only, which misses the top ~6.4% of the frontier (for the
+    model (1, 0.6, 1)), where lam* > 1/rho^2.
     """
     rho, r = model.rho, model.r
     if lam < -1e-15:

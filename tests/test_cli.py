@@ -242,6 +242,19 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert "error:" in err and "physical memory" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--setting", "compression", "--sigma-n2", "1e-320"],
+            ["rate", "--noise-grid", "1e-320"],
+        ],
+        ids=["solve", "rate"],
+    )
+    def test_rate_overflow_exits_1(self, argv):
+        code, out, err = run([*argv, *MODEL_FLAGS, "--dp", "0.9"])
+        assert code == 1 and out == ""
+        assert "error: rate overflows at test-channel noise 1e-320" in err
+
     @pytest.mark.parametrize("count", ["1", "0"])
     def test_scan_lambda_count_below_2_exits_1(self, count):
         code, out, err = run(["scan", *MODEL_FLAGS, "--lambda-count", count])

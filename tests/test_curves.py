@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 
 from privcomm import (
     ChannelSpec,
+    DegenerateModelError,
     Setting,
     TradeoffCurve,
     lagrangian_slope_check,
@@ -16,7 +18,7 @@ from privcomm import (
     sweep_rate_distortion,
     validate_model,
 )
-from privcomm.equilibrium import evaluate_setting2
+from privcomm.equilibrium import SolveError, evaluate_setting2
 
 from conftest import source_models
 
@@ -164,3 +166,65 @@ def test_noise_for_rate_roundtrip():
     sol = solve_setting2(M, 0.9, sigma_n2)
     rate, _, _ = evaluate_setting2(M, sol.policy)
     assert rate == pytest.approx(0.7, abs=1e-7)
+
+
+def exact_rate(model, sigma_n2, d_p_target):
+    """Rate of the policy solve_setting2 returns, its A/n evaluated in exact rationals."""
+    alpha = Fraction(solve_setting2(model, d_p_target, sigma_n2).policy.alpha)
+    s2, rho, r = (Fraction(v) for v in (model.sigma_x2, model.rho, model.r))
+    snr = s2 * (1 + 2 * alpha * rho + alpha * alpha * r) / Fraction(sigma_n2)
+    return 0.5 * math.log1p(float(snr))
+
+
+class TestNoiseForRate:
+    def test_exact_rate_on_random_models(self):
+        rng = np.random.default_rng(6)
+        branches = set()
+        for _ in range(240):
+            s2, r = rng.uniform(0.1, 10.0), rng.uniform(0.05, 4.0)
+            model = validate_model(s2, rng.uniform(0.05, 0.99) * math.sqrt(r), r)
+            lo, hi = s2 * (r - model.rho**2), s2 * r
+            target = float(lo + rng.uniform(0.1, 0.9) * (hi - lo))
+            rate = float(rng.uniform(0.05, 2.0))
+            sigma_n2 = noise_for_rate(model, target, rate)
+            branches.add(solve_setting2(model, target, sigma_n2).constraint_active)
+            assert exact_rate(model, sigma_n2, target) == pytest.approx(rate, rel=1e-12)
+        assert branches == {False, True}
+
+    @pytest.mark.parametrize("rate", [1e-14, 20.0])
+    @pytest.mark.parametrize("d_p", [0.64, 0.9])
+    def test_rates_beyond_1e12_noise_ratio(self, rate, d_p):
+        # sigma_n2 / sigma_x2 is ~5e13 at 1e-14 nats and ~4e-18 at 20 nats
+        sigma_n2 = noise_for_rate(M, d_p, rate)
+        assert not 1e-12 <= sigma_n2 <= 1e12
+        assert exact_rate(M, sigma_n2, d_p) == pytest.approx(rate, rel=1e-12)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_bad_rate_refused(self, rate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            noise_for_rate(M, 0.9, rate)
+
+    @pytest.mark.parametrize(
+        "model, rate",
+        [(M, 400.0), (validate_model(1e-6, 0.6, 1.0), 350.0), (M, 1e-320)],
+        ids=["expm1-overflow", "noise-underflow", "noise-overflow"],
+    )
+    def test_noise_outside_floats_refused(self, model, rate):
+        with pytest.raises(ValueError, match=f"rate_target={rate}") as info:
+            noise_for_rate(model, 0.9 * model.sigma_x2, rate)
+        assert not isinstance(info.value, SolveError)
+
+    def test_nan_target_refused(self):
+        with pytest.raises(SolveError, match="privacy target must be finite"):
+            noise_for_rate(M, math.nan, 0.5)
+
+    def test_degenerate_inactive_answers(self):
+        m = validate_model(1.0, 0.6, 0.36)
+        sigma_n2 = noise_for_rate(m, 0.2, 0.1)
+        assert sigma_n2 == 1.0 / math.expm1(0.2) == pytest.approx(4.5167, rel=1e-4)
+
+    def test_degenerate_active_refused(self):
+        # rho^2 = r: once D_P binds, the rate is ln(r/d)/2 at every noise
+        m = validate_model(1.0, 0.6, 0.36)
+        with pytest.raises(DegenerateModelError, match="every noise"):
+            noise_for_rate(m, 0.3, 0.1)

@@ -294,6 +294,34 @@ class TestXiSign:
         m = validate_model(1.0, 0.0, 1.0)
         assert xi_sign_check(m, 0.0, 0.0) == 1.0
 
+    def test_frontier_multiplier_identity(self):
+        # lam*(alpha) = -alpha(1+alpha*rho)/(rho+r*alpha) is the frontier slope
+        # d D_C / d D_P; along it xi = (1+alpha*rho)*A(alpha) >= (1-rho^2/r)^2
+        rng = np.random.default_rng(9)
+        identities = slopes = 0
+        for _ in range(600):
+            s2, r = rng.uniform(0.1, 10.0), rng.uniform(0.05, 4.0)
+            m = validate_model(s2, rng.uniform(0.05, 0.99) * math.sqrt(r), r)
+            rho = m.rho
+            lo, hi = s2 * (r - rho**2), s2 * r
+            target = float(lo + rng.uniform(0.05, 0.95) * (hi - lo))
+            alpha = solve_setting1(m, target).policy.alpha
+            lam = -alpha * (1.0 + alpha * rho) / (rho + r * alpha)
+            if lam > 1.0 / rho**2:
+                continue
+            xi = xi_sign_check(m, lam, alpha)
+            identity = (1.0 + alpha * rho) * mixing_gain(m, alpha)
+            assert xi == pytest.approx(identity, rel=1e-12)
+            assert xi >= (1.0 - rho**2 / r) ** 2
+            identities += 1
+            h = 1e-4 * (hi - lo)
+            slope = (
+                solve_setting1(m, target + h).d_c - solve_setting1(m, target - h).d_c
+            ) / (2.0 * h)
+            assert slope == pytest.approx(lam, rel=1e-5, abs=1e-7)
+            slopes += 1
+        assert identities > 300 and slopes == identities
+
 
 class TestOutputVarianceGuard:
     """The guard raises exactly where ``numpy.any(den <= 0)`` is true."""
