@@ -42,8 +42,8 @@ __version__ = "0.1.0"
 #: Public name -> submodule that defines it, resolved on first access.
 _LAZY = {
     **dict.fromkeys(
-        ("SlopeReport", "TradeoffCurve", "lagrangian_slope_check", "noise_for_rate",
-         "privacy_floor", "sweep_privacy_distortion", "sweep_rate_distortion"),
+        ("TradeoffCurve", "noise_for_rate", "privacy_floor", "sweep_privacy_distortion",
+         "sweep_rate_distortion"),
         "curves",
     ),
     **dict.fromkeys(

@@ -29,11 +29,15 @@ from .equilibrium import (
     solve_setting2,
     solve_setting3,
 )
-from .model import ModelError, validate_model
+from .model import ModelError, require_memory, validate_model
 
 OUTPUT_DIR_ENV = "PRIVCOMM_OUTPUT_DIR"
 
 NATS_PER_BIT = math.log(2.0)
+
+#: Bytes that ``tradeoff`` and ``scan`` hold per CSV row, rounded up from
+#: tracemalloc peaks of ~470 (tradeoff) and ~590 (scan).
+BYTES_PER_ROW = 640
 
 #: Config-file values of a ``store_true`` flag (case-insensitive).
 _BOOLEANS = {"true": True, "false": False}
@@ -94,9 +98,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="Lagrange-multiplier frontier scan (CSV)")
     add_common(p, channel=False, dp=False)
-    p.add_argument("--lambdas", help="comma-separated multipliers in [0, 1/rho^2]")
+    p.add_argument("--lambdas", help="comma-separated finite multipliers >= 0")
     p.add_argument("--lambda-count", type=int, default=9,
-                   help="uniform multiplier grid size when --lambdas is omitted")
+                   help="size of the grid on [0, 1/rho^2] when --lambdas is omitted")
     return parser
 
 
@@ -225,6 +229,7 @@ def _cmd_tradeoff(args) -> int:
     model = _model_from(args)
     setting = Setting(args.setting)
     channel = _channel_from(args) if setting is Setting.CHANNEL else None
+    require_memory(BYTES_PER_ROW * args.grid, f"--grid {args.grid}")
     curve = sweep_privacy_distortion(model, setting, channel, args.grid)
     _emit(_csv("d_p,d_c,alpha,kappa", curve.points), args)
     return 0
@@ -309,16 +314,18 @@ def _cmd_scan(args) -> int:
     from .oracle import lagrangian_scan
 
     model = _model_from(args)
-    if model.rho == 0.0:
-        raise CliError("scan requires rho > 0")
     if args.lambdas:
         try:
             lams = [float(v) for v in args.lambdas.split(",") if v.strip()]
         except ValueError:
             raise CliError(f"bad --lambdas value: {args.lambdas!r}")
     else:
+        if model.rho == 0.0:
+            raise CliError("the default grid [0, 1/rho^2] needs rho > 0; pass --lambdas")
         if args.lambda_count < 2:
             raise CliError(f"--lambda-count must be >= 2, got {args.lambda_count}")
+        require_memory(BYTES_PER_ROW * args.lambda_count,
+                       f"--lambda-count {args.lambda_count}")
         lam_max = 1.0 / model.rho**2
         lams = [lam_max * i / (args.lambda_count - 1) for i in range(args.lambda_count)]
     points = lagrangian_scan(model, lams)

@@ -1,8 +1,8 @@
-"""Trade-off curve sweeps, the inverse of the rate map and the slope check.
+"""Trade-off curve sweeps and the inverse of the rate map.
 
 Sweeps are parameterized directly by the privacy target (settings 1/3) or by
-the test-channel noise (setting 2); the Lagrange multiplier is recoverable as
-the local slope of the privacy-distortion curve and is checked, not swept.
+the test-channel noise (setting 2); the Lagrange multiplier is the local
+slope of the privacy-distortion curve, not a sweep parameter.
 ``noise_for_rate`` runs setting 2 backwards: the test-channel noise that
 meets a privacy target at a given rate comes in closed form, checked by one
 solve at the noise it returns.
@@ -65,24 +65,6 @@ class TradeoffCurve:
 
     def column(self, name: str) -> np.ndarray:
         return np.array([p[self.columns.index(name)] for p in self.points])
-
-
-@dataclass(frozen=True)
-class SlopeReport:
-    """Interior-slope check against the multiplier bounds [0, 1/rho^2].
-
-    The frontier slope is the Lagrange multiplier.  It is 0 on the free floor
-    and grows without bound at the max-privacy endpoint, so the cap 1/rho^2
-    holds only up to the privacy level where the multiplier reaches it
-    (d_p ~ 0.977 of [0.64, 1] for the model (1, 0.6, 1)); a sweep that runs
-    on to dp_max does not pass.
-    """
-
-    status: str  # "ok" or "degenerate"
-    slopes: tuple[float, ...]
-    lower_bound: float
-    upper_bound: float
-    passed: bool
 
 
 def privacy_floor(
@@ -150,40 +132,6 @@ def sweep_rate_distortion(
         columns=("sigma_n2", "rate", "d_c", "d_p", "alpha"),
         points=tuple(points),
         model=model,
-    )
-
-
-def lagrangian_slope_check(
-    curve: TradeoffCurve, model: SourceModel, slack: float = 1e-7
-) -> SlopeReport:
-    """Check that interior slopes d d_c / d d_p lie within [0, 1/rho^2].
-
-    Uses central differences; rho = 0 curves are degenerate (the multiplier
-    range collapses) and are reported as skipped.  The cap holds only below
-    the privacy level where the multiplier reaches 1/rho^2, the d_p that
-    ``lagrangian_scan(model, [1/rho^2])`` returns; above it the slope exceeds
-    the cap, so a curve reaching dp_max fails the check.
-    """
-    if model.rho == 0.0:
-        return SlopeReport(
-            status="degenerate", slopes=(), lower_bound=0.0, upper_bound=math.inf,
-            passed=True,
-        )
-    if curve.setting is Setting.COMPRESSION:
-        raise ValueError("slope check applies to privacy-distortion curves")
-    if len(curve.points) < 3:
-        raise ValueError("slope check needs at least 3 points")
-    x = curve.column("d_p")
-    y = curve.column("d_c")
-    slopes = (y[2:] - y[:-2]) / (x[2:] - x[:-2])
-    upper = 1.0 / model.rho**2
-    passed = bool(np.all(slopes >= -slack) and np.all(slopes <= upper + slack))
-    return SlopeReport(
-        status="ok",
-        slopes=tuple(float(s) for s in slopes),
-        lower_bound=0.0,
-        upper_bound=upper,
-        passed=passed,
     )
 
 

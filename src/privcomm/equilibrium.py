@@ -359,16 +359,12 @@ def xi_sign_check(model: SourceModel, lam: float, alpha: float) -> float:
     xi(lam*(alpha), alpha) = (1+alpha*rho) * A(alpha) is an identity, with A
     the transmit variance of :func:`mixing_gain`.  Both factors grow on
     [-rho/r, 0], so xi >= (1 - rho^2/r)^2 there, with equality at the
-    max-privacy endpoint alpha = -rho/r.  This function accepts lam in
-    [0, 1/rho^2] only, which misses the top ~6.4% of the frontier (for the
-    model (1, 0.6, 1)), where lam* > 1/rho^2.
+    max-privacy endpoint alpha = -rho/r.  lam takes any finite value >= 0.
     """
     rho, r = model.rho, model.r
-    if lam < -1e-15:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if rho > 0.0 and lam > (1.0 / rho**2) * (1.0 + 1e-12):
-        raise ValueError(f"lam={lam} outside [0, 1/rho^2]")
+    if not 0.0 <= lam < math.inf:  # NaN fails too
+        raise ValueError(f"lam={lam} outside [0, inf)")
     lo = -rho / r
-    if alpha < lo - 1e-12 or alpha > 1e-12:
+    if not lo - 1e-12 <= alpha <= 1e-12:
         raise ValueError(f"alpha={alpha} outside [-rho/r, 0]")
     return (1.0 + alpha * rho) ** 2 - lam * (rho + r * alpha) ** 2

@@ -117,6 +117,6 @@ def require_memory(nbytes: int, what: str) -> None:
     total = physical_memory()
     if total is not None and nbytes > total:
         raise ValueError(
-            f"{what} needs {nbytes / 2**20:.0f} MiB of arrays, more than the "
+            f"{what} needs {nbytes / 2**20:.0f} MiB, more than the "
             f"{total / 2**20:.0f} MiB of physical memory"
         )

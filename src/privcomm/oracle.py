@@ -34,12 +34,22 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: search or the multiplier scan holds at once (measured with tracemalloc).
 GRID_ARRAYS = 5
 
+#: Largest |D_C gap| and encoder noise at the oracle optimum that
+#: ``verify_equilibrium`` passes, in units of sigma_x2.
+VERIFY_TOL = 1e-5
+
+
+def _alpha_range(model: SourceModel) -> tuple[float, float]:
+    """Searched encoder mixing weights: twice the frontier's [-rho/r, 0], padded."""
+    if model.rho == 0.0:  # r may be 0 (theta = 0)
+        return (-0.5, 0.5)
+    return (-2.0 * model.rho / model.r - 0.5, 0.5)
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search ranges and resolutions; ``None`` ranges are derived per model."""
+    """Noise range and resolutions; a ``None`` noise range is derived per model."""
 
-    alpha_range: tuple[float, float] | None = None
     noise_range: tuple[float, float] | None = None
     grid: int = 401
     refine_tol: float = 1e-7
@@ -47,16 +57,9 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.grid < 3:
             raise ValueError(f"grid must be >= 3, got {self.grid}")
-        for rng in (self.alpha_range, self.noise_range):
-            if rng is not None and not (rng[1] > rng[0]):
-                raise ValueError(f"degenerate range {rng}")
-
-    def resolved_alpha_range(self, model: SourceModel) -> tuple[float, float]:
-        if self.alpha_range is not None:
-            return self.alpha_range
-        if model.rho == 0.0:  # r may be 0 (theta = 0)
-            return (-0.5, 0.5)
-        return (-2.0 * model.rho / model.r - 0.5, 0.5)
+        rng = self.noise_range
+        if rng is not None and not rng[1] > rng[0]:
+            raise ValueError(f"degenerate range {rng}")
 
     def resolved_noise_range(self, model: SourceModel) -> tuple[float, float]:
         if self.noise_range is not None:
@@ -233,7 +236,7 @@ def grid_search(
         if model.degenerate:
             raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle grid"))
         noise_axis = np.linspace(*config.resolved_noise_range(model), config.grid)
-    alpha_axis = np.linspace(*config.resolved_alpha_range(model), config.grid)
+    alpha_axis = np.linspace(*_alpha_range(model), config.grid)
 
     d_c, d_p = _dc_dp_grid(model, setting, channel, alpha_axis, noise_axis)
 
@@ -285,8 +288,6 @@ def verify_equilibrium(
     d_p_target: float,
     config: OracleConfig | None = None,
     sigma_n2: float | None = None,
-    dc_tol: float | None = None,
-    noise_tol: float | None = None,
 ) -> VerificationReport:
     """Compare the closed-form equilibrium against the brute-force optimum."""
     if setting is Setting.SIMPLE:
@@ -299,12 +300,9 @@ def verify_equilibrium(
         closed = solve_setting3(model, d_p_target, channel)
     optimum = grid_search(model, setting, channel, d_p_target, config, sigma_n2)
     dc_gap = optimum.d_c - closed.d_c
-    if dc_tol is None:
-        dc_tol = 1e-5 * model.sigma_x2
-    if noise_tol is None:
-        noise_tol = 1e-5 * model.sigma_x2
-    noise_ok = setting is Setting.COMPRESSION or optimum.noise_var <= noise_tol
-    passed = abs(dc_gap) <= dc_tol and noise_ok
+    tol = VERIFY_TOL * model.sigma_x2
+    noise_ok = setting is Setting.COMPRESSION or optimum.noise_var <= tol
+    passed = abs(dc_gap) <= tol and noise_ok
     return VerificationReport(
         oracle_optimum=optimum,
         closed_form=closed,
@@ -319,19 +317,19 @@ def lagrangian_scan(
 ) -> list[ScanPoint]:
     """Trace the frontier by minimizing D_C - lam*D_P over (alpha, noise).
 
+    Every finite lam >= 0 is the multiplier of one frontier point: lam = 0
+    gives the free floor, and the point runs to max privacy as lam grows.
     For each multiplier the unconstrained grid minimizer is refined by
-    alternating golden-section passes; the optimum must sit at zero encoder
-    noise, which is asserted.
+    alternating golden-section passes.  The optimum must sit at zero encoder
+    noise; a noisy minimizer means that lam is too large for floating point
+    to resolve the frontier point, and raises ``ValueError``.
     """
-    if model.rho == 0.0:
-        raise ValueError("multiplier scan is degenerate for rho = 0")
     if model.degenerate:
         raise DegenerateModelError(model, _SENDS_NOTHING.format("the multiplier scan grid"))
     if config is None:
         config = OracleConfig()
-    lam_max = 1.0 / model.rho**2
     setting = Setting.SIMPLE
-    alpha_axis = np.linspace(*config.resolved_alpha_range(model), config.grid)
+    alpha_axis = np.linspace(*_alpha_range(model), config.grid)
     noise_axis = np.linspace(*config.resolved_noise_range(model), config.grid)
     d_c_g, d_p_g = _dc_dp_grid(model, setting, None, alpha_axis, noise_axis)
     obj = np.empty_like(d_c_g)
@@ -342,8 +340,8 @@ def lagrangian_scan(
     out = []
     for lam in lambda_grid:
         lam = float(lam)
-        if not (-1e-15 <= lam <= lam_max * (1.0 + 1e-12)):  # NaN fails too
-            raise ValueError(f"lam={lam} outside [0, 1/rho^2]")
+        if not 0.0 <= lam < math.inf:  # NaN fails too
+            raise ValueError(f"lam={lam} outside [0, inf)")
         np.multiply(d_p_g, lam, out=obj)
         np.subtract(d_c_g, obj, out=obj)
         # the grid minimizer seeds the noise; the first pass re-solves alpha
@@ -358,8 +356,9 @@ def lagrangian_scan(
             alpha = _golden_min(lambda a: cost(a, noise), lo_a, hi_a, config.refine_tol)
             noise = _golden_min(lambda s: cost(alpha, s), lo_n, hi_n, config.refine_tol)
         if noise > 1e-4 * model.sigma_x2:
-            raise RuntimeError(
-                f"multiplier scan found noisy minimizer (lam={lam}, noise={noise})"
+            raise ValueError(
+                f"lam={lam} is too large to resolve its frontier point in floating "
+                f"point: the scan's minimizer has encoder noise {noise}"
             )
         d_c, d_p = _dc_dp(model, setting, None, alpha, noise)
         out.append(ScanPoint(lam=lam, alpha=alpha, noise_var=noise,

@@ -213,6 +213,22 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert "error:" in err and "lam=nan" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("lam", ["1e12", "inf"])
+    def test_scan_unusable_multiplier_exits_1(self, lam):
+        code, out, err = run(["scan", *MODEL_FLAGS, "--lambdas", lam])
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: lam={float(lam)}")
+
+    def test_scan_rho_zero_needs_lambdas(self):
+        flags = ["--sigma-x2", "1", "--rho", "0", "--r", "1"]
+        code, out, err = run(["scan", *flags])
+        assert code == 1 and out == ""
+        assert "error:" in err and "pass --lambdas" in err
+        code, out, err = run(["scan", *flags, "--lambdas", "0,100"])
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 3
+
     def test_verify_without_theta_is_finite(self):
         # r = 0 (theta = 0): no error to leak, every field finite
         code, out, err = run(
@@ -231,8 +247,11 @@ class TestRejectedInputs:
              "--samples", "1000000"],
             ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84",
              "--oracle-grid", "1001"],
+            ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "1000000000000"],
+            ["scan", *MODEL_FLAGS, "--lambda-count", "1000000000000"],
         ],
-        ids=["simulate-samples", "verify-oracle-grid"],
+        ids=["simulate-samples", "verify-oracle-grid", "tradeoff-grid",
+             "scan-lambda-count"],
     )
     def test_arrays_beyond_physical_memory_exit_1(self, argv, monkeypatch):
         import privcomm.model
@@ -240,7 +259,7 @@ class TestRejectedInputs:
         monkeypatch.setattr(privcomm.model, "physical_memory", lambda: 2**20)
         code, out, err = run(argv)
         assert code == 1 and out == ""
-        assert "error:" in err and "physical memory" in err
+        assert "error:" in err and "physical memory" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

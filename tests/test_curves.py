@@ -10,7 +10,6 @@ from privcomm import (
     DegenerateModelError,
     Setting,
     TradeoffCurve,
-    lagrangian_slope_check,
     noise_for_rate,
     privacy_floor,
     solve_setting2,
@@ -128,37 +127,6 @@ class TestRateSweep:
         for sigma_n2 in (0.1, 1.0):
             dcs = [solve_setting2(M, t, sigma_n2).d_c for t in (0.95, 0.9, 0.8, 0.7)]
             assert all(b <= a + 1e-12 for a, b in zip(dcs, dcs[1:]))
-
-
-class TestSlopeCheck:
-    def test_synthetic_curve_within_bounds(self):
-        # slopes 0.5..2.5 sit inside [0, 1/rho^2] = [0, 2.78]
-        xs = np.linspace(0.64, 1.0, 32)
-        ys = 0.5 * (xs - 0.64) + 2.78 * (xs - 0.64) ** 2
-        curve = TradeoffCurve(
-            Setting.SIMPLE, ("d_p", "d_c"), tuple(zip(xs.tolist(), ys.tolist())), M
-        )
-        report = lagrangian_slope_check(curve, M)
-        assert report.status == "ok" and report.passed
-        assert report.upper_bound == pytest.approx(1.0 / 0.36)
-
-    def test_real_curve_slope_profile(self):
-        # the closed-form curve starts flat and steepens without bound toward
-        # max privacy, so the multiplier cap is exceeded near the top end
-        curve = sweep_privacy_distortion(M, Setting.SIMPLE, grid=128)
-        report = lagrangian_slope_check(curve, M)
-        slopes = report.slopes
-        assert min(slopes) >= 0.0
-        assert slopes[0] == pytest.approx(0.0, abs=0.05)
-        assert max(slopes) == slopes[-1]  # steepest toward max privacy
-        assert slopes[-1] > report.upper_bound
-        assert not report.passed
-
-    def test_rho_zero_degenerate(self):
-        m = validate_model(1.0, 0.0, 1.0)
-        curve = sweep_privacy_distortion(m, Setting.SIMPLE, grid=8)
-        report = lagrangian_slope_check(curve, m)
-        assert report.status == "degenerate" and report.passed
 
 
 def test_noise_for_rate_roundtrip():

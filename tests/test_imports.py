@@ -16,11 +16,11 @@ EXPORTED = (
     "EncoderPolicy", "EquilibriumSolution", "InfeasiblePrivacyTarget", "InfiniteRateError",
     "ModelError", "NegativeCorrelationError", "NonPositiveVarianceError", "OracleConfig",
     "OracleOptimum", "PrivacyBounds", "ProbeReport", "Setting", "SimConfig", "SimResult",
-    "SlopeReport", "SolveError", "SourceModel", "TradeoffCurve", "VerificationReport",
+    "SolveError", "SourceModel", "TradeoffCurve", "VerificationReport",
     "covariance_evaluate", "curves", "decoder_optimality_probe",
     "equilibrium", "evaluate_setting1", "evaluate_setting2", "evaluate_setting3",
     "gaussian_conditional_entropy", "grid_search", "lagrangian_scan",
-    "lagrangian_slope_check", "model", "montecarlo", "noise_for_rate", "oracle",
+    "model", "montecarlo", "noise_for_rate", "oracle",
     "privacy_bounds", "privacy_floor", "sample_joint", "simulate_policy",
     "solve_alpha_quadratic", "solve_setting1", "solve_setting2", "solve_setting3",
     "sweep_privacy_distortion", "sweep_rate_distortion", "validate_model",

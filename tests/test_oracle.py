@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from privcomm import (
 )
 import privcomm.model
 from privcomm.equilibrium import evaluate_setting1, mixing_gain
-from privcomm.oracle import GRID_ARRAYS
+from privcomm.oracle import GRID_ARRAYS, _alpha_range
 
 from conftest import source_models
 
@@ -170,14 +171,24 @@ class TestLagrangianScan:
         assert grad == pytest.approx(0.0, abs=1e-4)
 
     def test_out_of_range_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            lagrangian_scan(M, [1.0 / 0.36 + 0.1])
-        with pytest.raises(ValueError):
-            lagrangian_scan(M, [-0.5])
+        (pt,) = lagrangian_scan(M, [1.0 / 0.36 + 0.1])  # beyond 1/rho^2 is in range
+        assert pt.d_p > 0.977
+        for lam in (-0.5, math.inf):
+            with pytest.raises(ValueError, match="outside"):
+                lagrangian_scan(M, [lam])
 
-    def test_rho_zero_rejected(self):
-        with pytest.raises(ValueError):
-            lagrangian_scan(validate_model(1.0, 0.0, 1.0), [0.5])
+    def test_unresolvable_multiplier_rejected(self):
+        # D_P is flat in the noise at max privacy: floating point cannot pin it
+        with pytest.raises(ValueError, match=r"lam=2777777777777\.7\d* is too large"):
+            lagrangian_scan(M, [1e12 / 0.36])
+
+    def test_rho_zero_scans_trivial_point(self):
+        # theta is independent of X: every multiplier gives the free floor
+        for model in (validate_model(1.0, 0.0, 1.0), validate_model(3.0, 0.0, 0.5)):
+            for pt in lagrangian_scan(model, [0.0, 1.0, 100.0]):
+                assert pt.alpha == pytest.approx(0.0, abs=1e-6)
+                assert pt.d_c == pytest.approx(0.0, abs=1e-6 * model.sigma_x2)
+                assert pt.d_p == pytest.approx(model.sigma_x2 * model.r, rel=1e-12)
 
     def test_nan_multiplier_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -220,9 +231,9 @@ class TestGridMemory:
 
 
 def test_alpha_range_without_theta():
-    # r = 0 forces rho = 0 (theta = 0): the default range must not divide by r
-    assert OracleConfig().resolved_alpha_range(validate_model(1.0, 0.0, 0.0)) == (-0.5, 0.5)
-    assert OracleConfig().resolved_alpha_range(validate_model(2.0, 0.0, 3.0)) == (-0.5, 0.5)
+    # r = 0 forces rho = 0 (theta = 0): the range must not divide by r
+    assert _alpha_range(validate_model(1.0, 0.0, 0.0)) == (-0.5, 0.5)
+    assert _alpha_range(validate_model(2.0, 0.0, 3.0)) == (-0.5, 0.5)
 
 
 def test_effective_noise_channel_consistency():
