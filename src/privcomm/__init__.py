@@ -1,9 +1,10 @@
 """Privacy-constrained Stackelberg communication equilibria for Gaussian sources.
 
-``model`` and ``equilibrium`` need only the standard library and load
-eagerly.  The numpy-backed names of ``curves``, ``montecarlo`` and ``oracle``
-load on first access (PEP 562), so solving a single equilibrium never
-imports numpy.
+``model`` and ``equilibrium`` load eagerly; the names of ``curves``,
+``montecarlo`` and ``oracle`` load on first access (PEP 562).  ``model``,
+``equilibrium`` and ``curves`` need only the standard library, so solving an
+equilibrium, sweeping a curve and inverting the rate map never import numpy;
+``montecarlo`` and ``oracle`` load it.
 """
 
 from .equilibrium import (

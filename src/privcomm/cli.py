@@ -8,8 +8,9 @@ infeasible input, 2 verification failure (verify command only).
 Relative ``--output`` paths are resolved against the ``PRIVCOMM_OUTPUT_DIR``
 environment variable when it is set.
 
-The numpy-backed modules (curves, oracle, montecarlo) are imported by the
-subcommands that use them, so ``solve`` runs without loading numpy.
+Each subcommand imports the modules it uses.  ``solve``, ``tradeoff`` and
+``rate`` run without loading numpy; ``verify``, ``simulate`` and ``scan``
+load it through ``oracle`` and ``montecarlo``.
 """
 
 from __future__ import annotations

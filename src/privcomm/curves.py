@@ -6,6 +6,9 @@ slope of the privacy-distortion curve, not a sweep parameter.
 ``noise_for_rate`` runs setting 2 backwards: the test-channel noise that
 meets a privacy target at a given rate comes in closed form, checked by one
 solve at the noise it returns.
+
+The module needs only the standard library, so the ``tradeoff`` and ``rate``
+commands run without loading numpy; only ``TradeoffCurve.column`` does.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .equilibrium import (
     ChannelSpec,
@@ -63,7 +64,10 @@ class TradeoffCurve:
             if any(y2 < y1 - 1e-12 * self.model.sigma_x2 for y1, y2 in zip(ys, ys[1:])):
                 raise ValueError("distortion must be non-decreasing in the privacy target")
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str):
+        """The named column as a numpy array; the first call loads numpy."""
+        import numpy as np
+
         return np.array([p[self.columns.index(name)] for p in self.points])
 
 
@@ -89,21 +93,29 @@ def sweep_privacy_distortion(
     """Sample the privacy-distortion curve on a uniform privacy-target grid.
 
     Grid endpoints land exactly on the setting's privacy floor and on dp_max,
-    so the analytic endpoint values are reproduced exactly.  A rho = 0 model
-    collapses to the single free point (dp_max, 0).
+    so the analytic endpoint values are reproduced exactly.  The targets are
+    ``lo + i*step`` with ``step = (hi - lo)/(grid - 1)``, bit for bit
+    ``numpy.linspace(lo, hi, grid)``.  A grid too fine for the floats in
+    [lo, hi] repeats a target and raises ``ValueError`` before any solve.  A
+    rho = 0 model collapses to the single free point (dp_max, 0).
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     lo = privacy_floor(model, setting, channel)
     hi = privacy_bounds(model).dp_max
-    targets = np.linspace(lo, hi, grid) if hi > lo else np.array([hi])
+    step = (hi - lo) / (grid - 1)
+    targets = [lo + i * step for i in range(grid - 1)] + [hi] if hi > lo else [hi]
+    for t1, t2 in zip(targets, targets[1:]):
+        if t2 <= t1:
+            raise ValueError(f"grid={grid} repeats the privacy target {t1!r}: "
+                             f"too few floats lie in [{lo!r}, {hi!r}]")
     points = []
     for target in targets:
         if setting is Setting.SIMPLE:
-            sol = solve_setting1(model, float(target))
+            sol = solve_setting1(model, target)
         else:
-            sol = solve_setting3(model, float(target), channel)
-        points.append((float(target), sol.d_c, sol.policy.alpha, sol.kappa))
+            sol = solve_setting3(model, target, channel)
+        points.append((target, sol.d_c, sol.policy.alpha, sol.kappa))
     return TradeoffCurve(
         setting=setting,
         columns=("d_p", "d_c", "alpha", "kappa"),
@@ -116,12 +128,15 @@ def sweep_privacy_distortion(
 def sweep_rate_distortion(
     model: SourceModel, d_p_target: float, noise_grid
 ) -> TradeoffCurve:
-    """Sweep (rate, d_c, d_p, alpha) over a grid of test-channel noises."""
+    """Sweep (rate, d_c, d_p, alpha) over a grid of distinct test-channel noises."""
     noises = sorted(float(n) for n in noise_grid)
     if not noises:
         raise ValueError("noise_grid must be non-empty")
     if noises[0] <= 0.0:
         raise ValueError("all sigma_n2 values must be positive")
+    for n1, n2 in zip(noises, noises[1:]):
+        if n1 == n2:
+            raise ValueError(f"noise_grid lists sigma_n2={n1!r} more than once")
     points = []
     for sigma_n2 in noises:
         sol = solve_setting2(model, d_p_target, sigma_n2)

@@ -274,6 +274,18 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert "error: rate overflows at test-channel noise 1e-320" in err
 
+    def test_rate_repeated_noise_exits_1(self):
+        code, out, err = run(["rate", *MODEL_FLAGS, "--dp", "0.9", "--noise-grid", "0.5,0.5"])
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: noise_grid lists sigma_n2=0.5 more than once"]
+
+    def test_tradeoff_grid_too_fine_exits_1(self):
+        code, out, err = run(["tradeoff", "--setting", "simple", "--sigma-x2", "1",
+                              "--rho", "1e-8", "--r", "1"])
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: grid=65 repeats the privacy target")
+
     @pytest.mark.parametrize("count", ["1", "0"])
     def test_scan_lambda_count_below_2_exits_1(self, count):
         code, out, err = run(["scan", *MODEL_FLAGS, "--lambda-count", count])

@@ -12,7 +12,9 @@ from privcomm import (
     TradeoffCurve,
     noise_for_rate,
     privacy_floor,
+    solve_setting1,
     solve_setting2,
+    solve_setting3,
     sweep_privacy_distortion,
     sweep_rate_distortion,
     validate_model,
@@ -60,7 +62,6 @@ class TestPrivacySweep:
         channel = ChannelSpec(p_t=1.0, sigma_z2=0.5)
         floor = privacy_floor(model, Setting.CHANNEL, channel)
         hi = model.sigma_x2 * model.r
-        from privcomm import solve_setting1, solve_setting3
 
         for target in np.linspace(floor, hi, 9):
             d_c_ch = solve_setting3(model, float(target), channel).d_c
@@ -73,6 +74,46 @@ class TestPrivacySweep:
         curve = sweep_privacy_distortion(model, Setting.SIMPLE, grid=33)
         ys = curve.column("d_c")
         assert np.all(np.diff(ys) >= -1e-12 * model.sigma_x2)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestSweepGrid:
+    # The channel setting refuses a subnormal sigma_x2 at every power budget
+    # (beta overflows, or rounding breaks the sweep), so its scales start at 1e-300.
+    @pytest.mark.parametrize(
+        "setting, sigma_x2",
+        [(Setting.SIMPLE, s) for s in (1e-310, 1e-300, 1e-5, 1.0, 1e5, 1e300)]
+        + [(Setting.CHANNEL, s) for s in (1e-300, 1e-5, 1.0, 1e5, 1e300)],
+    )
+    @pytest.mark.parametrize("grid", [2, 3, 65, 4097])
+    def test_targets_are_linspace_and_rows_are_solves(self, setting, sigma_x2, grid):
+        model = validate_model(sigma_x2, 0.6, 1.0)
+        channel = ChannelSpec(p_t=1.0, sigma_z2=0.5) if setting is Setting.CHANNEL else None
+        curve = sweep_privacy_distortion(model, setting, channel, grid)
+        floor = privacy_floor(model, setting, channel)
+        expected = np.linspace(floor, model.sigma_x2 * model.r, grid)
+        assert np.array_equal(bits(curve.column("d_p")), bits(expected))
+        for row in curve.points:
+            if setting is Setting.SIMPLE:
+                sol = solve_setting1(model, row[0])
+            else:
+                sol = solve_setting3(model, row[0], channel)
+            assert np.array_equal(bits(row), bits((row[0], sol.d_c, sol.policy.alpha, sol.kappa)))
+
+    @pytest.mark.parametrize(
+        "model, grid",
+        [(validate_model(1.0, 1e-8, 1.0), 65), (validate_model(1e-320, 0.6, 1.0), 2000)],
+        ids=["narrow", "step-underflows"],
+    )
+    def test_grid_finer_than_the_floats_refused(self, model, grid):
+        floor = privacy_floor(model, Setting.SIMPLE)
+        # linspace repeats targets too: no sweep on this grid can be ordered
+        assert len(set(np.linspace(floor, model.sigma_x2 * model.r, grid))) < grid
+        with pytest.raises(ValueError, match=f"grid={grid} repeats the privacy target"):
+            sweep_privacy_distortion(model, Setting.SIMPLE, grid=grid)
 
 
 class TestCurveValidation:
@@ -116,6 +157,16 @@ class TestRateSweep:
         dcs = curve.column("d_c")
         assert np.all(np.diff(rates) < 0.0)
         assert np.all(np.diff(dcs) > 0.0)
+
+    def test_repeated_noise_refused_before_solving(self, monkeypatch):
+        import privcomm.curves
+
+        def no_solve(*args):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(privcomm.curves, "solve_setting2", no_solve)
+        with pytest.raises(ValueError, match="sigma_n2=0.5 more than once"):
+            sweep_rate_distortion(M, 0.9, [1.0, 0.5, 2.0, 0.5])
 
     def test_zero_rate_limit(self):
         curve = sweep_rate_distortion(M, 0.9, [1e7])

@@ -1,4 +1,4 @@
-"""The scalar path stays numpy-free; the package's public names stay the same."""
+"""solve, tradeoff and rate stay numpy-free; the package's public names stay the same."""
 
 import json
 import os
@@ -43,7 +43,7 @@ print(json.dumps(report))
 MODEL_FLAGS = ["--sigma-x2", "1", "--rho", "0.6", "--r", "1"]
 
 
-def test_solve_never_imports_numpy(tmp_path):
+def test_scalar_commands_never_import_numpy(tmp_path):
     cfg = tmp_path / "channel.cfg"
     cfg.write_text("sigma-x2 = 1\nrho = 0.6\nr = 1\ndp = 0.92\npt = 1\nsigma-z2 = 1\n")
     argvs = [
@@ -53,6 +53,12 @@ def test_solve_never_imports_numpy(tmp_path):
         ["solve", "--setting", "channel", "--config", str(cfg)],
         ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "1.5"],
         ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "3"],
+        ["tradeoff", "--setting", "channel", *MODEL_FLAGS, "--pt", "1", "--sigma-z2", "1",
+         "--output", str(tmp_path / "tradeoff.csv")],
+        ["rate", *MODEL_FLAGS, "--dp", "0.9", "--noise-grid", "0.25,0.5,1", "--bits"],
+        ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "2"],
+        # last, since the probe is cumulative: it must see numpy once loaded
+        ["scan", *MODEL_FLAGS, "--lambdas", "1"],
     ]
     src = str(pathlib.Path(privcomm.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -66,8 +72,13 @@ def test_solve_never_imports_numpy(tmp_path):
         ["solve", 0, False],
         ["solve", 0, False],
         ["solve", 1, False],
-        ["tradeoff", 0, True],
+        ["tradeoff", 0, False],
+        ["tradeoff", 0, False],
+        ["rate", 0, False],
+        ["tradeoff", 0, False],
+        ["scan", 0, True],
     ]
+    assert (tmp_path / "tradeoff.csv").read_text().startswith("d_p,d_c,alpha,kappa\n")
 
 
 def test_every_exported_name_resolves():
