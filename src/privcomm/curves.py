@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .equilibrium import (
     ChannelSpec,
@@ -28,15 +27,14 @@ from .equilibrium import (
     solve_setting2,
     solve_setting3,
 )
-from .model import SourceModel, privacy_bounds
+from .model import Record, SourceModel, privacy_bounds
 
 #: Largest rate error that ``noise_for_rate`` accepts, relative to max(1, R):
 #: the stopping width of the bisection the closed form replaced.
 RATE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
+class TradeoffCurve(Record):
     """Ordered samples of a trade-off curve plus the model that produced it.
 
     Columns are (d_p, d_c, alpha, kappa) for the simple/channel settings and
@@ -44,25 +42,28 @@ class TradeoffCurve:
     the ordering key.
     """
 
-    setting: Setting
-    columns: tuple[str, ...]
-    points: tuple[tuple[float, ...], ...]
-    model: SourceModel
-    channel: ChannelSpec | None = None
+    __slots__ = ("setting", "columns", "points", "model", "channel")
 
-    def __post_init__(self) -> None:
-        xs = [p[0] for p in self.points]
+    def __init__(self, setting: Setting, columns: tuple[str, ...],
+                 points: tuple[tuple[float, ...], ...], model: SourceModel,
+                 channel: ChannelSpec | None = None) -> None:
+        xs = [p[0] for p in points]
         if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
             raise ValueError("curve points must be strictly ordered by x")
-        for p in self.points:
+        for p in points:
             if not all(math.isfinite(v) for v in p):
                 raise ValueError(f"non-finite curve point {p}")
-        if self.setting in (Setting.SIMPLE, Setting.CHANNEL):
-            ys = [p[1] for p in self.points]
+        if setting in (Setting.SIMPLE, Setting.CHANNEL):
+            ys = [p[1] for p in points]
             if any(y < 0.0 for y in ys):
                 raise ValueError("distortion must be nonnegative")
-            if any(y2 < y1 - 1e-12 * self.model.sigma_x2 for y1, y2 in zip(ys, ys[1:])):
+            if any(y2 < y1 - 1e-12 * model.sigma_x2 for y1, y2 in zip(ys, ys[1:])):
                 raise ValueError("distortion must be non-decreasing in the privacy target")
+        object.__setattr__(self, "setting", setting)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "channel", channel)
 
     def column(self, name: str):
         """The named column as a numpy array; the first call loads numpy."""

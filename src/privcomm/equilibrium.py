@@ -24,10 +24,9 @@ Settings:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .model import SourceModel
+from .model import Record, SourceModel
 
 #: Relative tolerance for snapping privacy targets onto the endpoints of the
 #: feasible range; endpoint targets (max/min privacy) are legitimate inputs and
@@ -71,44 +70,47 @@ class DegenerateModelError(SolveError):
         )
 
 
-@dataclass(frozen=True)
-class EncoderPolicy:
+class EncoderPolicy(Record):
     """Linear-plus-noise encoder: transmit beta*(X + alpha*theta) + noise."""
 
-    alpha: float
-    beta: float = 1.0
-    noise_var: float = 0.0
+    __slots__ = ("alpha", "beta", "noise_var")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if not (0.0 < self.beta < math.inf):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not (0.0 <= self.noise_var < math.inf):
-            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
+    def __init__(self, alpha: float, beta: float = 1.0, noise_var: float = 0.0) -> None:
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha}")
+        if not (0.0 < beta < math.inf):
+            raise ValueError(f"beta must be positive and finite, got {beta}")
+        if not (0.0 <= noise_var < math.inf):
+            raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "noise_var", noise_var)
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(Record):
     """Average-power-limited additive Gaussian channel Y = U + Z."""
 
-    p_t: float
-    sigma_z2: float
+    __slots__ = ("p_t", "sigma_z2")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.p_t < math.inf):
-            raise ValueError(f"p_t must be positive and finite, got {self.p_t}")
-        if not (0.0 <= self.sigma_z2 < math.inf):
-            raise ValueError(f"sigma_z2 must be finite and >= 0, got {self.sigma_z2}")
+    def __init__(self, p_t: float, sigma_z2: float) -> None:
+        if not (0.0 < p_t < math.inf):
+            raise ValueError(f"p_t must be positive and finite, got {p_t}")
+        if not (0.0 <= sigma_z2 < math.inf):
+            raise ValueError(f"sigma_z2 must be finite and >= 0, got {sigma_z2}")
+        object.__setattr__(self, "p_t", p_t)
+        object.__setattr__(self, "sigma_z2", sigma_z2)
 
 
-@dataclass(frozen=True)
-class EquilibriumSolution:
-    policy: EncoderPolicy
-    kappa: float
-    d_c: float
-    d_p: float
-    constraint_active: bool
+class EquilibriumSolution(Record):
+    __slots__ = ("policy", "kappa", "d_c", "d_p", "constraint_active")
+
+    def __init__(self, policy: EncoderPolicy, kappa: float, d_c: float, d_p: float,
+                 constraint_active: bool) -> None:
+        object.__setattr__(self, "policy", policy)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "d_c", d_c)
+        object.__setattr__(self, "d_p", d_p)
+        object.__setattr__(self, "constraint_active", constraint_active)
 
 
 def mixing_gain(model: SourceModel, alpha):
@@ -170,14 +172,20 @@ def evaluate_setting3(model: SourceModel, policy: EncoderPolicy, channel: Channe
     """(d_c, d_p, power) for transmission over the Gaussian channel.
 
     Works for an arbitrary transmit gain; power is E{U^2} for
-    U = beta*(X + alpha*theta + encoder noise).
+    U = beta*(X + alpha*theta + encoder noise).  A squared covariance beyond
+    the float range raises :class:`SolveError`.
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     alpha, beta = policy.alpha, policy.beta
     power = beta * beta * (s2 * mixing_gain(model, alpha) + policy.noise_var)
     var_y = power + channel.sigma_z2
-    d_c = s2 - (beta * s2 * (1.0 + alpha * rho)) ** 2 / var_y
-    d_p = s2 * r - (beta * s2 * (rho + r * alpha)) ** 2 / var_y
+    try:
+        d_c = s2 - (beta * s2 * (1.0 + alpha * rho)) ** 2 / var_y
+        d_p = s2 * r - (beta * s2 * (rho + r * alpha)) ** 2 / var_y
+    except OverflowError:
+        raise SolveError(
+            f"a squared covariance of Y overflows a float at sigma_x2={s2!r}, beta={beta!r}"
+        ) from None
     return d_c, d_p, power
 
 
@@ -186,7 +194,8 @@ def solve_alpha_quadratic(model: SourceModel, d_target: float, n_eff: float):
 
     ``d_target`` and ``n_eff`` are normalized by sigma_x2.  Returns
     (alpha_plus, alpha_minus) = (-rho/r + delta, -rho/r - delta) with
-    delta^2 = (r - d)*(r - rho^2 + r*n_eff) / (r^2 * d).
+    delta^2 = (r - d)*(r - rho^2 + r*n_eff) / (r^2 * d); an r^2 * d that
+    underflows to zero raises :class:`SolveError`.
     """
     if d_target <= 0.0:
         raise DegeneratePrivacyTarget(
@@ -195,7 +204,10 @@ def solve_alpha_quadratic(model: SourceModel, d_target: float, n_eff: float):
     if n_eff < 0.0:
         raise ValueError(f"n_eff must be >= 0, got {n_eff}")
     rho, r = model.rho, model.r
-    disc = (r - d_target) * (r - rho**2 + r * n_eff) / (r * r * d_target)
+    scale = r * r * d_target
+    if not scale > 0.0:
+        raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d_target!r}")
+    disc = (r - d_target) * (r - rho**2 + r * n_eff) / scale
     if disc < -ENDPOINT_RTOL * max(1.0, r):
         raise InfeasiblePrivacyTarget(
             f"target {d_target} exceeds maximum privacy {r} (negative discriminant)"
@@ -329,7 +341,8 @@ def solve_setting3(
     The decoder gain is the MMSE coefficient beta*sigma_x2*(1+alpha*rho) /
     (P_T + sigma_z2).  On a degenerate model (rho^2 = r) every encoder
     without noise either leaks at the free floor or sends nothing, so an
-    active constraint raises :class:`DegenerateModelError`.
+    active constraint raises :class:`DegenerateModelError`.  A transmit gain
+    beyond the float range (a subnormal sigma_x2) raises :class:`SolveError`.
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     p_t, sigma_z2 = channel.p_t, channel.sigma_z2
@@ -339,7 +352,10 @@ def solve_setting3(
     alpha, active = _constrained_alpha(model, d_p_target, floor, d_eff=d_eff)
     if active and model.degenerate:  # max privacy: X - (rho/r)*theta = 0
         raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
-    beta = math.sqrt(p_t / (s2 * _transmit_variance(model, alpha, 0.0)))
+    var_u = s2 * _transmit_variance(model, alpha, 0.0)  # E{(X + alpha*theta)^2}
+    beta = math.sqrt(p_t / var_u) if var_u > 0.0 else math.inf
+    if beta == math.inf:
+        raise SolveError(f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}")
     policy = EncoderPolicy(alpha=alpha, beta=beta)
     kappa = beta * s2 * (1.0 + alpha * rho) / (p_t + sigma_z2)
     if active and _at_max_privacy(model, d_p_target):

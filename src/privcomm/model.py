@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 #: Tolerance for boundary checks on normalized quantities (e.g. rho^2 <= r).
 BOUNDARY_EPS = 1e-12
@@ -32,8 +31,43 @@ class CorrelationBoundError(ModelError):
     """rho^2 > r violates positive semidefiniteness of the covariance."""
 
 
-@dataclass(frozen=True)
-class SourceModel:
+class Record:
+    """Immutable record: hashed and printed by its fields, in order, and equal
+    only to a record of the same class with equal fields.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its own
+    ``__init__`` through ``object.__setattr__``.  Pickle and ``copy`` rebuild
+    a record by calling that ``__init__``, so a copy is validated again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class SourceModel(Record):
     """Second-order statistics of (X, theta).
 
     Attributes
@@ -43,21 +77,18 @@ class SourceModel:
     r : normalized private-information variance, Var(theta) = sigma_x2 * r.
     """
 
-    sigma_x2: float
-    rho: float
-    r: float
+    __slots__ = ("sigma_x2", "rho", "r")
 
-    def __post_init__(self) -> None:
-        if not (self.sigma_x2 > 0.0) or not math.isfinite(self.sigma_x2):
-            raise NonPositiveVarianceError(
-                f"sigma_x2 must be positive, got {self.sigma_x2}"
-            )
-        if not math.isfinite(self.rho) or self.rho < 0.0:
-            raise NegativeCorrelationError(f"rho must be >= 0, got {self.rho}")
-        if not math.isfinite(self.r) or self.rho**2 > self.r * (1.0 + BOUNDARY_EPS):
-            raise CorrelationBoundError(
-                f"need rho^2 <= r, got rho^2={self.rho**2} > r={self.r}"
-            )
+    def __init__(self, sigma_x2: float, rho: float, r: float) -> None:
+        if not (sigma_x2 > 0.0) or not math.isfinite(sigma_x2):
+            raise NonPositiveVarianceError(f"sigma_x2 must be positive, got {sigma_x2}")
+        if not math.isfinite(rho) or rho < 0.0:
+            raise NegativeCorrelationError(f"rho must be >= 0, got {rho}")
+        if not math.isfinite(r) or rho**2 > r * (1.0 + BOUNDARY_EPS):
+            raise CorrelationBoundError(f"need rho^2 <= r, got rho^2={rho**2} > r={r}")
+        object.__setattr__(self, "sigma_x2", sigma_x2)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "r", r)
 
     @property
     def degenerate(self) -> bool:
@@ -65,8 +96,7 @@ class SourceModel:
         return self.r - self.rho**2 <= 0.0
 
 
-@dataclass(frozen=True)
-class PrivacyBounds:
+class PrivacyBounds(Record):
     """Range of achievable privacy MMSE for theta.
 
     dp_min is the MMSE of theta given X itself (the least privacy any encoder
@@ -74,8 +104,11 @@ class PrivacyBounds:
     when Y is made independent of theta.
     """
 
-    dp_min: float
-    dp_max: float
+    __slots__ = ("dp_min", "dp_max")
+
+    def __init__(self, dp_min: float, dp_max: float) -> None:
+        object.__setattr__(self, "dp_min", dp_min)
+        object.__setattr__(self, "dp_max", dp_max)
 
 
 def validate_model(sigma_x2: float, rho: float, r: float) -> SourceModel:

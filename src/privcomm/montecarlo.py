@@ -9,12 +9,11 @@ the seed (numpy PCG64 stream).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import ChannelSpec, EncoderPolicy, Setting, mixing_gain
-from .model import SourceModel, gaussian_conditional_entropy, require_memory
+from .model import Record, SourceModel, gaussian_conditional_entropy, require_memory
 
 #: Identifier of the normal-variate stream recorded in results.
 GENERATOR = "numpy-pcg64"
@@ -25,41 +24,53 @@ BYTES_PER_SAMPLE = 4 * 8
 _SENDS_NOTHING = "the policy sends nothing (Var(Y) = 0); privacy MMSE undefined"
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    samples: int
-    seed: int
-    setting: Setting
+class SimConfig(Record):
+    __slots__ = ("samples", "seed", "setting")
 
-    def __post_init__(self) -> None:
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
-        require_memory(BYTES_PER_SAMPLE * self.samples, f"samples={self.samples}")
-
-
-@dataclass(frozen=True)
-class SimResult:
-    d_c_hat: float
-    d_p_hat: float
-    d_p_hat_regression: float
-    power_hat: float | None
-    entropy_hat: float
-    stderr_dc: float
-    stderr_dp: float
-    samples: int
-    seed: int
-    generator: str = GENERATOR
+    def __init__(self, samples: int, seed: int, setting: Setting) -> None:
+        if samples < 2:
+            raise ValueError(f"samples must be >= 2, got {samples}")
+        require_memory(BYTES_PER_SAMPLE * samples, f"samples={samples}")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "setting", setting)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class SimResult(Record):
+    __slots__ = (
+        "d_c_hat", "d_p_hat", "d_p_hat_regression", "power_hat", "entropy_hat",
+        "stderr_dc", "stderr_dp", "samples", "seed", "generator",
+    )
+
+    def __init__(self, d_c_hat: float, d_p_hat: float, d_p_hat_regression: float,
+                 power_hat: float | None, entropy_hat: float, stderr_dc: float,
+                 stderr_dp: float, samples: int, seed: int,
+                 generator: str = GENERATOR) -> None:
+        object.__setattr__(self, "d_c_hat", d_c_hat)
+        object.__setattr__(self, "d_p_hat", d_p_hat)
+        object.__setattr__(self, "d_p_hat_regression", d_p_hat_regression)
+        object.__setattr__(self, "power_hat", power_hat)
+        object.__setattr__(self, "entropy_hat", entropy_hat)
+        object.__setattr__(self, "stderr_dc", stderr_dc)
+        object.__setattr__(self, "stderr_dp", stderr_dp)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "generator", generator)
+
+
+class ProbeReport(Record):
     """Empirical distortion across a grid of decoder gains."""
 
-    gains: tuple[float, ...]
-    d_c_values: tuple[float, ...]
-    argmin_gain: float
-    reference_gain: float | None
-    gap_to_reference: float | None
+    __slots__ = ("gains", "d_c_values", "argmin_gain", "reference_gain", "gap_to_reference")
+
+    def __init__(self, gains: tuple[float, ...], d_c_values: tuple[float, ...],
+                 argmin_gain: float, reference_gain: float | None,
+                 gap_to_reference: float | None) -> None:
+        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "d_c_values", d_c_values)
+        object.__setattr__(self, "argmin_gain", argmin_gain)
+        object.__setattr__(self, "reference_gain", reference_gain)
+        object.__setattr__(self, "gap_to_reference", gap_to_reference)
 
 
 def _draw_joint(model: SourceModel, rng, count: int):

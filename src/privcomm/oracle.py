@@ -10,7 +10,6 @@ that encoder noise buys nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .equilibrium import (
     solve_setting2,
     solve_setting3,
 )
-from .model import SourceModel, require_memory
+from .model import Record, SourceModel, require_memory
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -46,20 +45,20 @@ def _alpha_range(model: SourceModel) -> tuple[float, float]:
     return (-2.0 * model.rho / model.r - 0.5, 0.5)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(Record):
     """Noise range and resolutions; a ``None`` noise range is derived per model."""
 
-    noise_range: tuple[float, float] | None = None
-    grid: int = 401
-    refine_tol: float = 1e-7
+    __slots__ = ("noise_range", "grid", "refine_tol")
 
-    def __post_init__(self) -> None:
-        if self.grid < 3:
-            raise ValueError(f"grid must be >= 3, got {self.grid}")
-        rng = self.noise_range
-        if rng is not None and not rng[1] > rng[0]:
-            raise ValueError(f"degenerate range {rng}")
+    def __init__(self, noise_range: tuple[float, float] | None = None, grid: int = 401,
+                 refine_tol: float = 1e-7) -> None:
+        if grid < 3:
+            raise ValueError(f"grid must be >= 3, got {grid}")
+        if noise_range is not None and not noise_range[1] > noise_range[0]:
+            raise ValueError(f"degenerate range {noise_range}")
+        object.__setattr__(self, "noise_range", noise_range)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "refine_tol", refine_tol)
 
     def resolved_noise_range(self, model: SourceModel) -> tuple[float, float]:
         if self.noise_range is not None:
@@ -67,30 +66,38 @@ class OracleConfig:
         return (0.0, 4.0 * model.sigma_x2)
 
 
-@dataclass(frozen=True)
-class OracleOptimum:
-    alpha: float
-    noise_var: float
-    d_c: float
-    d_p: float
+class OracleOptimum(Record):
+    __slots__ = ("alpha", "noise_var", "d_c", "d_p")
+
+    def __init__(self, alpha: float, noise_var: float, d_c: float, d_p: float) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "noise_var", noise_var)
+        object.__setattr__(self, "d_c", d_c)
+        object.__setattr__(self, "d_p", d_p)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    oracle_optimum: OracleOptimum
-    closed_form: EquilibriumSolution
-    dc_gap: float
-    noise_at_optimum: float
-    passed: bool
+class VerificationReport(Record):
+    __slots__ = ("oracle_optimum", "closed_form", "dc_gap", "noise_at_optimum", "passed")
+
+    def __init__(self, oracle_optimum: OracleOptimum, closed_form: EquilibriumSolution,
+                 dc_gap: float, noise_at_optimum: float, passed: bool) -> None:
+        object.__setattr__(self, "oracle_optimum", oracle_optimum)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "dc_gap", dc_gap)
+        object.__setattr__(self, "noise_at_optimum", noise_at_optimum)
+        object.__setattr__(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    lam: float
-    alpha: float
-    noise_var: float
-    d_c: float
-    d_p: float
+class ScanPoint(Record):
+    __slots__ = ("lam", "alpha", "noise_var", "d_c", "d_p")
+
+    def __init__(self, lam: float, alpha: float, noise_var: float, d_c: float,
+                 d_p: float) -> None:
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "noise_var", noise_var)
+        object.__setattr__(self, "d_c", d_c)
+        object.__setattr__(self, "d_p", d_p)
 
 
 def covariance_evaluate(

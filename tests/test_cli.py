@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privcomm.cli import main
 
@@ -291,6 +293,82 @@ class TestRejectedInputs:
         code, out, err = run(["scan", *MODEL_FLAGS, "--lambda-count", count])
         assert code == 1 and out == ""
         assert "--lambda-count must be >= 2" in err
+
+    def test_channel_covariance_overflow_exits_1(self):
+        # (beta * sigma_x2 * (1 + alpha*rho))^2 exceeds the largest float
+        code, out, err = run(["solve", "--setting", "channel", "--sigma-x2", "1e300",
+                              "--rho", "0.6", "--r", "1", "--pt", "1e10", "--sigma-z2", "1",
+                              "--dp", "9e299"])
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: a squared covariance of Y overflows a float")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sigma-x2", "1e-310", "--rho", "0.6", "--dp", "9e-311"],
+            # sigma_x2 * A underflows to zero near max privacy
+            ["--sigma-x2", "1e-320", "--rho", "0.9999", "--dp", "9.99e-321"],
+        ],
+        ids=["overflow", "zero-power"],
+    )
+    def test_channel_gain_overflow_exits_1(self, argv):
+        code, out, err = run(["solve", "--setting", "channel", *argv, "--r", "1",
+                              "--pt", "1", "--sigma-z2", "1"])
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: the transmit gain overflows a float")
+
+    def test_quadratic_scale_underflow_exits_1(self):
+        # r^2 * d underflows to zero in the constraint quadratic
+        code, out, err = run(["tradeoff", "--setting", "channel",
+                              "--sigma-x2", "9.627742484964946e+23",
+                              "--rho", "5.185222171897798e-142",
+                              "--r", "2.688652897199429e-283",
+                              "--pt", "0.0008494897219415433",
+                              "--sigma-z2", "2.006125257190469", "--grid", "5"])
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: r^2 * d underflows a float at r=2.688652897199429e-283")
+
+
+# Magnitudes log-uniform over the positive floats, subnormals included.
+MAGNITUDES = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def scalar_argvs(draw):
+    """argv of solve, tradeoff or rate, with rho/sqrt(r) in {0, u, 1 - 1e-12, 1}."""
+    r = draw(MAGNITUDES)
+    frac = draw(st.sampled_from([0.0, 1.0 - 1e-12, 1.0]) | st.floats(0.0, 1.0))
+    model = ["--sigma-x2", repr(draw(MAGNITUDES)), "--rho", repr(frac * math.sqrt(r)),
+             "--r", repr(r)]
+    channel = ["--pt", repr(draw(MAGNITUDES)), "--sigma-z2", repr(draw(MAGNITUDES))]
+    command = draw(st.sampled_from(["solve", "tradeoff", "rate"]))
+    if command == "rate":
+        noises = draw(st.lists(MAGNITUDES, min_size=1, max_size=3))
+        return ["rate", *model, "--dp", repr(draw(MAGNITUDES)),
+                "--noise-grid", ",".join(map(repr, noises))]
+    if command == "tradeoff":
+        setting = draw(st.sampled_from(["simple", "channel"]))
+        argv = ["tradeoff", "--setting", setting, *model, "--grid", "5"]
+    else:
+        setting = draw(st.sampled_from(["simple", "compression", "channel"]))
+        argv = ["solve", "--setting", setting, *model, "--dp", repr(draw(MAGNITUDES))]
+        if setting == "compression":
+            argv += ["--sigma-n2", repr(draw(MAGNITUDES))]
+    return argv + channel if setting == "channel" else argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(scalar_argvs())
+def test_scalar_commands_answer_finitely_or_exit_1(argv):
+    code, out, err = run(argv)  # an exception escaping main fails the test
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == "" and "nan" not in out and "inf" not in out
 
 
 class TestVerifyExitCodes:

@@ -1,4 +1,5 @@
-"""solve, tradeoff and rate stay numpy-free; the package's public names stay the same."""
+"""solve, tradeoff and rate stay numpy-free and load neither ``dataclasses`` nor
+``inspect``; the package's public names stay the same."""
 
 import json
 import os
@@ -28,15 +29,19 @@ EXPORTED = (
 )
 
 # Runs cli.main on each argv in one fresh interpreter and reports, after each
-# call, its exit status and whether numpy has been imported so far.
+# call, its exit status, whether numpy has been imported so far, and which of
+# dataclasses and inspect have been imported since before privcomm.cli was
+# (so a module that site loads does not count).
 CHILD = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from privcomm.cli import main
 report = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    report.append([argv[0], code, "numpy" in sys.modules])
+    loaded = sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
+    report.append([argv[0], code, "numpy" in sys.modules, loaded])
 print(json.dumps(report))
 """
 
@@ -67,7 +72,8 @@ def test_scalar_commands_never_import_numpy(tmp_path):
         [sys.executable, "-c", CHILD, json.dumps(argvs)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(proc.stdout) == [
+    report = json.loads(proc.stdout)
+    assert [entry[:3] for entry in report] == [
         ["solve", 0, False],
         ["solve", 0, False],
         ["solve", 0, False],
@@ -78,6 +84,7 @@ def test_scalar_commands_never_import_numpy(tmp_path):
         ["tradeoff", 0, False],
         ["scan", 0, True],
     ]
+    assert [entry for entry in report if not entry[2] and entry[3]] == []
     assert (tmp_path / "tradeoff.csv").read_text().startswith("d_p,d_c,alpha,kappa\n")
 
 
