@@ -16,7 +16,6 @@ load it through ``oracle`` and ``montecarlo``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -89,7 +88,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--setting", choices=[s.value for s in Setting], required=True)
     add_common(p)
     p.add_argument("--oracle-grid", type=int, default=401)
-    p.add_argument("--refine-tol", type=float, default=1e-7)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of a solved equilibrium (JSON)")
     p.add_argument("--setting", choices=[s.value for s in Setting], required=True)
@@ -174,14 +172,16 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
+def _csv(columns, rows) -> str:
+    lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def _json(obj) -> str:
+    import json  # only solve, verify and simulate emit JSON
+
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -232,7 +232,7 @@ def _cmd_tradeoff(args) -> int:
     channel = _channel_from(args) if setting is Setting.CHANNEL else None
     require_memory(BYTES_PER_ROW * args.grid, f"--grid {args.grid}")
     curve = sweep_privacy_distortion(model, setting, channel, args.grid)
-    _emit(_csv("d_p,d_c,alpha,kappa", curve.points), args)
+    _emit(_csv(curve.columns, curve.points), args)
     return 0
 
 
@@ -251,7 +251,7 @@ def _cmd_rate(args) -> int:
         (n, rate / NATS_PER_BIT if args.bits else rate, d_c, d_p, alpha)
         for (n, rate, d_c, d_p, alpha) in curve.points
     ]
-    _emit(_csv("sigma_n2,rate,d_c,d_p,alpha", rows), args)
+    _emit(_csv(curve.columns, rows), args)
     return 0
 
 
@@ -263,7 +263,7 @@ def _cmd_verify(args) -> int:
     channel = _channel_from(args) if setting is Setting.CHANNEL else None
     if args.dp is None:
         raise CliError("missing required --dp")
-    config = OracleConfig(grid=args.oracle_grid, refine_tol=args.refine_tol)
+    config = OracleConfig(grid=args.oracle_grid)
     report = verify_equilibrium(
         model, setting, channel, args.dp, config, sigma_n2=args.sigma_n2
     )
@@ -315,11 +315,13 @@ def _cmd_scan(args) -> int:
     from .oracle import lagrangian_scan
 
     model = _model_from(args)
-    if args.lambdas:
+    if args.lambdas is not None:
         try:
             lams = [float(v) for v in args.lambdas.split(",") if v.strip()]
         except ValueError:
             raise CliError(f"bad --lambdas value: {args.lambdas!r}")
+        if not lams:
+            raise CliError(f"--lambdas lists no multiplier: {args.lambdas!r}")
     else:
         if model.rho == 0.0:
             raise CliError("the default grid [0, 1/rho^2] needs rho > 0; pass --lambdas")
@@ -331,7 +333,7 @@ def _cmd_scan(args) -> int:
         lams = [lam_max * i / (args.lambda_count - 1) for i in range(args.lambda_count)]
     points = lagrangian_scan(model, lams)
     rows = [(p.lam, p.alpha, p.noise_var, p.d_p, p.d_c) for p in points]
-    _emit(_csv("lambda,alpha,noise_var,d_p,d_c", rows), args)
+    _emit(_csv(("lambda", "alpha", "noise_var", "d_p", "d_c"), rows), args)
     return 0
 
 

@@ -35,11 +35,11 @@ RATE_TOL = 1e-10
 
 
 class TradeoffCurve(Record):
-    """Ordered samples of a trade-off curve plus the model that produced it.
+    """Samples of a trade-off curve plus the model that produced it.
 
     Columns are (d_p, d_c, alpha, kappa) for the simple/channel settings and
-    (sigma_n2, rate, d_c, d_p, alpha) for compression.  The first column is
-    the ordering key.
+    (sigma_n2, rate, d_c, d_p, alpha) for compression.  The sweeps order the
+    points by the first column.
     """
 
     __slots__ = ("setting", "columns", "points", "model", "channel")
@@ -47,18 +47,9 @@ class TradeoffCurve(Record):
     def __init__(self, setting: Setting, columns: tuple[str, ...],
                  points: tuple[tuple[float, ...], ...], model: SourceModel,
                  channel: ChannelSpec | None = None) -> None:
-        xs = [p[0] for p in points]
-        if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
-            raise ValueError("curve points must be strictly ordered by x")
-        for p in points:
+        for p in points:  # CSV output never holds nan or inf
             if not all(math.isfinite(v) for v in p):
                 raise ValueError(f"non-finite curve point {p}")
-        if setting in (Setting.SIMPLE, Setting.CHANNEL):
-            ys = [p[1] for p in points]
-            if any(y < 0.0 for y in ys):
-                raise ValueError("distortion must be nonnegative")
-            if any(y2 < y1 - 1e-12 * model.sigma_x2 for y1, y2 in zip(ys, ys[1:])):
-                raise ValueError("distortion must be non-decreasing in the privacy target")
         object.__setattr__(self, "setting", setting)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "points", points)

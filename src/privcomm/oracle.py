@@ -37,6 +37,11 @@ GRID_ARRAYS = 5
 #: ``verify_equilibrium`` passes, in units of sigma_x2.
 VERIFY_TOL = 1e-5
 
+#: Bracket width at which the refinement's golden-section and bisection
+#: passes stop; where four float spacings are wider, they stop there instead,
+#: since a narrower bracket may not shrink.
+REFINE_TOL = 1e-7
+
 
 def _alpha_range(model: SourceModel) -> tuple[float, float]:
     """Searched encoder mixing weights: twice the frontier's [-rho/r, 0], padded."""
@@ -46,19 +51,18 @@ def _alpha_range(model: SourceModel) -> tuple[float, float]:
 
 
 class OracleConfig(Record):
-    """Noise range and resolutions; a ``None`` noise range is derived per model."""
+    """Noise range and grid resolution; a ``None`` noise range is derived per model."""
 
-    __slots__ = ("noise_range", "grid", "refine_tol")
+    __slots__ = ("noise_range", "grid")
 
-    def __init__(self, noise_range: tuple[float, float] | None = None, grid: int = 401,
-                 refine_tol: float = 1e-7) -> None:
+    def __init__(self, noise_range: tuple[float, float] | None = None,
+                 grid: int = 401) -> None:
         if grid < 3:
             raise ValueError(f"grid must be >= 3, got {grid}")
         if noise_range is not None and not noise_range[1] > noise_range[0]:
             raise ValueError(f"degenerate range {noise_range}")
         object.__setattr__(self, "noise_range", noise_range)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "refine_tol", refine_tol)
 
     def resolved_noise_range(self, model: SourceModel) -> tuple[float, float]:
         if self.noise_range is not None:
@@ -171,8 +175,9 @@ def _dc_dp_grid(model, setting, channel, alpha_axis, noise_axis):
 _SENDS_NOTHING = "{} holds alpha = -rho/r without noise, which sends nothing"
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
+def _golden_min(f, lo: float, hi: float) -> float:
     """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
+    tol = max(REFINE_TOL, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -189,7 +194,7 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def _boundary_alpha(model, setting, channel, noise_var, d_p_target, tol):
+def _boundary_alpha(model, setting, channel, noise_var, d_p_target):
     """The feasible alpha with minimal distortion at fixed encoder noise.
 
     D_P decreases monotonically from dp_max at alpha = -rho/r to the noise
@@ -206,6 +211,7 @@ def _boundary_alpha(model, setting, channel, noise_var, d_p_target, tol):
         raise InfeasiblePrivacyTarget(
             f"target {d_p_target} unreachable at noise {noise_var}"
         )
+    tol = max(REFINE_TOL, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _dc_dp(model, setting, channel, mid, noise_var)[1] >= d_p_target:
@@ -258,24 +264,23 @@ def grid_search(
             f"no feasible grid point for target {d_p_target}"
         )
 
-    tol = config.refine_tol
     if setting is Setting.COMPRESSION:
-        alpha = _boundary_alpha(model, setting, channel, sigma_n2, d_p_target, tol)
+        alpha = _boundary_alpha(model, setting, channel, sigma_n2, d_p_target)
         noise = sigma_n2
     else:
         def constrained_dc(noise_var: float) -> float:
             try:
-                a = _boundary_alpha(model, setting, channel, noise_var, d_p_target, tol)
+                a = _boundary_alpha(model, setting, channel, noise_var, d_p_target)
             except InfeasiblePrivacyTarget:
                 return math.inf
             return float(_dc_dp(model, setting, channel, a, noise_var)[0])
 
         lo_n, hi_n = config.resolved_noise_range(model)
-        noise = _golden_min(constrained_dc, lo_n, hi_n, tol)
+        noise = _golden_min(constrained_dc, lo_n, hi_n)
         # the minimum typically sits on the lower edge of the noise range
         if constrained_dc(lo_n) <= constrained_dc(noise):
             noise = lo_n
-        alpha = _boundary_alpha(model, setting, channel, noise, d_p_target, tol)
+        alpha = _boundary_alpha(model, setting, channel, noise, d_p_target)
         # refinement must never lose to a strictly feasible grid point (with
         # none, the minimum is inf, which no distortion exceeds)
         strict = np.where(d_p >= d_p_target, d_c, np.inf)
@@ -360,8 +365,8 @@ def lagrangian_scan(
             return d_c - lam * d_p
 
         for _ in range(4):
-            alpha = _golden_min(lambda a: cost(a, noise), lo_a, hi_a, config.refine_tol)
-            noise = _golden_min(lambda s: cost(alpha, s), lo_n, hi_n, config.refine_tol)
+            alpha = _golden_min(lambda a: cost(a, noise), lo_a, hi_a)
+            noise = _golden_min(lambda s: cost(alpha, s), lo_n, hi_n)
         if noise > 1e-4 * model.sigma_x2:
             raise ValueError(
                 f"lam={lam} is too large to resolve its frontier point in floating "

@@ -25,6 +25,15 @@ def run(argv):
     return code, buf.getvalue(), err.getvalue()
 
 
+def run_process(argv):
+    """``privcomm argv`` in a fresh interpreter, killed after 60 s."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "privcomm.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestGolden:
     def test_solve_simple(self):
         code, out, _ = run(["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"])
@@ -98,11 +107,16 @@ class TestSolve:
         code, _, err = run(["solve", "--setting", "simple", *MODEL_FLAGS])
         assert code == 1 and "error:" in err
 
-    def test_unknown_flag_exits_1(self):
-        code, _, err = run(
-            ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84", "--bogus"]
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", ["--bogus"]),
+        ("verify", ["--refine-tol", "1e-7"]),
+    ])
+    def test_unknown_flag_exits_1(self, command, flag):
+        code, out, err = run(
+            [command, "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84", *flag]
         )
-        assert code == 1 and "error:" in err
+        assert code == 1 and out == ""
+        assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
 
 
 class TestRejectedInputs:
@@ -183,11 +197,7 @@ class TestRejectedInputs:
         argv = ["simulate", "--setting", "simple", "--sigma-x2", "0.9134717985533981",
                 "--rho", "0.40147136495787894", "--r", "0.16117925688114243",
                 "--dp", "0.14723270567271735", "--samples", "3", "--seed", "1306269759"]
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "privcomm.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = run_process(argv)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == (
             "error: the policy sends nothing (Var(Y) = 0); privacy MMSE undefined\n"
@@ -221,6 +231,14 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         (line,) = err.splitlines()
         assert line.startswith(f"error: lam={float(lam)}")
+
+    @pytest.mark.parametrize("rho", ["0.6", "0"])
+    @pytest.mark.parametrize("lambdas", ["", ","])
+    def test_scan_empty_lambdas_exits_1(self, rho, lambdas):
+        code, out, err = run(["scan", "--sigma-x2", "1", "--rho", rho, "--r", "1",
+                              "--lambdas", lambdas])
+        assert code == 1 and out == ""
+        assert err == f"error: --lambdas lists no multiplier: {lambdas!r}\n"
 
     def test_scan_rho_zero_needs_lambdas(self):
         flags = ["--sigma-x2", "1", "--rho", "0", "--r", "1"]
@@ -372,16 +390,27 @@ def test_scalar_commands_answer_finitely_or_exit_1(argv):
 
 
 class TestVerifyExitCodes:
-    def test_coarse_oracle_fails_with_2(self):
+    def test_coarse_oracle_fails_with_2(self, monkeypatch):
+        import privcomm.oracle
+
         # a 5-point grid with no refinement cannot land within the tolerance
+        monkeypatch.setattr(privcomm.oracle, "REFINE_TOL", 1.0)
         code, out, _ = run(
-            [
-                "verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84",
-                "--oracle-grid", "5", "--refine-tol", "1.0",
-            ]
+            ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84", "--oracle-grid", "5"]
         )
         assert code == 2
         assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--lambda-count", "3"],
+    ["verify", "--setting", "simple", "--dp", "0.95e-21", "--oracle-grid", "21"],
+], ids=["scan", "verify"])
+def test_oracle_refinement_ends_where_floats_are_sparse(argv):
+    # alpha reaches ~1e10 here, where floats lie further apart than REFINE_TOL
+    proc = run_process([*argv, "--sigma-x2", "1", "--rho", "1e-11", "--r", "1e-21"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "nan" not in proc.stdout and "inf" not in proc.stdout
 
 
 class TestOutputs:

@@ -117,15 +117,6 @@ class TestSweepGrid:
 
 
 class TestCurveValidation:
-    def test_unordered_rejected(self):
-        with pytest.raises(ValueError):
-            TradeoffCurve(
-                setting=Setting.SIMPLE,
-                columns=("d_p", "d_c"),
-                points=((0.8, 0.1), (0.7, 0.2)),
-                model=M,
-            )
-
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             TradeoffCurve(

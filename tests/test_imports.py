@@ -1,5 +1,6 @@
 """solve, tradeoff and rate stay numpy-free and load neither ``dataclasses`` nor
-``inspect``; the package's public names stay the same."""
+``inspect``, and tradeoff and rate do not load ``json``; the package's public
+names stay the same."""
 
 import json
 import os
@@ -30,18 +31,21 @@ EXPORTED = (
 
 # Runs cli.main on each argv in one fresh interpreter and reports, after each
 # call, its exit status, whether numpy has been imported so far, and which of
-# dataclasses and inspect have been imported since before privcomm.cli was
-# (so a module that site loads does not count).
+# dataclasses, inspect and json have been imported since before privcomm.cli
+# was (so a module that site loads does not count).  The argv list arrives as
+# a Python literal, and json is imported only after the last call, so that
+# the child itself loads none of the three.
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 before = set(sys.modules)
 from privcomm.cli import main
 report = []
-for argv in json.loads(sys.argv[1]):
+for argv in eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    loaded = sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
+    loaded = sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before))
     report.append([argv[0], code, "numpy" in sys.modules, loaded])
+import json
 print(json.dumps(report))
 """
 
@@ -51,40 +55,40 @@ MODEL_FLAGS = ["--sigma-x2", "1", "--rho", "0.6", "--r", "1"]
 def test_scalar_commands_never_import_numpy(tmp_path):
     cfg = tmp_path / "channel.cfg"
     cfg.write_text("sigma-x2 = 1\nrho = 0.6\nr = 1\ndp = 0.92\npt = 1\nsigma-z2 = 1\n")
+    # the probe is cumulative: tradeoff and rate run before solve loads json,
+    # and scan runs last, since it must see numpy once loaded
     argvs = [
-        ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"],
-        ["solve", "--setting", "compression", *MODEL_FLAGS, "--dp", "0.9",
-         "--sigma-n2", "0.5", "--bits"],
-        ["solve", "--setting", "channel", "--config", str(cfg)],
-        ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "1.5"],
         ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "3"],
         ["tradeoff", "--setting", "channel", *MODEL_FLAGS, "--pt", "1", "--sigma-z2", "1",
          "--output", str(tmp_path / "tradeoff.csv")],
         ["rate", *MODEL_FLAGS, "--dp", "0.9", "--noise-grid", "0.25,0.5,1", "--bits"],
         ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "2"],
-        # last, since the probe is cumulative: it must see numpy once loaded
+        ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"],
+        ["solve", "--setting", "compression", *MODEL_FLAGS, "--dp", "0.9",
+         "--sigma-n2", "0.5", "--bits"],
+        ["solve", "--setting", "channel", "--config", str(cfg)],
+        ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "1.5"],
         ["scan", *MODEL_FLAGS, "--lambdas", "1"],
     ]
     src = str(pathlib.Path(privcomm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(argvs)],
+        [sys.executable, "-c", CHILD, repr(argvs)],
         env=env, capture_output=True, text=True, check=True,
     )
     report = json.loads(proc.stdout)
-    assert [entry[:3] for entry in report] == [
-        ["solve", 0, False],
-        ["solve", 0, False],
-        ["solve", 0, False],
-        ["solve", 1, False],
-        ["tradeoff", 0, False],
-        ["tradeoff", 0, False],
-        ["rate", 0, False],
-        ["tradeoff", 0, False],
-        ["scan", 0, True],
+    assert report[:-1] == [
+        ["tradeoff", 0, False, []],
+        ["tradeoff", 0, False, []],
+        ["rate", 0, False, []],
+        ["tradeoff", 0, False, []],
+        ["solve", 0, False, ["json"]],
+        ["solve", 0, False, ["json"]],
+        ["solve", 0, False, ["json"]],
+        ["solve", 1, False, ["json"]],
     ]
-    assert [entry for entry in report if not entry[2] and entry[3]] == []
+    assert report[-1][:3] == ["scan", 0, True]
     assert (tmp_path / "tradeoff.csv").read_text().startswith("d_p,d_c,alpha,kappa\n")
 
 
