@@ -53,7 +53,7 @@ _LAZY = {
         "montecarlo",
     ),
     **dict.fromkeys(
-        ("OracleConfig", "OracleOptimum", "VerificationReport", "covariance_evaluate",
+        ("OracleOptimum", "VerificationReport", "covariance_evaluate",
          "grid_search", "lagrangian_scan", "verify_equilibrium"),
         "oracle",
     ),

@@ -256,16 +256,15 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import OracleConfig, verify_equilibrium
+    from .oracle import verify_equilibrium
 
     model = _model_from(args)
     setting = Setting(args.setting)
     channel = _channel_from(args) if setting is Setting.CHANNEL else None
     if args.dp is None:
         raise CliError("missing required --dp")
-    config = OracleConfig(grid=args.oracle_grid)
     report = verify_equilibrium(
-        model, setting, channel, args.dp, config, sigma_n2=args.sigma_n2
+        model, setting, channel, args.dp, args.oracle_grid, sigma_n2=args.sigma_n2
     )
     payload = {
         "passed": report.passed,

@@ -86,6 +86,9 @@ class SourceModel(Record):
             raise NegativeCorrelationError(f"rho must be >= 0, got {rho}")
         if not math.isfinite(r) or rho**2 > r * (1.0 + BOUNDARY_EPS):
             raise CorrelationBoundError(f"need rho^2 <= r, got rho^2={rho**2} > r={r}")
+        if not (math.isfinite(sigma_x2 * r) and math.isfinite(sigma_x2 * rho)):
+            raise ModelError(f"Var(theta) = sigma_x2 * r overflows a float at "
+                             f"sigma_x2={sigma_x2!r}, r={r!r}")
         object.__setattr__(self, "sigma_x2", sigma_x2)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "r", r)
@@ -114,8 +117,9 @@ class PrivacyBounds(Record):
 def validate_model(sigma_x2: float, rho: float, r: float) -> SourceModel:
     """Validate raw parameters and return an immutable :class:`SourceModel`.
 
-    Raises a distinct :class:`ModelError` subclass per violated constraint;
-    never clamps silently.
+    Raises a distinct :class:`ModelError` subclass per violated constraint,
+    and :class:`ModelError` itself when Var(theta) overflows a float; never
+    clamps silently.
     """
     return SourceModel(float(sigma_x2), float(rho), float(r))
 

@@ -5,6 +5,8 @@ cross-checks the printed distortion/privacy formulas, and (b) a feasibility
 filtered grid search with local refinement over the encoder parameters
 confirms that the closed-form solutions are true constrained minimizers and
 that encoder noise buys nothing.
+Both search the canonical model (1, c, 1) that every model rescales to, so
+one search box and one tolerance serve every scale (see ``_canonical``).
 """
 
 from __future__ import annotations
@@ -38,36 +40,33 @@ GRID_ARRAYS = 5
 VERIFY_TOL = 1e-5
 
 #: Bracket width at which the refinement's golden-section and bisection
-#: passes stop; where four float spacings are wider, they stop there instead,
-#: since a narrower bracket may not shrink.
+#: passes stop, in canonical units; no bracket is wider than 4.
 REFINE_TOL = 1e-7
 
-
-def _alpha_range(model: SourceModel) -> tuple[float, float]:
-    """Searched encoder mixing weights: twice the frontier's [-rho/r, 0], padded."""
-    if model.rho == 0.0:  # r may be 0 (theta = 0)
-        return (-0.5, 0.5)
-    return (-2.0 * model.rho / model.r - 0.5, 0.5)
+#: Largest searched encoder noise, in units of sigma_x2.
+NOISE_MAX = 4.0
 
 
-class OracleConfig(Record):
-    """Noise range and grid resolution; a ``None`` noise range is derived per model."""
+def _canonical(model: SourceModel, grid: int):
+    """(canon, alpha_axis, back): the model as a rescaling of (1, c, 1), c = rho/sqrt(r).
 
-    __slots__ = ("noise_range", "grid")
+    X' = X/sigma_x and theta' = theta/(sigma_x*sqrt(r)) give alpha = alpha'/sqrt(r),
+    sigma_N^2 = sigma_x2*n', D_C = sigma_x2*D_C', D_P = sigma_x2*r*D_P' and
+    lam' = lam*r, which ``back`` applies; a channel enters only through
+    sigma_z2/P_T.  c is clipped to 1 against rounding, and sqrt(r) taken as 1
+    when r = 0.  The alpha axis spans twice the frontier's [-c, 0], padded.
+    """
+    if grid < 3:
+        raise ValueError(f"grid must be >= 3, got {grid}")
+    s2, r = model.sigma_x2, model.r
+    sqrt_r = math.sqrt(r) or 1.0
+    canon = SourceModel(1.0, min(model.rho / sqrt_r, 1.0), 1.0)
 
-    def __init__(self, noise_range: tuple[float, float] | None = None,
-                 grid: int = 401) -> None:
-        if grid < 3:
-            raise ValueError(f"grid must be >= 3, got {grid}")
-        if noise_range is not None and not noise_range[1] > noise_range[0]:
-            raise ValueError(f"degenerate range {noise_range}")
-        object.__setattr__(self, "noise_range", noise_range)
-        object.__setattr__(self, "grid", grid)
+    def back(alpha, noise_var, d_c, d_p):
+        return (float(alpha) / sqrt_r, s2 * float(noise_var), s2 * float(d_c),
+                s2 * (r * float(d_p)))
 
-    def resolved_noise_range(self, model: SourceModel) -> tuple[float, float]:
-        if self.noise_range is not None:
-            return self.noise_range
-        return (0.0, 4.0 * model.sigma_x2)
+    return canon, np.linspace(-2.0 * canon.rho - 0.5, 0.5, grid), back
 
 
 class OracleOptimum(Record):
@@ -138,37 +137,33 @@ def covariance_evaluate(
     return float(d_c), float(d_p)
 
 
-def _effective_noise(model, setting, channel, alpha, noise_var):
-    """Normalized decoder-side noise for a policy, per setting.
+def _effective_noise(canon, setting, channel, alpha, noise_var):
+    """Decoder-side noise of a policy on the canonical model, per setting.
 
     For the channel setting the transmit gain is pinned by the power
     constraint, so channel noise referred to the source scale depends on the
     transmit variance.
     """
-    s2 = model.sigma_x2
     if setting is Setting.CHANNEL:
-        a_gain = mixing_gain(model, alpha)
-        return (
-            noise_var
-            + channel.sigma_z2 * (s2 * a_gain + noise_var) / channel.p_t
-        ) / s2
-    return noise_var / s2
+        a_gain = mixing_gain(canon, alpha)
+        return noise_var + channel.sigma_z2 * (a_gain + noise_var) / channel.p_t
+    return noise_var
 
 
-def _dc_dp(model, setting, channel, alpha, noise_var):
-    """Shared-formula evaluation of (d_c, d_p); array friendly."""
+def _dc_dp(canon, setting, channel, alpha, noise_var):
+    """Shared-formula evaluation of canonical (d_c, d_p); array friendly."""
     return second_order_dc_dp(
-        model, alpha, _effective_noise(model, setting, channel, alpha, noise_var)
+        canon, alpha, _effective_noise(canon, setting, channel, alpha, noise_var)
     )
 
 
-def _dc_dp_grid(model, setting, channel, alpha_axis, noise_axis):
+def _dc_dp_grid(canon, setting, channel, alpha_axis, noise_axis):
     """(d_c, d_p) on the alpha x noise grid, by broadcasting the two axes."""
     require_memory(
         GRID_ARRAYS * 8 * alpha_axis.size * noise_axis.size,
         f"an oracle grid of {alpha_axis.size} x {noise_axis.size}",
     )
-    return _dc_dp(model, setting, channel, alpha_axis[:, None], noise_axis[None, :])
+    return _dc_dp(canon, setting, channel, alpha_axis[:, None], noise_axis[None, :])
 
 
 #: Why a grid over noise from 0 fails on a degenerate model: Y = 0 there.
@@ -177,12 +172,11 @@ _SENDS_NOTHING = "{} holds alpha = -rho/r without noise, which sends nothing"
 
 def _golden_min(f, lo: float, hi: float) -> float:
     """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
-    tol = max(REFINE_TOL, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > REFINE_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -194,27 +188,24 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return (a + b) / 2.0
 
 
-def _boundary_alpha(model, setting, channel, noise_var, d_p_target):
-    """The feasible alpha with minimal distortion at fixed encoder noise.
+def _boundary_alpha(canon, setting, channel, noise_var, d_p_target):
+    """The feasible canonical alpha with minimal distortion at fixed encoder noise.
 
-    D_P decreases monotonically from dp_max at alpha = -rho/r to the noise
-    floor at alpha = 0, while D_C decreases toward alpha = 0; the constrained
+    D_P decreases monotonically from dp_max at alpha = -c to the noise floor
+    at alpha = 0, while D_C decreases toward alpha = 0; the constrained
     minimizer is therefore the boundary root of D_P = target, found by
     bisection, or alpha = 0 when the noise alone satisfies the target.
     """
-    if model.rho == 0.0:
+    if _dc_dp(canon, setting, channel, 0.0, noise_var)[1] >= d_p_target:
         return 0.0
-    if _dc_dp(model, setting, channel, 0.0, noise_var)[1] >= d_p_target:
-        return 0.0
-    lo, hi = -model.rho / model.r, 0.0
-    if _dc_dp(model, setting, channel, lo, noise_var)[1] < d_p_target:
+    lo, hi = -canon.rho, 0.0
+    if _dc_dp(canon, setting, channel, lo, noise_var)[1] < d_p_target:
         raise InfeasiblePrivacyTarget(
             f"target {d_p_target} unreachable at noise {noise_var}"
         )
-    tol = max(REFINE_TOL, 4.0 * math.ulp(max(abs(lo), abs(hi))))
-    while hi - lo > tol:
+    while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        if _dc_dp(model, setting, channel, mid, noise_var)[1] >= d_p_target:
+        if _dc_dp(canon, setting, channel, mid, noise_var)[1] >= d_p_target:
             lo = mid
         else:
             hi = mid
@@ -226,71 +217,77 @@ def grid_search(
     setting: Setting,
     channel: ChannelSpec | None,
     d_p_target: float,
-    config: OracleConfig | None = None,
+    grid: int = 401,
     sigma_n2: float | None = None,
 ) -> OracleOptimum:
     """Constrained brute-force minimizer of D_C subject to D_P >= d_p_target.
 
-    Grid stage: rejects the target when no grid point meets it within
-    one-grid-cell slack.  Refinement stage: bisection onto the constraint
-    boundary in alpha, plus a golden-section pass over the encoder noise
-    (settings 1/3), which must not lose to the best strictly feasible grid
-    point.
+    Searches the canonical model on ``grid`` encoder weights by ``grid``
+    noise levels in [0, NOISE_MAX * sigma_x2] (one level, sigma_n2, for
+    compression).  Grid stage: rejects the target when no grid point meets
+    it within one-grid-cell slack.  Refinement stage: bisection onto the
+    constraint boundary in alpha, plus a golden-section pass over the
+    encoder noise (settings 1/3), which must not lose to the best strictly
+    feasible grid point.
     """
-    if config is None:
-        config = OracleConfig()
-    if setting is Setting.CHANNEL and channel is None:
-        raise ValueError("channel setting requires a ChannelSpec")
+    if setting is Setting.CHANNEL:
+        if channel is None:
+            raise ValueError("channel setting requires a ChannelSpec")
+        # A <= 2.25 on the alpha axis and n' <= NOISE_MAX bound the channel's noise
+        if not math.isfinite(channel.sigma_z2 * (2.25 + NOISE_MAX) / channel.p_t):
+            raise ValueError(f"the oracle cannot resolve a channel with sigma_z2/P_T = "
+                             f"{channel.sigma_z2 / channel.p_t!r}")
+    canon, alpha_axis, back = _canonical(model, grid)
+    # with r = 0, D_P = 0 for every encoder
+    target = (d_p_target / model.sigma_x2 / model.r if model.r
+              else -math.inf if d_p_target <= 0.0 else math.inf)
     if setting is Setting.COMPRESSION:
-        if sigma_n2 is None or sigma_n2 <= 0.0:
-            raise ValueError("compression search requires a positive sigma_n2")
-        noise_axis = np.array([sigma_n2])
+        noise = math.nan if sigma_n2 is None else sigma_n2 / model.sigma_x2
+        if not 0.0 < noise < math.inf:
+            raise ValueError(f"compression search requires 0 < sigma_n2/sigma_x2 < inf, "
+                             f"got sigma_n2={sigma_n2!r}")
+        noise_axis = np.array([noise])
     else:
-        if model.degenerate:
+        if canon.degenerate:
             raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle grid"))
-        noise_axis = np.linspace(*config.resolved_noise_range(model), config.grid)
-    alpha_axis = np.linspace(*_alpha_range(model), config.grid)
+        noise_axis = np.linspace(0.0, NOISE_MAX, grid)
 
-    d_c, d_p = _dc_dp_grid(model, setting, channel, alpha_axis, noise_axis)
+    d_c, d_p = _dc_dp_grid(canon, setting, channel, alpha_axis, noise_axis)
 
-    slack = 0.0
-    if d_p.shape[0] > 1:
-        slack = max(slack, float(np.max(np.abs(np.diff(d_p, axis=0)))))
-    if d_p.shape[1] > 1:
-        slack = max(slack, float(np.max(np.abs(np.diff(d_p, axis=1)))))
-    feasible = d_p >= d_p_target - slack
-    if not np.any(feasible):
+    slack = max((float(np.max(np.abs(np.diff(d_p, axis=k)))) for k in (0, 1)
+                 if d_p.shape[k] > 1), default=0.0)
+    if not np.any(d_p >= target - slack):
         raise InfeasiblePrivacyTarget(
             f"no feasible grid point for target {d_p_target}"
         )
 
     if setting is Setting.COMPRESSION:
-        alpha = _boundary_alpha(model, setting, channel, sigma_n2, d_p_target)
-        noise = sigma_n2
+        alpha = _boundary_alpha(canon, setting, channel, noise, target)
     else:
         def constrained_dc(noise_var: float) -> float:
             try:
-                a = _boundary_alpha(model, setting, channel, noise_var, d_p_target)
+                a = _boundary_alpha(canon, setting, channel, noise_var, target)
             except InfeasiblePrivacyTarget:
                 return math.inf
-            return float(_dc_dp(model, setting, channel, a, noise_var)[0])
+            return float(_dc_dp(canon, setting, channel, a, noise_var)[0])
 
-        lo_n, hi_n = config.resolved_noise_range(model)
-        noise = _golden_min(constrained_dc, lo_n, hi_n)
+        noise = _golden_min(constrained_dc, 0.0, NOISE_MAX)
         # the minimum typically sits on the lower edge of the noise range
-        if constrained_dc(lo_n) <= constrained_dc(noise):
-            noise = lo_n
-        alpha = _boundary_alpha(model, setting, channel, noise, d_p_target)
+        if constrained_dc(0.0) <= constrained_dc(noise):
+            noise = 0.0
+        alpha = _boundary_alpha(canon, setting, channel, noise, target)
         # refinement must never lose to a strictly feasible grid point (with
         # none, the minimum is inf, which no distortion exceeds)
-        strict = np.where(d_p >= d_p_target, d_c, np.inf)
+        strict = np.where(d_p >= target, d_c, np.inf)
         k, l = np.unravel_index(int(np.argmin(strict)), strict.shape)
-        if _dc_dp(model, setting, channel, alpha, noise)[0] > strict[k, l]:
+        if _dc_dp(canon, setting, channel, alpha, noise)[0] > strict[k, l]:
             alpha, noise = float(alpha_axis[k]), float(noise_axis[l])
-    d_c_opt, d_p_opt = _dc_dp(model, setting, channel, alpha, noise)
-    return OracleOptimum(
-        alpha=float(alpha), noise_var=float(noise), d_c=float(d_c_opt), d_p=float(d_p_opt)
+    alpha, noise_var, d_c_opt, d_p_opt = back(
+        alpha, noise, *_dc_dp(canon, setting, channel, alpha, noise)
     )
+    if setting is Setting.COMPRESSION:
+        noise_var = sigma_n2  # held fixed, not searched
+    return OracleOptimum(alpha, noise_var, d_c_opt, d_p_opt)
 
 
 def verify_equilibrium(
@@ -298,7 +295,7 @@ def verify_equilibrium(
     setting: Setting,
     channel: ChannelSpec | None,
     d_p_target: float,
-    config: OracleConfig | None = None,
+    grid: int = 401,
     sigma_n2: float | None = None,
 ) -> VerificationReport:
     """Compare the closed-form equilibrium against the brute-force optimum."""
@@ -310,7 +307,7 @@ def verify_equilibrium(
         closed = solve_setting2(model, d_p_target, sigma_n2)
     else:
         closed = solve_setting3(model, d_p_target, channel)
-    optimum = grid_search(model, setting, channel, d_p_target, config, sigma_n2)
+    optimum = grid_search(model, setting, channel, d_p_target, grid, sigma_n2)
     dc_gap = optimum.d_c - closed.d_c
     tol = VERIFY_TOL * model.sigma_x2
     noise_ok = setting is Setting.COMPRESSION or optimum.noise_var <= tol
@@ -324,55 +321,55 @@ def verify_equilibrium(
     )
 
 
-def lagrangian_scan(
-    model: SourceModel, lambda_grid, config: OracleConfig | None = None
-) -> list[ScanPoint]:
+def lagrangian_scan(model: SourceModel, lambda_grid, grid: int = 401) -> list[ScanPoint]:
     """Trace the frontier by minimizing D_C - lam*D_P over (alpha, noise).
 
     Every finite lam >= 0 is the multiplier of one frontier point: lam = 0
     gives the free floor, and the point runs to max privacy as lam grows.
-    For each multiplier the unconstrained grid minimizer is refined by
-    alternating golden-section passes.  The optimum must sit at zero encoder
-    noise; a noisy minimizer means that lam is too large for floating point
-    to resolve the frontier point, and raises ``ValueError``.
+    For each multiplier the unconstrained grid minimizer on the canonical
+    model, at lam' = lam*r, is refined by alternating golden-section passes.
+    The optimum must sit at zero encoder noise; a noisy minimizer, or a
+    lam*r beyond the float range, means that lam is too large for floating
+    point to resolve the frontier point, and raises ``ValueError``.
     """
-    if model.degenerate:
+    canon, alpha_axis, back = _canonical(model, grid)
+    if canon.degenerate:
         raise DegenerateModelError(model, _SENDS_NOTHING.format("the multiplier scan grid"))
-    if config is None:
-        config = OracleConfig()
     setting = Setting.SIMPLE
-    alpha_axis = np.linspace(*_alpha_range(model), config.grid)
-    noise_axis = np.linspace(*config.resolved_noise_range(model), config.grid)
-    d_c_g, d_p_g = _dc_dp_grid(model, setting, None, alpha_axis, noise_axis)
+    noise_axis = np.linspace(0.0, NOISE_MAX, grid)
+    d_c_g, d_p_g = _dc_dp_grid(canon, setting, None, alpha_axis, noise_axis)
     obj = np.empty_like(d_c_g)
     # Python floats: numpy scalars would make every cost evaluation slow
     lo_a, hi_a = float(alpha_axis[0]), float(alpha_axis[-1])
-    lo_n, hi_n = float(noise_axis[0]), float(noise_axis[-1])
 
     out = []
     for lam in lambda_grid:
         lam = float(lam)
         if not 0.0 <= lam < math.inf:  # NaN fails too
             raise ValueError(f"lam={lam} outside [0, inf)")
-        np.multiply(d_p_g, lam, out=obj)
+        refusal = f"lam={lam} is too large to resolve its frontier point in floating point"
+        lam_c = lam * model.r
+        if lam_c == math.inf:
+            raise ValueError(f"{refusal}: lam*r overflows")
+        np.multiply(d_p_g, lam_c, out=obj)
         np.subtract(d_c_g, obj, out=obj)
         # the grid minimizer seeds the noise; the first pass re-solves alpha
         _, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
         noise = float(noise_axis[j])
 
         def cost(a, s):
-            d_c, d_p = _dc_dp(model, setting, None, a, s)
-            return d_c - lam * d_p
+            d_c, d_p = _dc_dp(canon, setting, None, a, s)
+            return d_c - lam_c * d_p
 
         for _ in range(4):
             alpha = _golden_min(lambda a: cost(a, noise), lo_a, hi_a)
-            noise = _golden_min(lambda s: cost(alpha, s), lo_n, hi_n)
-        if noise > 1e-4 * model.sigma_x2:
+            noise = _golden_min(lambda s: cost(alpha, s), 0.0, NOISE_MAX)
+        alpha, noise_var, d_c, d_p = back(
+            alpha, noise, *_dc_dp(canon, setting, None, alpha, noise)
+        )
+        if noise > 1e-4:
             raise ValueError(
-                f"lam={lam} is too large to resolve its frontier point in floating "
-                f"point: the scan's minimizer has encoder noise {noise}"
+                f"{refusal}: the scan's minimizer has encoder noise {noise_var}"
             )
-        d_c, d_p = _dc_dp(model, setting, None, alpha, noise)
-        out.append(ScanPoint(lam=lam, alpha=alpha, noise_var=noise,
-                             d_c=float(d_c), d_p=float(d_p)))
+        out.append(ScanPoint(lam=lam, alpha=alpha, noise_var=noise_var, d_c=d_c, d_p=d_p))
     return out

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,12 @@ class TestGolden:
         )
         assert code == 0
         assert out == (GOLDEN / "verify_channel.json").read_text()
+
+
+    def test_scan_simple(self):
+        code, out, _ = run(["scan", *MODEL_FLAGS])
+        assert code == 0
+        assert out == (GOLDEN / "scan_simple.csv").read_text()
 
 
 class TestSolve:
@@ -220,6 +227,20 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert "error:" in err and "rho^2 = r" in err
 
+    # Var(theta) = sigma_x2 * r = 1.3e371 overflows a float
+    HUGE_THETA = ["--sigma-x2", "1.0558433295428895e+287", "--rho", "1.0515169710314845e+42",
+                  "--r", "1.2493911043820676e+84"]
+
+    @pytest.mark.parametrize("argv", [["solve", "--setting", "simple", "--dp", "1"],
+                                      ["scan", "--lambdas", "1e-130"]], ids=["solve", "scan"])
+    def test_overflowing_var_theta_exits_1(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run([*argv, *self.HUGE_THETA])
+        assert code == 1 and out == ""
+        assert err == ("error: Var(theta) = sigma_x2 * r overflows a float at "
+                       "sigma_x2=1.0558433295428895e+287, r=1.2493911043820676e+84\n")
+
     def test_scan_nan_multiplier_exits_1(self):
         code, out, err = run(["scan", *MODEL_FLAGS, "--lambdas", "nan"])
         assert code == 1 and out == ""
@@ -354,13 +375,18 @@ class TestRejectedInputs:
 MAGNITUDES = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
 
 
-@st.composite
-def scalar_argvs(draw):
-    """argv of solve, tradeoff or rate, with rho/sqrt(r) in {0, u, 1 - 1e-12, 1}."""
+def model_flags(draw):
+    """--sigma-x2, --rho and --r, with rho/sqrt(r) in {0, u, 1 - 1e-12, 1}."""
     r = draw(MAGNITUDES)
     frac = draw(st.sampled_from([0.0, 1.0 - 1e-12, 1.0]) | st.floats(0.0, 1.0))
-    model = ["--sigma-x2", repr(draw(MAGNITUDES)), "--rho", repr(frac * math.sqrt(r)),
-             "--r", repr(r)]
+    return ["--sigma-x2", repr(draw(MAGNITUDES)), "--rho", repr(frac * math.sqrt(r)),
+            "--r", repr(r)]
+
+
+@st.composite
+def scalar_argvs(draw):
+    """argv of solve, tradeoff or rate."""
+    model = model_flags(draw)
     channel = ["--pt", repr(draw(MAGNITUDES)), "--sigma-z2", repr(draw(MAGNITUDES))]
     command = draw(st.sampled_from(["solve", "tradeoff", "rate"]))
     if command == "rate":
@@ -387,6 +413,243 @@ def test_scalar_commands_answer_finitely_or_exit_1(argv):
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
     else:
         assert err == "" and "nan" not in out and "inf" not in out
+
+
+@st.composite
+def oracle_argvs(draw):
+    """argv of verify (at --oracle-grid 21) or scan."""
+    model = model_flags(draw)
+    if draw(st.booleans()):
+        lams = draw(st.lists(MAGNITUDES | st.just(0.0), min_size=1, max_size=3))
+        return ["scan", *model, "--lambdas", ",".join(map(repr, lams))]
+    setting = draw(st.sampled_from(["simple", "compression", "channel"]))
+    argv = ["verify", "--setting", setting, *model, "--dp", repr(draw(MAGNITUDES)),
+            "--oracle-grid", "21"]
+    if setting == "compression":
+        argv += ["--sigma-n2", repr(draw(MAGNITUDES))]
+    if setting == "channel":
+        argv += ["--pt", repr(draw(MAGNITUDES)), "--sigma-z2", repr(draw(MAGNITUDES))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(oracle_argvs())
+def test_oracle_commands_answer_finitely_or_exit_1(argv):
+    # pytest collects warnings before they reach stderr: make them errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv)
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 1))
+    if code == 1:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == "" and "nan" not in out and "inf" not in out
+
+
+class TestOracleScaleRegressions:
+    """Models the oracle used to fail or refuse in its own units."""
+
+    def test_verify_large_r_passes(self):
+        s2 = 2.5
+        code, out, _ = run(["verify", "--setting", "simple", "--sigma-x2", repr(s2),
+                            "--rho", "314572.8", "--r", "439804651110.4",
+                            "--dp", "1011650697554.0"])
+        assert code == 0
+        assert abs(json.loads(out)["dc_gap"]) <= 1e-7 * s2
+
+    def test_scan_small_sigma_x2_lands_on_frontier(self):
+        from privcomm import solve_setting1, validate_model
+
+        s2 = 9.5367431640625e-07
+        code, out, _ = run(["scan", "--sigma-x2", repr(s2), "--rho", "0.6", "--r", "1",
+                            "--lambdas", "1"])
+        assert code == 0
+        lam, alpha, noise_var, d_p, d_c = map(float, out.splitlines()[1].split(","))
+        frontier = solve_setting1(validate_model(s2, 0.6, 1.0), d_p)
+        assert abs(d_c - frontier.d_c) <= 1e-7 * s2
+
+    # rho/sqrt(r) rounds to 1: the canonical model is degenerate
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--setting", "simple", "--dp", "1e300"],
+        ["scan"],
+    ], ids=["verify", "scan"])
+    def test_rounded_degenerate_model_exits_1(self, argv):
+        code, out, err = run([*argv, "--sigma-x2", "1", "--rho", "1e150", "--r", "1e300"])
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: degenerate model rho^2 = r")
+
+    # rho^2 = r*(1 + 1e-12) passes validation, but (rho/sqrt(r))^2 exceeds 1 + 1e-12
+    AT_BOUND = ["--sigma-x2", "1", "--rho", "16.528923604462967", "--r", "273.2053155218998"]
+
+    def test_model_at_correlation_bound(self):
+        code, out, _ = run(["verify", "--setting", "compression", *self.AT_BOUND,
+                            "--dp", "200", "--sigma-n2", "1"])
+        assert code == 0 and json.loads(out)["passed"] is True
+        code, out, err = run(["scan", *self.AT_BOUND])
+        assert code == 1 and out == ""
+        assert err.startswith("error: degenerate model rho^2 = r")
+
+    def test_scan_without_theta(self):
+        code, out, err = run(["scan", "--sigma-x2", "2", "--rho", "0", "--r", "0",
+                              "--lambdas", "0,1,1e300"])
+        assert code == 0 and err == ""
+        rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == [0.0, 1.0, 1e300]
+        assert all(row[3] == 0.0 and abs(row[1]) <= 1e-6 for row in rows)
+
+    @pytest.mark.parametrize("setting, extra", [
+        ("simple", []),
+        ("compression", ["--sigma-n2", "0.5"]),
+        ("channel", ["--pt", "1", "--sigma-z2", "1"]),
+    ])
+    def test_verify_rho_zero_passes(self, setting, extra):
+        code, out, _ = run(["verify", "--setting", setting, "--sigma-x2", "3", "--rho", "0",
+                            "--r", "0.5", "--dp", "1.5", *extra])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True and doc["oracle"]["alpha"] == 0.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--setting", "compression", "--sigma-x2", "8.099323166262594e+202",
+          "--rho", "1.96931240054113e-140", "--r", "3.878191330925069e-280",
+          "--dp", "3.5646286703345157e-196", "--sigma-n2", "3.5646286703345157e-196"],
+         "compression search requires 0 < sigma_n2/sigma_x2 < inf"),
+        (["--setting", "compression", "--sigma-x2", "2.366e-320", "--rho", "0.0794",
+          "--r", "1.1832", "--dp", "2.366e-320", "--sigma-n2", "1.1832"],
+         "compression search requires 0 < sigma_n2/sigma_x2 < inf"),
+        (["--setting", "channel", "--sigma-x2", "1", "--rho", "0.75", "--r", "1",
+          "--dp", "0.99997", "--pt", "5.88e-89", "--sigma-z2", "8.68e246"],
+         "the oracle cannot resolve a channel with sigma_z2/P_T = inf"),
+    ], ids=["noise-underflows", "noise-overflows", "channel-noise-overflows"])
+    def test_noise_beyond_the_float_range_exits_1(self, argv, message):
+        # the canonical noise sigma_n2/sigma_x2 or sigma_z2/P_T leaves the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["verify", *argv, "--oracle-grid", "21"])
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {message}")
+
+    def test_scan_multiplier_overflowing_r_exits_1(self):
+        code, out, err = run(["scan", "--sigma-x2", "1e-300", "--rho", "5e99",
+                              "--r", "1e200", "--lambdas", "1e200"])
+        assert code == 1 and out == ""
+        assert err == ("error: lam=1e+200 is too large to resolve its frontier point in "
+                       "floating point: lam*r overflows\n")
+
+
+#: Output fields that are variances (or distortions, or their standard errors).
+VARIANCES = {"d_c", "d_p", "noise_var", "sigma_n2", "dc_gap", "noise_at_optimum", "d_c_hat",
+             "d_p_hat", "d_p_hat_regression", "power_hat", "stderr_dc", "stderr_dp"}
+
+
+def output_fields(command, out):
+    """{field: value} of a command's output: JSON leaves by path, CSV cells by (column, row)."""
+    if command in ("tradeoff", "rate", "scan"):
+        header, *rows = out.splitlines()
+        return {(name, i): float(v) for i, row in enumerate(rows)
+                for name, v in zip(header.split(","), row.split(","))}
+
+    def leaves(doc, path=()):
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                yield from leaves(value, (*path, key))
+            else:
+                yield (*path, key), value
+
+    return dict(leaves(json.loads(out)))
+
+
+def flag_values(argv, flags, factor):
+    """argv with each value of ``flags`` multiplied by ``factor``."""
+    out = list(argv)
+    for i, arg in enumerate(argv[:-1]):
+        if arg in flags:
+            out[i + 1] = ",".join(repr(float(v) * factor) for v in argv[i + 1].split(","))
+    return out
+
+
+@st.composite
+def scalable_argvs(draw, commands):
+    """argv over benchmark-style models (sigma_x2 in [0.1, 10], r in [0.05, 4])."""
+    s2, r = draw(st.floats(0.1, 10.0)), draw(st.floats(0.05, 4.0))
+    rho = draw(st.floats(0.05, 0.99)) * math.sqrt(r)
+    target = s2 * (r - rho**2 * draw(st.floats(0.05, 0.95)))
+    model = ["--sigma-x2", repr(s2), "--rho", repr(rho), "--r", repr(r)]
+    noise, p_t, sigma_z2 = (repr(s2 * draw(st.floats(0.1, 2.0))) for _ in range(3))
+    command = draw(st.sampled_from(commands))
+    if command == "rate":
+        more_noise = repr(s2 * draw(st.floats(2.5, 4.0)))
+        return ["rate", *model, "--dp", repr(target), "--noise-grid", f"{noise},{more_noise}"]
+    if command == "scan":
+        return ["scan", *model, "--lambda-count", "3"]
+    setting = draw(st.sampled_from(["simple", "compression", "channel"]))
+    if command == "tradeoff":
+        argv = ["tradeoff", "--setting", "simple" if setting == "compression" else setting,
+                *model, "--grid", "5"]
+    else:
+        argv = [command, "--setting", setting, *model, "--dp", repr(target)]
+        argv += ["--oracle-grid", "101"] if command == "verify" else []
+        argv += ["--samples", "1000"] if command == "simulate" else []
+        argv += ["--sigma-n2", noise] if setting == "compression" else []
+    if "channel" in argv:
+        argv += ["--pt", p_t, "--sigma-z2", sigma_z2]
+    return argv
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(scalable_argvs(["solve", "tradeoff", "rate", "verify", "scan", "simulate"]),
+       st.sampled_from([-40, -10, 10, 40]))
+def test_sigma_x2_scaling_scales_every_variance_exactly(argv, k):
+    if argv[0] == "simulate":  # sigma_x must scale exactly too
+        k = 5 if k > 0 else -5
+        factor = 4.0**k
+    else:
+        factor = 2.0**k
+    scaled = flag_values(argv, {"--sigma-x2", "--dp", "--sigma-n2", "--pt", "--sigma-z2",
+                                "--noise-grid"}, factor)
+    code, out, _ = run(argv)
+    code_k, out_k, _ = run(scaled)
+    assert code_k == code and code in (0, 2)
+    base, fields = output_fields(argv[0], out), output_fields(argv[0], out_k)
+    assert fields.keys() == base.keys()
+    for key, value in base.items():
+        name = key[-1] if isinstance(key[-1], str) else key[0]
+        if name in VARIANCES:
+            assert fields[key] == value * factor, key
+        elif name == "entropy_hat":  # 0.5*log(2*pi*e*mmse) shifts by 0.5*log(factor)
+            assert fields[key] == pytest.approx(value + 0.5 * math.log(factor), abs=1e-12)
+        else:
+            assert fields[key] == value, key
+
+
+def within_ulps(a, b, n=2):
+    return abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(scalable_argvs(["solve", "tradeoff", "rate", "verify", "scan"]),
+       st.sampled_from([-20, -10, 10, 20]))
+def test_theta_scaling_maps_alpha_dp_and_lambda(argv, k):
+    # theta -> 2^k*theta: r -> 4^k*r, rho -> 2^k*rho, D_P -> 4^k*D_P,
+    # alpha -> alpha/2^k and lambda -> lambda/4^k; everything else stays
+    scaled = flag_values(flag_values(argv, {"--r", "--dp"}, 4.0**k), {"--rho"}, 2.0**k)
+    code, out, _ = run(argv)
+    code_k, out_k, _ = run(scaled)
+    assert code_k == code and code in (0, 2)
+    base, fields = output_fields(argv[0], out), output_fields(argv[0], out_k)
+    assert fields.keys() == base.keys()
+    factors = {"d_p": 4.0**k, "alpha": 2.0**-k, "lambda": 4.0**-k}
+    for key, value in base.items():
+        name = key[-1] if isinstance(key[-1], str) else key[0]
+        if name == "dc_gap":  # a difference of two D_C, each within 2 ulp
+            d_c = base[("closed_form", "d_c")]
+            assert abs(fields[key] - value) <= 4 * math.ulp(d_c), key
+        elif isinstance(value, float):
+            assert within_ulps(fields[key] / factors.get(name, 1.0), value), key
+        else:
+            assert fields[key] == value, key
 
 
 class TestVerifyExitCodes:

@@ -16,7 +16,7 @@ import privcomm
 EXPORTED = (
     "ChannelSpec", "CorrelationBoundError", "DegeneratePrivacyTarget",
     "EncoderPolicy", "EquilibriumSolution", "InfeasiblePrivacyTarget", "InfiniteRateError",
-    "ModelError", "NegativeCorrelationError", "NonPositiveVarianceError", "OracleConfig",
+    "ModelError", "NegativeCorrelationError", "NonPositiveVarianceError",
     "OracleOptimum", "PrivacyBounds", "ProbeReport", "Setting", "SimConfig", "SimResult",
     "SolveError", "SourceModel", "TradeoffCurve", "VerificationReport",
     "covariance_evaluate", "curves", "decoder_optimality_probe",

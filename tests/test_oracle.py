@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from privcomm import (
     ChannelSpec,
     EncoderPolicy,
-    OracleConfig,
+    InfeasiblePrivacyTarget,
     Setting,
     covariance_evaluate,
     grid_search,
@@ -21,7 +21,7 @@ from privcomm import (
 )
 import privcomm.model
 from privcomm.equilibrium import evaluate_setting1, mixing_gain
-from privcomm.oracle import GRID_ARRAYS, _alpha_range
+from privcomm.oracle import GRID_ARRAYS, _canonical
 
 from conftest import source_models
 
@@ -107,9 +107,8 @@ class TestGridSearch:
         target = 0.84
         base = grid_search(M, Setting.SIMPLE, None, target)
         forced_noise = 0.01 * M.sigma_x2
-        cfg = OracleConfig(noise_range=(forced_noise, 4.0 * M.sigma_x2))
-        noisy = grid_search(M, Setting.SIMPLE, None, target, cfg)
-        assert noisy.noise_var >= forced_noise * 0.99
+        noisy = grid_search(M, Setting.COMPRESSION, None, target, sigma_n2=forced_noise)
+        assert noisy.noise_var == forced_noise
         assert noisy.d_c > base.d_c + 1e-6
 
 
@@ -145,6 +144,29 @@ class TestVerifyEquilibrium:
         assert d_p_far == pytest.approx(0.84, rel=1e-9)
         opt = grid_search(M, Setting.SIMPLE, None, 0.84)
         assert d_c_far - opt.d_c > 0.01  # a wrong-root solver would be flagged
+
+
+def test_wide_range_models_pass():
+    # 300 models over twelve decades of r and six of sigma_x2, cycling the settings
+    rng = np.random.default_rng(300)
+    failed = []
+    for i in range(300):
+        s2, r = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-6.0, 6.0)
+        model = validate_model(s2, rng.uniform(0.05, 0.99) * math.sqrt(r), r)
+        setting = list(Setting)[i % 3]
+        lo, hi = s2 * (r - model.rho**2), s2 * r
+        channel = ChannelSpec(rng.uniform(0.5, 4.0) * s2, rng.uniform(0.1, 2.0) * s2)
+        sigma_n2 = rng.uniform(0.1, 2.0) * s2
+        if setting is Setting.CHANNEL:
+            lo = s2 * r - s2 * model.rho**2 * channel.p_t / (channel.p_t + channel.sigma_z2)
+        target = lo + rng.uniform(0.1, 0.9) * (hi - lo)
+        report = verify_equilibrium(
+            model, setting, channel if setting is Setting.CHANNEL else None, target,
+            sigma_n2=sigma_n2 if setting is Setting.COMPRESSION else None,
+        )
+        if not report.passed:
+            failed.append((model, setting.value, report.dc_gap / s2))
+    assert failed == []
 
 
 class TestLagrangianScan:
@@ -201,17 +223,16 @@ class TestGridMemory:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda cfg: grid_search(M, Setting.SIMPLE, None, 0.84, cfg),
-            lambda cfg: grid_search(M, Setting.CHANNEL, ChannelSpec(1.0, 1.0), 0.92, cfg),
-            lambda cfg: lagrangian_scan(M, [0.0, 1.0, 1.0 / 0.36], cfg),
+            lambda grid: grid_search(M, Setting.SIMPLE, None, 0.84, grid),
+            lambda grid: grid_search(M, Setting.CHANNEL, ChannelSpec(1.0, 1.0), 0.92, grid),
+            lambda grid: lagrangian_scan(M, [0.0, 1.0, 1.0 / 0.36], grid),
         ],
         ids=["simple", "channel", "scan"],
     )
     def test_peak_within_grid_arrays(self, run):
-        cfg = OracleConfig(grid=self.GRID)
         tracemalloc.start()
         try:
-            run(cfg)
+            run(self.GRID)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -220,8 +241,8 @@ class TestGridMemory:
     def test_grid_beyond_physical_memory_rejected(self, monkeypatch):
         limit = GRID_ARRAYS * 8 * self.GRID**2
         monkeypatch.setattr(privcomm.model, "physical_memory", lambda: limit)
-        grid_search(M, Setting.SIMPLE, None, 0.84, OracleConfig(grid=self.GRID))
-        big = OracleConfig(grid=self.GRID + 1)
+        grid_search(M, Setting.SIMPLE, None, 0.84, self.GRID)
+        big = self.GRID + 1
         with pytest.raises(ValueError, match="physical memory"):
             grid_search(M, Setting.SIMPLE, None, 0.84, big)
         with pytest.raises(ValueError, match="physical memory"):
@@ -231,9 +252,22 @@ class TestGridMemory:
 
 
 def test_alpha_range_without_theta():
-    # r = 0 forces rho = 0 (theta = 0): the range must not divide by r
-    assert _alpha_range(validate_model(1.0, 0.0, 0.0)) == (-0.5, 0.5)
-    assert _alpha_range(validate_model(2.0, 0.0, 3.0)) == (-0.5, 0.5)
+    # r = 0 forces rho = 0 (theta = 0): the map must not divide by r
+    for model in (validate_model(1.0, 0.0, 0.0), validate_model(2.0, 0.0, 3.0)):
+        canon, alpha_axis, back = _canonical(model, 3)
+        assert canon == validate_model(1.0, 0.0, 1.0)
+        assert alpha_axis.tolist() == [-0.5, 0.0, 0.5]
+        assert back(-0.5, 1.0, 1.0, 1.0) == (-0.5 / math.sqrt(model.r or 1.0),
+                                              model.sigma_x2, model.sigma_x2,
+                                              model.sigma_x2 * model.r)
+
+
+def test_without_theta_only_a_zero_target_is_feasible():
+    # r = 0: D_P = 0 for every encoder
+    model = validate_model(2.0, 0.0, 0.0)
+    assert grid_search(model, Setting.SIMPLE, None, 0.0, 21).d_p == 0.0
+    with pytest.raises(InfeasiblePrivacyTarget):
+        grid_search(model, Setting.SIMPLE, None, 0.5, 21)
 
 
 def test_effective_noise_channel_consistency():

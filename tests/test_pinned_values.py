@@ -13,7 +13,6 @@ import pytest
 from privcomm import (
     ChannelSpec,
     EncoderPolicy,
-    OracleConfig,
     Setting,
     SimConfig,
     grid_search,
@@ -23,7 +22,7 @@ from privcomm import (
 )
 
 CHANNEL = ChannelSpec(1.5, 0.7)
-CONFIG = OracleConfig(grid=201)
+GRID_SIZE = 201
 
 GRID = [
     ((1.0, 0.6, 1.0), Setting.SIMPLE, 0.856, None,
@@ -33,17 +32,17 @@ GRID = [
     ((1.0, 0.6, 1.0), Setting.CHANNEL, 0.928, None,
      (-0.3251118421554565, 0.0, 0.3826382040862669, 0.9280000059127205)),
     ((2.5, 0.3, 0.4), Setting.SIMPLE, 0.9100000000000001, None,
-     (-0.3122548162937164, 0.0, 0.0887277953579232, 0.9100000142167489)),
+     (-0.3122548162937164, 0.0, 0.08872779535792322, 0.9100000142167488)),
     ((2.5, 0.3, 0.4), Setting.COMPRESSION, 0.9325, 1.5,
      (-0.25117439031600947, 1.5, 1.050431533743124, 0.9325000224810676)),
     ((2.5, 0.3, 0.4), Setting.CHANNEL, 0.9550000000000001, None,
-     (-0.3799849748611449, 0.0, 0.8874038198713722, 0.9550000049348641)),
+     (-0.37998497486114496, 0.0, 0.8874038198713721, 0.9550000049348639)),
     ((0.4, 1.1, 2.0), Setting.SIMPLE, 0.6064, None,
-     (-0.2988942861557008, 0.0, 0.05417444057897747, 0.6064000237028924)),
+     (-0.2988942861557007, 0.0, 0.05417444057897744, 0.6064000237028924)),
     ((0.4, 1.1, 2.0), Setting.COMPRESSION, 0.6548, 0.24,
-     (-0.21785672903060915, 0.24, 0.20976457401627432, 0.6548000312191196)),
+     (-0.2178567290306091, 0.24, 0.20976457401627427, 0.6548000312191196)),
     ((0.4, 1.1, 2.0), Setting.CHANNEL, 0.7032, None,
-     (-0.3435736298561096, 0.0, 0.18023318433126306, 0.7032000061281026)),
+     (-0.34357362985610956, 0.0, 0.1802331843312631, 0.7032000061281027)),
 ]
 SCAN = [
     ((1.0, 0.6, 1.0), [
@@ -52,9 +51,9 @@ SCAN = [
         (2.7777777777777777, -0.4773694367302336, 3.7024338374610336e-08, 0.22264995715351749, 0.9770421741295658),
     ]),
     ((2.5, 0.3, 0.4), [
-        (0.0, 1.1023839639839687e-08, 3.5355097120310266e-08, 3.535509648064968e-08, 0.7749999980558734),
-        (4.444444444444445, -0.5078549895170154, 3.5355097120310266e-08, 0.25034071637842026, 0.9706261207868415),
-        (11.11111111111111, -0.6344230671446238, 3.5355097120310266e-08, 0.399736695490644, 0.9931527425478947),
+        (0.0, 3.281793945985851e-08, 9.256084593652584e-08, 9.256084152161649e-08, 0.7749999930701343),
+        (4.444444444444445, -0.5078550249931052, 9.256084593652584e-08, 0.2503408179794143, 0.9706261299828189),
+        (11.11111111111111, -0.6344230872391438, 9.256084593652584e-08, 0.39973678335148644, 0.9931527451133416),
     ]),
 ]
 SIM = [
@@ -74,14 +73,14 @@ SIM = [
 @pytest.mark.parametrize("model, setting, target, sigma_n2, expected", GRID)
 def test_grid_search_pinned(model, setting, target, sigma_n2, expected):
     channel = CHANNEL if setting is Setting.CHANNEL else None
-    opt = grid_search(validate_model(*model), setting, channel, target, CONFIG, sigma_n2)
+    opt = grid_search(validate_model(*model), setting, channel, target, GRID_SIZE, sigma_n2)
     assert (opt.alpha, opt.noise_var, opt.d_c, opt.d_p) == expected
 
 
 @pytest.mark.parametrize("model, expected", SCAN)
 def test_lagrangian_scan_pinned(model, expected):
     lams = [row[0] for row in expected]
-    points = lagrangian_scan(validate_model(*model), lams, CONFIG)
+    points = lagrangian_scan(validate_model(*model), lams, GRID_SIZE)
     assert [(p.lam, p.alpha, p.noise_var, p.d_c, p.d_p) for p in points] == expected
 
 

@@ -19,9 +19,9 @@ from privcomm import (
     CorrelationBoundError,
     EncoderPolicy,
     EquilibriumSolution,
+    ModelError,
     NegativeCorrelationError,
     NonPositiveVarianceError,
-    OracleConfig,
     OracleOptimum,
     PrivacyBounds,
     ProbeReport,
@@ -32,7 +32,7 @@ from privcomm import (
     TradeoffCurve,
     VerificationReport,
 )
-from privcomm.oracle import ScanPoint
+from privcomm.oracle import ScanPoint, grid_search
 
 MODEL = SourceModel(1.0, 0.6, 1.0)
 POLICY = EncoderPolicy(-0.25, 1.0, 0.0)
@@ -54,8 +54,6 @@ RECORDS = [
     (TradeoffCurve, ("setting", "columns", "points", "model", "channel"),
      (Setting.CHANNEL, COLUMNS, POINTS, MODEL, ChannelSpec(1.0, 1.0)),
      (Setting.CHANNEL, COLUMNS, POINTS, MODEL, ChannelSpec(1.0, 2.0)), {"channel": None}),
-    (OracleConfig, ("noise_range", "grid"), ((0.0, 2.0), 101), ((0.0, 2.0), 201),
-     {"noise_range": None, "grid": 401}),
     (OracleOptimum, ("alpha", "noise_var", "d_c", "d_p"), (-0.25, 0.0, 0.05, 0.84),
      (-0.25, 0.0, 0.05, 0.85), {}),
     (VerificationReport,
@@ -172,8 +170,10 @@ VALIDATION = [
      "sigma_z2 must be finite and >= 0, got inf"),
     (lambda: TradeoffCurve(Setting.SIMPLE, COLUMNS, ((0.64, math.nan, 0.0, 1.0),), MODEL),
      ValueError, "non-finite curve point (0.64, nan, 0.0, 1.0)"),
-    (lambda: OracleConfig(grid=2), ValueError, "grid must be >= 3, got 2"),
-    (lambda: OracleConfig(noise_range=(1.0, 1.0)), ValueError, "degenerate range (1.0, 1.0)"),
+    (lambda: grid_search(MODEL, Setting.SIMPLE, None, 0.84, grid=2), ValueError,
+     "grid must be >= 3, got 2"),
+    (lambda: SourceModel(1e300, 0.6, 1e10), ModelError,
+     "Var(theta) = sigma_x2 * r overflows a float at sigma_x2=1e+300, r=10000000000.0"),
     (lambda: SimConfig(1, 0, Setting.SIMPLE), ValueError, "samples must be >= 2, got 1"),
 ]
 
