@@ -195,7 +195,7 @@ def solve_alpha_quadratic(model: SourceModel, d_target: float, n_eff: float):
     ``d_target`` and ``n_eff`` are normalized by sigma_x2.  Returns
     (alpha_plus, alpha_minus) = (-rho/r + delta, -rho/r - delta) with
     delta^2 = (r - d)*(r - rho^2 + r*n_eff) / (r^2 * d); an r^2 * d that
-    underflows to zero raises :class:`SolveError`.
+    underflows to zero or overflows raises :class:`SolveError`.
     """
     if d_target <= 0.0:
         raise DegeneratePrivacyTarget(
@@ -207,6 +207,8 @@ def solve_alpha_quadratic(model: SourceModel, d_target: float, n_eff: float):
     scale = r * r * d_target
     if not scale > 0.0:
         raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d_target!r}")
+    if scale == math.inf:
+        raise SolveError(f"r^2 * d overflows a float at r={r!r}, d={d_target!r}")
     disc = (r - d_target) * (r - rho**2 + r * n_eff) / scale
     if disc < -ENDPOINT_RTOL * max(1.0, r):
         raise InfeasiblePrivacyTarget(

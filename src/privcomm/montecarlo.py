@@ -178,21 +178,26 @@ def simulate_policy(
 
     The privacy MMSE is estimated twice: through the analytic conditional-mean
     coefficient, and through on-sample least squares of theta on y; both are
-    reported so statistical and modelling errors can be told apart.
+    reported so statistical and modelling errors can be told apart.  A
+    sample moment that overflows a float raises ``ValueError``.
     """
-    x, theta, y, e, power_hat = _signal_chain(model, policy, channel, config)
-    d_c_hat, stderr_dc = _mean_stderr(_squared_error(x, decoder_gain, y, e))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            x, theta, y, e, power_hat = _signal_chain(model, policy, channel, config)
+            d_c_hat, stderr_dc = _mean_stderr(_squared_error(x, decoder_gain, y, e))
 
-    c = _analytic_theta_coefficient(model, policy, channel)
-    d_p_hat, stderr_dp = _mean_stderr(_squared_error(theta, c, y, e))
+            c = _analytic_theta_coefficient(model, policy, channel)
+            d_p_hat, stderr_dp = _mean_stderr(_squared_error(theta, c, y, e))
 
-    # pairwise sums, not BLAS dot products, so the thread count cannot matter
-    theta_y = np.add.reduce(np.multiply(theta, y, out=e))
-    y_y = np.add.reduce(np.square(y, out=e))
-    if not y_y > 0.0:  # rounding can leave Var(Y) > 0 while every sample is 0
-        raise ValueError(_SENDS_NOTHING)
-    c_hat = float(theta_y / y_y)
-    d_p_reg = _mean(_squared_error(theta, c_hat, y, e))
+            # pairwise sums, not BLAS dot products, so the thread count cannot matter
+            theta_y = np.add.reduce(np.multiply(theta, y, out=e))
+            y_y = np.add.reduce(np.square(y, out=e))
+            if not y_y > 0.0:  # rounding can leave Var(Y) > 0 while every sample is 0
+                raise ValueError(_SENDS_NOTHING)
+            c_hat = float(theta_y / y_y)
+            d_p_reg = _mean(_squared_error(theta, c_hat, y, e))
+    except FloatingPointError as exc:
+        raise ValueError(f"the Monte Carlo moments overflow a float ({exc})") from None
 
     return SimResult(
         d_c_hat=d_c_hat,

@@ -137,33 +137,27 @@ def covariance_evaluate(
     return float(d_c), float(d_p)
 
 
-def _effective_noise(canon, setting, channel, alpha, noise_var):
-    """Decoder-side noise of a policy on the canonical model, per setting.
+def _evaluator(canon, setting, channel):
+    """(alpha, noise) -> canonical (d_c, d_p) of one setting; array friendly.
 
     For the channel setting the transmit gain is pinned by the power
     constraint, so channel noise referred to the source scale depends on the
     transmit variance.
     """
-    if setting is Setting.CHANNEL:
-        a_gain = mixing_gain(canon, alpha)
-        return noise_var + channel.sigma_z2 * (a_gain + noise_var) / channel.p_t
-    return noise_var
+    if setting is not Setting.CHANNEL:
+        return lambda alpha, noise: second_order_dc_dp(canon, alpha, noise)
+    z, p_t = channel.sigma_z2, channel.p_t
+    return lambda alpha, noise: second_order_dc_dp(
+        canon, alpha, noise + z * (mixing_gain(canon, alpha) + noise) / p_t)
 
 
-def _dc_dp(canon, setting, channel, alpha, noise_var):
-    """Shared-formula evaluation of canonical (d_c, d_p); array friendly."""
-    return second_order_dc_dp(
-        canon, alpha, _effective_noise(canon, setting, channel, alpha, noise_var)
-    )
-
-
-def _dc_dp_grid(canon, setting, channel, alpha_axis, noise_axis):
+def _dc_dp_grid(dc_dp, alpha_axis, noise_axis):
     """(d_c, d_p) on the alpha x noise grid, by broadcasting the two axes."""
     require_memory(
         GRID_ARRAYS * 8 * alpha_axis.size * noise_axis.size,
         f"an oracle grid of {alpha_axis.size} x {noise_axis.size}",
     )
-    return _dc_dp(canon, setting, channel, alpha_axis[:, None], noise_axis[None, :])
+    return dc_dp(alpha_axis[:, None], noise_axis[None, :])
 
 
 #: Why a grid over noise from 0 fails on a degenerate model: Y = 0 there.
@@ -188,7 +182,7 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return (a + b) / 2.0
 
 
-def _boundary_alpha(canon, setting, channel, noise_var, d_p_target):
+def _boundary_alpha(dc_dp, c, noise_var, d_p_target):
     """The feasible canonical alpha with minimal distortion at fixed encoder noise.
 
     D_P decreases monotonically from dp_max at alpha = -c to the noise floor
@@ -196,16 +190,14 @@ def _boundary_alpha(canon, setting, channel, noise_var, d_p_target):
     minimizer is therefore the boundary root of D_P = target, found by
     bisection, or alpha = 0 when the noise alone satisfies the target.
     """
-    if _dc_dp(canon, setting, channel, 0.0, noise_var)[1] >= d_p_target:
+    if dc_dp(0.0, noise_var)[1] >= d_p_target:
         return 0.0
-    lo, hi = -canon.rho, 0.0
-    if _dc_dp(canon, setting, channel, lo, noise_var)[1] < d_p_target:
-        raise InfeasiblePrivacyTarget(
-            f"target {d_p_target} unreachable at noise {noise_var}"
-        )
+    lo, hi = -c, 0.0
+    if dc_dp(lo, noise_var)[1] < d_p_target:
+        raise InfeasiblePrivacyTarget(f"target {d_p_target} unreachable at noise {noise_var}")
     while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        if _dc_dp(canon, setting, channel, mid, noise_var)[1] >= d_p_target:
+        if dc_dp(mid, noise_var)[1] >= d_p_target:
             lo = mid
         else:
             hi = mid
@@ -252,39 +244,36 @@ def grid_search(
             raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle grid"))
         noise_axis = np.linspace(0.0, NOISE_MAX, grid)
 
-    d_c, d_p = _dc_dp_grid(canon, setting, channel, alpha_axis, noise_axis)
+    dc_dp = _evaluator(canon, setting, channel)
+    d_c, d_p = _dc_dp_grid(dc_dp, alpha_axis, noise_axis)
 
     slack = max((float(np.max(np.abs(np.diff(d_p, axis=k)))) for k in (0, 1)
                  if d_p.shape[k] > 1), default=0.0)
     if not np.any(d_p >= target - slack):
-        raise InfeasiblePrivacyTarget(
-            f"no feasible grid point for target {d_p_target}"
-        )
+        raise InfeasiblePrivacyTarget(f"no feasible grid point for target {d_p_target}")
 
     if setting is Setting.COMPRESSION:
-        alpha = _boundary_alpha(canon, setting, channel, noise, target)
+        alpha = _boundary_alpha(dc_dp, canon.rho, noise, target)
     else:
         def constrained_dc(noise_var: float) -> float:
             try:
-                a = _boundary_alpha(canon, setting, channel, noise_var, target)
+                a = _boundary_alpha(dc_dp, canon.rho, noise_var, target)
             except InfeasiblePrivacyTarget:
                 return math.inf
-            return float(_dc_dp(canon, setting, channel, a, noise_var)[0])
+            return float(dc_dp(a, noise_var)[0])
 
         noise = _golden_min(constrained_dc, 0.0, NOISE_MAX)
         # the minimum typically sits on the lower edge of the noise range
         if constrained_dc(0.0) <= constrained_dc(noise):
             noise = 0.0
-        alpha = _boundary_alpha(canon, setting, channel, noise, target)
+        alpha = _boundary_alpha(dc_dp, canon.rho, noise, target)
         # refinement must never lose to a strictly feasible grid point (with
         # none, the minimum is inf, which no distortion exceeds)
         strict = np.where(d_p >= target, d_c, np.inf)
         k, l = np.unravel_index(int(np.argmin(strict)), strict.shape)
-        if _dc_dp(canon, setting, channel, alpha, noise)[0] > strict[k, l]:
+        if dc_dp(alpha, noise)[0] > strict[k, l]:
             alpha, noise = float(alpha_axis[k]), float(noise_axis[l])
-    alpha, noise_var, d_c_opt, d_p_opt = back(
-        alpha, noise, *_dc_dp(canon, setting, channel, alpha, noise)
-    )
+    alpha, noise_var, d_c_opt, d_p_opt = back(alpha, noise, *dc_dp(alpha, noise))
     if setting is Setting.COMPRESSION:
         noise_var = sigma_n2  # held fixed, not searched
     return OracleOptimum(alpha, noise_var, d_c_opt, d_p_opt)
@@ -327,7 +316,10 @@ def lagrangian_scan(model: SourceModel, lambda_grid, grid: int = 401) -> list[Sc
     Every finite lam >= 0 is the multiplier of one frontier point: lam = 0
     gives the free floor, and the point runs to max privacy as lam grows.
     For each multiplier the unconstrained grid minimizer on the canonical
-    model, at lam' = lam*r, is refined by alternating golden-section passes.
+    model, at lam' = lam*r, is refined by alternating golden-section passes
+    over alpha and the noise (at most four rounds).  A pass depends only on
+    where it starts, so the rounds stop at their fixed point: the first
+    round whose noise pass returns the noise it began from.
     The optimum must sit at zero encoder noise; a noisy minimizer, or a
     lam*r beyond the float range, means that lam is too large for floating
     point to resolve the frontier point, and raises ``ValueError``.
@@ -335,9 +327,9 @@ def lagrangian_scan(model: SourceModel, lambda_grid, grid: int = 401) -> list[Sc
     canon, alpha_axis, back = _canonical(model, grid)
     if canon.degenerate:
         raise DegenerateModelError(model, _SENDS_NOTHING.format("the multiplier scan grid"))
-    setting = Setting.SIMPLE
+    dc_dp = _evaluator(canon, Setting.SIMPLE, None)
     noise_axis = np.linspace(0.0, NOISE_MAX, grid)
-    d_c_g, d_p_g = _dc_dp_grid(canon, setting, None, alpha_axis, noise_axis)
+    d_c_g, d_p_g = _dc_dp_grid(dc_dp, alpha_axis, noise_axis)
     obj = np.empty_like(d_c_g)
     # Python floats: numpy scalars would make every cost evaluation slow
     lo_a, hi_a = float(alpha_axis[0]), float(alpha_axis[-1])
@@ -358,15 +350,16 @@ def lagrangian_scan(model: SourceModel, lambda_grid, grid: int = 401) -> list[Sc
         noise = float(noise_axis[j])
 
         def cost(a, s):
-            d_c, d_p = _dc_dp(canon, setting, None, a, s)
+            d_c, d_p = dc_dp(a, s)
             return d_c - lam_c * d_p
 
         for _ in range(4):
+            start = noise
             alpha = _golden_min(lambda a: cost(a, noise), lo_a, hi_a)
             noise = _golden_min(lambda s: cost(alpha, s), 0.0, NOISE_MAX)
-        alpha, noise_var, d_c, d_p = back(
-            alpha, noise, *_dc_dp(canon, setting, None, alpha, noise)
-        )
+            if noise == start:
+                break
+        alpha, noise_var, d_c, d_p = back(alpha, noise, *dc_dp(alpha, noise))
         if noise > 1e-4:
             raise ValueError(
                 f"{refusal}: the scan's minimizer has encoder noise {noise_var}"

@@ -64,6 +64,13 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "scan_simple.csv").read_text()
 
+    def test_scan_lambdas(self):
+        # a non-unit model and multipliers far above 1/rho^2
+        code, out, _ = run(["scan", "--sigma-x2", "2.5", "--rho", "0.3", "--r", "0.4",
+                            "--lambdas", "0,0.5,3,25,1000,1e5"])
+        assert code == 0
+        assert out == (GOLDEN / "scan_lambdas.csv").read_text()
+
 
 class TestSolve:
     def test_json_round_trip(self):
@@ -370,6 +377,24 @@ class TestRejectedInputs:
         (line,) = err.splitlines()
         assert line.startswith("error: r^2 * d underflows a float at r=2.688652897199429e-283")
 
+    def test_quadratic_scale_overflow_exits_1(self):
+        # r^2 * d and (r - d)*(r - rho^2) overflow: the discriminant would be inf/inf
+        code, out, err = run(["solve", "--setting", "simple", "--sigma-x2", "1",
+                              "--rho", "1e150", "--r", "1e300", "--dp", "9.9e299"])
+        assert code == 1 and out == ""
+        assert err == "error: r^2 * d overflows a float at r=1e+300, d=9.9e+299\n"
+
+    def test_simulate_overflow_exits_1(self):
+        # the squared errors of samples near 1e150 overflow a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["simulate", "--setting", "simple", "--sigma-x2", "1e300",
+                                  "--rho", "0.6", "--r", "1", "--dp", "9e299",
+                                  "--samples", "100"])
+        assert code == 1 and out == ""
+        assert err == ("error: the Monte Carlo moments overflow a float "
+                       "(overflow encountered in square)\n")
+
 
 # Magnitudes log-uniform over the positive floats, subnormals included.
 MAGNITUDES = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
@@ -440,6 +465,32 @@ def test_oracle_commands_answer_finitely_or_exit_1(argv):
         warnings.simplefilter("error")
         code, out, err = run(argv)
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 1))
+    if code == 1:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == "" and "nan" not in out and "inf" not in out
+
+
+@st.composite
+def simulate_argvs(draw):
+    """argv of simulate at 64 samples."""
+    setting = draw(st.sampled_from(["simple", "compression", "channel"]))
+    argv = ["simulate", "--setting", setting, *model_flags(draw),
+            "--dp", repr(draw(MAGNITUDES)), "--samples", "64"]
+    if setting == "compression":
+        argv += ["--sigma-n2", repr(draw(MAGNITUDES))]
+    if setting == "channel":
+        argv += ["--pt", repr(draw(MAGNITUDES)), "--sigma-z2", repr(draw(MAGNITUDES))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(simulate_argvs())
+def test_simulate_answers_finitely_or_exit_1(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv)
+    assert code in (0, 1)
     if code == 1:
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
     else:

@@ -20,8 +20,9 @@ from privcomm import (
     verify_equilibrium,
 )
 import privcomm.model
-from privcomm.equilibrium import evaluate_setting1, mixing_gain
-from privcomm.oracle import GRID_ARRAYS, _canonical
+from privcomm import oracle
+from privcomm.equilibrium import evaluate_setting1, mixing_gain, second_order_dc_dp
+from privcomm.oracle import GRID_ARRAYS, _canonical, _evaluator
 
 from conftest import source_models
 
@@ -217,6 +218,67 @@ class TestLagrangianScan:
             lagrangian_scan(M, [0.5, float("nan")])
 
 
+def four_round_scan(model, lam, grid):
+    """One scan point by four alternating golden-section rounds, never stopping early."""
+    canon, alpha_axis, back = _canonical(model, grid)
+    noise_axis = np.linspace(0.0, oracle.NOISE_MAX, grid)
+    d_c_g, d_p_g = second_order_dc_dp(canon, alpha_axis[:, None], noise_axis[None, :])
+    lam_c = lam * model.r
+    _, j = np.unravel_index(int(np.argmin(d_c_g - d_p_g * lam_c)), d_c_g.shape)
+    noise = float(noise_axis[j])
+    lo_a, hi_a = float(alpha_axis[0]), float(alpha_axis[-1])
+
+    def cost(a, s):
+        d_c, d_p = second_order_dc_dp(canon, a, s)
+        return d_c - lam_c * d_p
+
+    for _ in range(4):
+        alpha = oracle._golden_min(lambda a: cost(a, noise), lo_a, hi_a)
+        noise = oracle._golden_min(lambda s: cost(alpha, s), 0.0, oracle.NOISE_MAX)
+    alpha, noise_var, d_c, d_p = back(alpha, noise, *second_order_dc_dp(canon, alpha, noise))
+    if noise > 1e-4:
+        raise ValueError(f"encoder noise {noise_var}")
+    return lam, alpha, noise_var, d_c, d_p
+
+
+@st.composite
+def scan_cases(draw):
+    """A model with r in [1e-6, 1e6] and lam in {0} or [1e-3, 1e12]/r."""
+    r = 10.0 ** draw(st.floats(-6.0, 6.0))
+    model = validate_model(10.0 ** draw(st.floats(-3.0, 3.0)),
+                           draw(st.floats(0.0, 0.99)) * math.sqrt(r), r)
+    lam = draw(st.just(0.0) | st.floats(-3.0, 12.0).map(lambda e: 10.0**e / r))
+    return model, lam
+
+
+class TestScanFixedPoint:
+    """The scan stops once a round repeats itself; its answers must not move."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_equals_four_rounds(self, case):
+        model, lam = case
+        try:
+            expected = four_round_scan(model, lam, 41)
+        except ValueError:
+            with pytest.raises(ValueError, match="too large to resolve"):
+                lagrangian_scan(model, [lam], 41)
+            return
+        (pt,) = lagrangian_scan(model, [lam], 41)
+        assert (pt.lam, pt.alpha, pt.noise_var, pt.d_c, pt.d_p) == expected
+
+    def test_default_scan_halves_the_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return second_order_dc_dp(*args)
+
+        monkeypatch.setattr(oracle, "second_order_dc_dp", counted)
+        lagrangian_scan(M, [1.0 / 0.6**2 * i / 8 for i in range(9)])  # `privcomm scan`
+        assert len(calls) <= 1396  # 2782 with four rounds at every multiplier
+
+
 class TestGridMemory:
     GRID = 201
 
@@ -272,12 +334,8 @@ def test_without_theta_only_a_zero_target_is_feasible():
 
 def test_effective_noise_channel_consistency():
     # channel-referred noise reproduces the closed-form solution's distortions
-    from privcomm.equilibrium import second_order_dc_dp
-    from privcomm.oracle import _effective_noise
-
     ch = ChannelSpec(p_t=2.0, sigma_z2=0.7)
     sol = solve_setting3(M, 0.9, ch)
-    n_eff = _effective_noise(M, Setting.CHANNEL, ch, sol.policy.alpha, 0.0)
-    d_c, d_p = second_order_dc_dp(M, sol.policy.alpha, n_eff)
+    d_c, d_p = _evaluator(M, Setting.CHANNEL, ch)(sol.policy.alpha, 0.0)
     assert d_c == pytest.approx(sol.d_c, rel=1e-10)
     assert d_p == pytest.approx(sol.d_p, rel=1e-10)
