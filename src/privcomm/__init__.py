@@ -1,10 +1,9 @@
 """Privacy-constrained Stackelberg communication equilibria for Gaussian sources.
 
 ``model`` and ``equilibrium`` load eagerly; the names of ``curves``,
-``montecarlo`` and ``oracle`` load on first access (PEP 562).  ``model``,
-``equilibrium`` and ``curves`` need only the standard library, so solving an
-equilibrium, sweeping a curve and inverting the rate map never import numpy;
-``montecarlo`` and ``oracle`` load it.
+``montecarlo`` and ``oracle`` load on first access (PEP 562).  Only
+``montecarlo`` and ``oracle`` import numpy, so solving an equilibrium,
+sweeping a curve and inverting the rate map never load it.
 """
 
 from .equilibrium import (
@@ -17,14 +16,12 @@ from .equilibrium import (
     InfiniteRateError,
     Setting,
     SolveError,
-    evaluate_setting1,
     evaluate_setting2,
     evaluate_setting3,
     solve_alpha_quadratic,
     solve_setting1,
     solve_setting2,
     solve_setting3,
-    xi_sign_check,
 )
 from .model import (
     CorrelationBoundError,
@@ -48,8 +45,7 @@ _LAZY = {
         "curves",
     ),
     **dict.fromkeys(
-        ("ProbeReport", "SimConfig", "SimResult", "decoder_optimality_probe",
-         "sample_joint", "simulate_policy"),
+        ("SimConfig", "SimResult", "simulate_policy"),
         "montecarlo",
     ),
     **dict.fromkeys(

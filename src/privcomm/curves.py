@@ -8,7 +8,7 @@ meets a privacy target at a given rate comes in closed form, checked by one
 solve at the noise it returns.
 
 The module needs only the standard library, so the ``tradeoff`` and ``rate``
-commands run without loading numpy; only ``TradeoffCurve.column`` does.
+commands run without loading numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 from .equilibrium import (
     ChannelSpec,
     DegenerateModelError,
-    EquilibriumSolution,
     Setting,
     channel_privacy_floor,
     evaluate_setting2,
@@ -55,12 +54,6 @@ class TradeoffCurve(Record):
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "channel", channel)
-
-    def column(self, name: str):
-        """The named column as a numpy array; the first call loads numpy."""
-        import numpy as np
-
-        return np.array([p[self.columns.index(name)] for p in self.points])
 
 
 def privacy_floor(

@@ -138,13 +138,6 @@ def second_order_dc_dp(model: SourceModel, alpha, n_eff):
     return d_c, d_p
 
 
-def evaluate_setting1(model: SourceModel, policy: EncoderPolicy):
-    """(d_c, d_p) for the simple setting; requires unit transmit gain."""
-    if policy.beta != 1.0:
-        raise ValueError("setting 1 uses a unit transmit gain")
-    return second_order_dc_dp(model, policy.alpha, policy.noise_var / model.sigma_x2)
-
-
 def evaluate_setting2(model: SourceModel, policy: EncoderPolicy):
     """(rate, d_c, d_p) for the compression setting.
 
@@ -366,23 +359,3 @@ def solve_setting3(
     else:
         d_c, d_p, _power = evaluate_setting3(model, policy, channel)
     return _solution(model, d_p_target, policy, kappa, d_c, d_p, active)
-
-
-def xi_sign_check(model: SourceModel, lam: float, alpha: float) -> float:
-    """The noise-suppression sign quantity (1+alpha*rho)^2 - lam*(rho+r*alpha)^2.
-
-    Its sign at the frontier's own multiplier is what makes encoder noise
-    useless on the frontier.  In the simple setting that multiplier is the
-    frontier slope lam*(alpha) = -alpha*(1+alpha*rho) / (rho+r*alpha), and
-    xi(lam*(alpha), alpha) = (1+alpha*rho) * A(alpha) is an identity, with A
-    the transmit variance of :func:`mixing_gain`.  Both factors grow on
-    [-rho/r, 0], so xi >= (1 - rho^2/r)^2 there, with equality at the
-    max-privacy endpoint alpha = -rho/r.  lam takes any finite value >= 0.
-    """
-    rho, r = model.rho, model.r
-    if not 0.0 <= lam < math.inf:  # NaN fails too
-        raise ValueError(f"lam={lam} outside [0, inf)")
-    lo = -rho / r
-    if not lo - 1e-12 <= alpha <= 1e-12:
-        raise ValueError(f"alpha={alpha} outside [-rho/r, 0]")
-    return (1.0 + alpha * rho) ** 2 - lam * (rho + r * alpha) ** 2

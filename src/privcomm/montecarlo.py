@@ -30,6 +30,8 @@ class SimConfig(Record):
     def __init__(self, samples: int, seed: int, setting: Setting) -> None:
         if samples < 2:
             raise ValueError(f"samples must be >= 2, got {samples}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         require_memory(BYTES_PER_SAMPLE * samples, f"samples={samples}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", seed)
@@ -58,21 +60,6 @@ class SimResult(Record):
         object.__setattr__(self, "generator", generator)
 
 
-class ProbeReport(Record):
-    """Empirical distortion across a grid of decoder gains."""
-
-    __slots__ = ("gains", "d_c_values", "argmin_gain", "reference_gain", "gap_to_reference")
-
-    def __init__(self, gains: tuple[float, ...], d_c_values: tuple[float, ...],
-                 argmin_gain: float, reference_gain: float | None,
-                 gap_to_reference: float | None) -> None:
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "d_c_values", d_c_values)
-        object.__setattr__(self, "argmin_gain", argmin_gain)
-        object.__setattr__(self, "reference_gain", reference_gain)
-        object.__setattr__(self, "gap_to_reference", gap_to_reference)
-
-
 def _draw_joint(model: SourceModel, rng, count: int):
     """A (2, count) array whose rows are paired x and theta samples.
 
@@ -87,12 +74,6 @@ def _draw_joint(model: SourceModel, rng, count: int):
     theta *= sigma_x
     x *= sigma_x
     return z
-
-
-def sample_joint(model: SourceModel, count: int, seed: int):
-    """Draw paired (x, theta) samples by Cholesky factorization of the 2x2 covariance."""
-    x, theta = _draw_joint(model, np.random.default_rng(seed), count)
-    return x, theta
 
 
 def _signal_chain(
@@ -112,6 +93,8 @@ def _signal_chain(
     if config.setting is Setting.CHANNEL:
         if channel is None:
             raise ValueError("channel setting requires a ChannelSpec")
+    elif channel is not None:
+        raise ValueError(f"{config.setting.value} setting takes no ChannelSpec")
     elif policy.beta != 1.0:
         raise ValueError("settings 1/2 use a unit transmit gain")
     rng = np.random.default_rng(config.seed)
@@ -176,10 +159,10 @@ def simulate_policy(
 ) -> SimResult:
     """Estimate distortion / privacy / power for a policy and decoder gain.
 
-    The privacy MMSE is estimated twice: through the analytic conditional-mean
-    coefficient, and through on-sample least squares of theta on y; both are
-    reported so statistical and modelling errors can be told apart.  A
-    sample moment that overflows a float raises ``ValueError``.
+    The privacy MMSE is estimated twice, through the analytic conditional-mean
+    coefficient and through on-sample least squares of theta on y, so that
+    statistical and modelling errors can be told apart.  A ``channel`` outside
+    the channel setting, or a sample moment that overflows, raises ``ValueError``.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -209,34 +192,4 @@ def simulate_policy(
         stderr_dp=stderr_dp,
         samples=config.samples,
         seed=config.seed,
-    )
-
-
-def decoder_optimality_probe(
-    model: SourceModel,
-    policy: EncoderPolicy,
-    channel: ChannelSpec | None,
-    config: SimConfig,
-    gain_grid,
-    reference_gain: float | None = None,
-) -> ProbeReport:
-    """Locate the empirical distortion-minimizing decoder gain over a grid.
-
-    All gains are evaluated on the same sample draw, so the comparison is
-    exact in the empirical second moments.
-    """
-    x, _, y, e, _ = _signal_chain(model, policy, channel, config)
-    mxx = _mean(np.square(x, out=e))
-    mxy = _mean(np.multiply(x, y, out=e))
-    myy = _mean(np.square(y, out=e))
-    gains = [float(g) for g in gain_grid]
-    d_c = [mxx - 2.0 * g * mxy + g * g * myy for g in gains]
-    best = int(np.argmin(d_c))
-    gap = None if reference_gain is None else abs(gains[best] - reference_gain)
-    return ProbeReport(
-        gains=tuple(gains),
-        d_c_values=tuple(d_c),
-        argmin_gain=gains[best],
-        reference_gain=reference_gain,
-        gap_to_reference=gap,
     )

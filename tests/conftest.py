@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from privcomm import validate_model
@@ -20,3 +21,8 @@ def models_with_targets(draw, min_rho=0.05):
     dp_min = model.sigma_x2 * (model.r - model.rho**2)
     dp_max = model.sigma_x2 * model.r
     return model, dp_min + frac * (dp_max - dp_min)
+
+
+def column(curve, name):
+    """The named column of a ``TradeoffCurve`` as a numpy array."""
+    return np.array([p[curve.columns.index(name)] for p in curve.points])

@@ -71,6 +71,12 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "scan_lambdas.csv").read_text()
 
+    def test_rate_compression(self):
+        code, out, _ = run(["rate", "--sigma-x2", "2.5", "--rho", "0.3", "--r", "0.4",
+                            "--dp", "0.95", "--noise-grid", "0.05,0.5,2,8"])
+        assert code == 0
+        assert out == (GOLDEN / "rate_compression.csv").read_text()
+
 
 class TestSolve:
     def test_json_round_trip(self):
@@ -394,6 +400,16 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert err == ("error: the Monte Carlo moments overflow a float "
                        "(overflow encountered in square)\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "1", "samples must be >= 2, got 1"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ], ids=["samples", "seed"])
+    def test_simulate_config_out_of_range_exits_1(self, flag, value, message):
+        code, out, err = run(["simulate", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84",
+                              flag, value])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 # Magnitudes log-uniform over the positive floats, subnormals included.

@@ -21,7 +21,7 @@ from privcomm import (
 )
 from privcomm.equilibrium import SolveError, evaluate_setting2
 
-from conftest import source_models
+from conftest import column, source_models
 
 M = validate_model(1.0, 0.6, 1.0)
 
@@ -29,8 +29,8 @@ M = validate_model(1.0, 0.6, 1.0)
 class TestPrivacySweep:
     def test_endpoints_grid3(self):
         curve = sweep_privacy_distortion(M, Setting.SIMPLE, grid=3)
-        xs = curve.column("d_p")
-        ys = curve.column("d_c")
+        xs = column(curve, "d_p")
+        ys = column(curve, "d_c")
         assert list(xs) == pytest.approx([0.64, 0.82, 1.0])
         assert ys[0] == 0.0
         assert ys[2] == pytest.approx(0.36, rel=1e-12)
@@ -72,7 +72,7 @@ class TestPrivacySweep:
     @settings(max_examples=30, deadline=None)
     def test_monotone(self, model):
         curve = sweep_privacy_distortion(model, Setting.SIMPLE, grid=33)
-        ys = curve.column("d_c")
+        ys = column(curve, "d_c")
         assert np.all(np.diff(ys) >= -1e-12 * model.sigma_x2)
 
 
@@ -95,7 +95,7 @@ class TestSweepGrid:
         curve = sweep_privacy_distortion(model, setting, channel, grid)
         floor = privacy_floor(model, setting, channel)
         expected = np.linspace(floor, model.sigma_x2 * model.r, grid)
-        assert np.array_equal(bits(curve.column("d_p")), bits(expected))
+        assert np.array_equal(bits(column(curve, "d_p")), bits(expected))
         for row in curve.points:
             if setting is Setting.SIMPLE:
                 sol = solve_setting1(model, row[0])
@@ -131,7 +131,7 @@ class TestRateSweep:
     def test_active_inactive_transition(self):
         m = validate_model(1.0, 0.5, 1.0)
         curve = sweep_rate_distortion(m, 0.875, [0.1, 1.0, 10.0])
-        alphas = dict(zip(curve.column("sigma_n2"), curve.column("alpha")))
+        alphas = dict(zip(column(curve, "sigma_n2"), column(curve, "alpha")))
         assert alphas[0.1] < 0.0
         assert alphas[1.0] == pytest.approx(0.0, abs=1e-9)
         assert alphas[10.0] == 0.0
@@ -144,8 +144,8 @@ class TestRateSweep:
 
     def test_rate_monotone_in_noise(self):
         curve = sweep_rate_distortion(M, 0.9, np.geomspace(0.01, 100, 12))
-        rates = curve.column("rate")
-        dcs = curve.column("d_c")
+        rates = column(curve, "rate")
+        dcs = column(curve, "d_c")
         assert np.all(np.diff(rates) < 0.0)
         assert np.all(np.diff(dcs) > 0.0)
 

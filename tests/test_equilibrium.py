@@ -12,7 +12,6 @@ from privcomm import (
     InfeasiblePrivacyTarget,
     InfiniteRateError,
     SolveError,
-    evaluate_setting1,
     evaluate_setting2,
     evaluate_setting3,
     privacy_bounds,
@@ -21,7 +20,6 @@ from privcomm import (
     solve_setting2,
     solve_setting3,
     validate_model,
-    xi_sign_check,
 )
 from privcomm.equilibrium import mixing_gain, second_order_dc_dp
 from privcomm.oracle import covariance_evaluate
@@ -78,18 +76,19 @@ class TestAlphaQuadratic:
 
 
 class TestEvaluators:
+    # the simple setting's evaluator is second_order_dc_dp without noise
     def test_setting1_identity_chain(self):
-        d_c, d_p = evaluate_setting1(M, EncoderPolicy(alpha=0.0))
+        d_c, d_p = second_order_dc_dp(M, 0.0, 0.0)
         assert d_c == 0.0
         assert d_p == pytest.approx(0.64)
 
     def test_setting1_prediction_error(self):
-        d_c, d_p = evaluate_setting1(M, EncoderPolicy(alpha=-0.6))
+        d_c, d_p = second_order_dc_dp(M, -0.6, 0.0)
         assert d_c == pytest.approx(0.36, abs=1e-14)
         assert d_p == pytest.approx(1.0, abs=1e-14)
 
     def test_setting1_reference_point(self):
-        d_c, d_p = evaluate_setting1(M, EncoderPolicy(alpha=REF_ALPHA))
+        d_c, d_p = second_order_dc_dp(M, REF_ALPHA, 0.0)
         assert d_c == pytest.approx(0.052857, abs=5e-6)
         assert d_p == pytest.approx(0.84, abs=1e-9)
 
@@ -277,22 +276,36 @@ class TestSolveSetting3:
 
 
 class TestXiSign:
+    """xi = (1+alpha*rho)^2 - lam*(rho+r*alpha)^2, the noise-suppression sign
+    quantity: its sign at the frontier's own multiplier makes encoder noise
+    useless on the frontier."""
+
     def test_lambda_zero(self):
-        assert xi_sign_check(M, 0.0, -0.3) == pytest.approx(0.6724)
+        # xi(0, alpha) = (1+alpha*rho)^2 = (kappa*A)^2 at the solver's alpha
+        sol = solve_setting1(M, 0.84)
+        alpha = sol.policy.alpha
+        kappa_a = sol.kappa * mixing_gain(M, alpha)
+        assert (1.0 + alpha * M.rho) ** 2 == pytest.approx(kappa_a**2, rel=1e-12)
 
     def test_prediction_error_alpha(self):
+        # at max privacy alpha = -rho/r, so xi = (1 - rho^2/r)^2 for every lam
+        alpha = solve_setting1(M, 1.0).policy.alpha
         for lam in (0.0, 1.0, 1.0 / 0.36):
-            assert xi_sign_check(M, lam, -0.6) == pytest.approx(0.4096, abs=1e-12)
+            xi = (1.0 + alpha * M.rho) ** 2 - lam * (M.rho + M.r * alpha) ** 2
+            assert xi == pytest.approx(0.4096, abs=1e-12)
 
     def test_grid_nonnegative(self):
-        lams = np.linspace(0.0, 1.0 / 0.36, 100)
-        alphas = np.linspace(-0.6, 0.0, 100)
-        vals = [xi_sign_check(M, lam, a) for lam in lams for a in alphas]
-        assert min(vals) >= -1e-12
+        lam, alpha = np.meshgrid(np.linspace(0.0, 1.0 / 0.36, 100),
+                                 np.linspace(-0.6, 0.0, 100), indexing="ij")
+        xi = (1.0 + alpha * M.rho) ** 2 - lam * (M.rho + M.r * alpha) ** 2
+        assert np.min(xi) >= -1e-12
 
     def test_rho_zero_trivial(self):
+        # rho = 0: the solver sends X alone (alpha = 0), so xi = 1 for every lam
         m = validate_model(1.0, 0.0, 1.0)
-        assert xi_sign_check(m, 0.0, 0.0) == 1.0
+        alpha = solve_setting1(m, 1.0).policy.alpha
+        for lam in (0.0, 1.0, 1e6):
+            assert (1.0 + alpha * m.rho) ** 2 - lam * (m.rho + m.r * alpha) ** 2 == 1.0
 
     def test_frontier_multiplier_identity(self):
         # lam*(alpha) = -alpha(1+alpha*rho)/(rho+r*alpha) is the frontier slope
@@ -307,7 +320,7 @@ class TestXiSign:
             target = float(lo + rng.uniform(0.05, 0.95) * (hi - lo))
             alpha = solve_setting1(m, target).policy.alpha
             lam = -alpha * (1.0 + alpha * rho) / (rho + r * alpha)
-            xi = xi_sign_check(m, lam, alpha)
+            xi = (1.0 + alpha * rho) ** 2 - lam * (rho + r * alpha) ** 2
             identity = (1.0 + alpha * rho) * mixing_gain(m, alpha)
             assert xi == pytest.approx(identity, rel=1e-12)
             assert xi >= (1.0 - rho**2 / r) ** 2
@@ -318,12 +331,6 @@ class TestXiSign:
             assert slope == pytest.approx(lam, rel=1e-5, abs=1e-7)
             above_cap += lam > 1.0 / rho**2
         assert above_cap > 0  # 32 of the 600 multipliers lie beyond 1/rho^2
-
-    @pytest.mark.parametrize("lam, alpha", [(math.nan, -0.3), (0.5, math.nan),
-                                            (math.inf, -0.3), (-0.5, -0.3)])
-    def test_non_finite_or_negative_input_rejected(self, lam, alpha):
-        with pytest.raises(ValueError, match="outside"):
-            xi_sign_check(M, lam, alpha)
 
 
 class TestOutputVarianceGuard:

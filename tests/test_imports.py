@@ -1,6 +1,6 @@
 """solve, tradeoff and rate stay numpy-free and load neither ``dataclasses`` nor
-``inspect``, and tradeoff and rate do not load ``json``; the package's public
-names stay the same."""
+``inspect``, and tradeoff and rate do not load ``json``; the package exports
+exactly the names listed here, and removed names stay gone."""
 
 import json
 import os
@@ -14,20 +14,25 @@ import privcomm
 
 #: Every public name ``privcomm`` exports, eagerly or on first access.
 EXPORTED = (
-    "ChannelSpec", "CorrelationBoundError", "DegeneratePrivacyTarget",
+    "ChannelSpec", "CorrelationBoundError", "DegenerateModelError", "DegeneratePrivacyTarget",
     "EncoderPolicy", "EquilibriumSolution", "InfeasiblePrivacyTarget", "InfiniteRateError",
     "ModelError", "NegativeCorrelationError", "NonPositiveVarianceError",
-    "OracleOptimum", "PrivacyBounds", "ProbeReport", "Setting", "SimConfig", "SimResult",
+    "OracleOptimum", "PrivacyBounds", "Setting", "SimConfig", "SimResult",
     "SolveError", "SourceModel", "TradeoffCurve", "VerificationReport",
-    "covariance_evaluate", "curves", "decoder_optimality_probe",
-    "equilibrium", "evaluate_setting1", "evaluate_setting2", "evaluate_setting3",
+    "covariance_evaluate", "curves",
+    "equilibrium", "evaluate_setting2", "evaluate_setting3",
     "gaussian_conditional_entropy", "grid_search", "lagrangian_scan",
     "model", "montecarlo", "noise_for_rate", "oracle",
-    "privacy_bounds", "privacy_floor", "sample_joint", "simulate_policy",
+    "privacy_bounds", "privacy_floor", "simulate_policy",
     "solve_alpha_quadratic", "solve_setting1", "solve_setting2", "solve_setting3",
     "sweep_privacy_distortion", "sweep_rate_distortion", "validate_model",
-    "verify_equilibrium", "xi_sign_check",
+    "verify_equilibrium",
 )
+
+#: Names that neither the package nor the module that defined them has any more.
+REMOVED = [("montecarlo", "ProbeReport"), ("montecarlo", "decoder_optimality_probe"),
+           ("montecarlo", "sample_joint"), ("equilibrium", "evaluate_setting1"),
+           ("equilibrium", "xi_sign_check")]
 
 # Runs cli.main on each argv in one fresh interpreter and reports, after each
 # call, its exit status, whether numpy has been imported so far, and which of
@@ -102,7 +107,7 @@ def test_every_exported_name_resolves():
         owner = getattr(value, "__module__", None)
         if owner in ("privcomm.curves", "privcomm.montecarlo", "privcomm.oracle"):
             assert value is getattr(sys.modules[owner], name)
-    assert set(EXPORTED) <= set(privcomm.__all__)
+    assert set(privcomm.__all__) == set(EXPORTED)
     assert set(EXPORTED) <= set(dir(privcomm))
 
 
@@ -115,3 +120,15 @@ def test_star_import():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         privcomm.no_such_name
+
+
+@pytest.mark.parametrize("module, name", REMOVED)
+def test_removed_name_raises_attribute_error(module, name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(privcomm, name)
+    with pytest.raises(AttributeError, match=name):
+        getattr(getattr(privcomm, module), name)
+
+
+def test_tradeoff_curve_has_no_column_method():
+    assert not hasattr(privcomm.TradeoffCurve, "column")

@@ -14,21 +14,20 @@ from privcomm import (
     EncoderPolicy,
     SimConfig,
     Setting,
-    decoder_optimality_probe,
     gaussian_conditional_entropy,
-    sample_joint,
     simulate_policy,
     solve_setting1,
     solve_setting3,
     validate_model,
 )
+from privcomm.montecarlo import _draw_joint
 
 M = validate_model(1.0, 0.6, 1.0)
 N = 200_000
 
 
-def test_sample_joint_covariance():
-    x, theta = sample_joint(M, 1_000_000, seed=11)
+def test_draw_joint_covariance():
+    x, theta = _draw_joint(M, np.random.default_rng(11), 1_000_000)
     n = x.size
     se = 5.0 / math.sqrt(n)  # crude 5-standard-error band on unit-scale moments
     assert np.mean(x * x) == pytest.approx(1.0, abs=3 * se)
@@ -36,15 +35,15 @@ def test_sample_joint_covariance():
     assert np.mean(theta * theta) == pytest.approx(1.0, abs=3 * se)
 
 
-def test_sample_joint_degenerate_correlation():
+def test_draw_joint_degenerate_correlation():
     m = validate_model(1.0, 0.7, 0.49)
-    x, theta = sample_joint(m, 1000, seed=3)
+    x, theta = _draw_joint(m, np.random.default_rng(3), 1000)
     assert np.allclose(theta, 0.7 * x)
 
 
-def test_sample_joint_independent():
+def test_draw_joint_independent():
     m = validate_model(1.0, 0.0, 1.0)
-    x, theta = sample_joint(m, 500_000, seed=5)
+    x, theta = _draw_joint(m, np.random.default_rng(5), 500_000)
     assert abs(np.corrcoef(x, theta)[0, 1]) < 0.01
 
 
@@ -110,30 +109,30 @@ def test_stderr_scaling():
         assert 2.0 / 1.5 < ratio < 2.0 * 1.5
 
 
-def test_probe_finds_analytic_gain():
+def test_kappa_minimizes_sample_distortion():
+    # one seed for every gain, so each sees the same draws: the decoder gain
+    # kappa is the receiver's best response on the sample too
     cfg = SimConfig(samples=N, seed=21, setting=Setting.SIMPLE)
     sol = solve_setting1(M, 0.84)
     gains = np.linspace(sol.kappa * 0.8, sol.kappa * 1.2, 11)
-    report = decoder_optimality_probe(M, sol.policy, None, cfg, gains, sol.kappa)
+    d = np.array([simulate_policy(M, sol.policy, None, float(g), cfg).d_c_hat
+                  for g in gains])
     # empirical distortion is quadratic in the gain; vertex near kappa
-    assert report.gap_to_reference <= (gains[1] - gains[0]) * 1.5
-    d = np.array(report.d_c_values)
     vertex = int(np.argmin(d))
+    assert abs(gains[vertex] - sol.kappa) <= (gains[1] - gains[0]) * 1.5
     assert np.all(np.diff(d[: vertex + 1]) <= 0) and np.all(np.diff(d[vertex:]) >= 0)
 
 
-def test_probe_corrected_kappa_beats_printed():
+def test_corrected_kappa_beats_printed():
     # printed decoder gain ignores the transmit gain and channel noise
     ch = ChannelSpec(p_t=1.0, sigma_z2=1.0)
     cfg = SimConfig(samples=N, seed=33, setting=Setting.CHANNEL)
     sol = solve_setting3(M, 0.92, ch)
     alpha = sol.policy.alpha
     printed = (1 + alpha * M.rho) / (1 + 2 * alpha * M.rho + alpha**2 * M.r)
-    report = decoder_optimality_probe(
-        M, sol.policy, ch, cfg, [printed, sol.kappa], sol.kappa
-    )
-    assert report.argmin_gain == sol.kappa
-    assert report.d_c_values[1] < report.d_c_values[0]
+    printed_dc, kappa_dc = (simulate_policy(M, sol.policy, ch, g, cfg).d_c_hat
+                            for g in (printed, sol.kappa))
+    assert kappa_dc < printed_dc
 
 
 def test_probe_gains_coincide_noiseless():
@@ -145,8 +144,19 @@ def test_probe_gains_coincide_noiseless():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples must be >= 2, got 1"):
         SimConfig(samples=1, seed=0, setting=Setting.SIMPLE)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SimConfig(samples=2, seed=-1, setting=Setting.SIMPLE)
+
+
+@pytest.mark.parametrize("setting", [Setting.SIMPLE, Setting.COMPRESSION])
+def test_channel_outside_channel_setting_refused(setting):
+    # the chain would skip the channel while the privacy coefficient counts it
+    sol = solve_setting1(M, 0.84)
+    cfg = SimConfig(samples=1000, seed=3, setting=setting)
+    with pytest.raises(ValueError, match=f"{setting.value} setting takes no ChannelSpec"):
+        simulate_policy(M, sol.policy, ChannelSpec(1.0, 1.0), sol.kappa, cfg)
 
 
 def test_kernel_peak_memory():
@@ -159,7 +169,6 @@ def test_kernel_peak_memory():
     tracemalloc.start()
     try:
         simulate_policy(M, policy, ch, 0.7, cfg)
-        decoder_optimality_probe(M, policy, ch, cfg, [0.5, 0.7])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from privcomm import (
     ChannelSpec,
-    EncoderPolicy,
     InfeasiblePrivacyTarget,
     Setting,
     covariance_evaluate,
@@ -21,7 +20,7 @@ from privcomm import (
 )
 import privcomm.model
 from privcomm import oracle
-from privcomm.equilibrium import evaluate_setting1, mixing_gain, second_order_dc_dp
+from privcomm.equilibrium import second_order_dc_dp
 from privcomm.oracle import GRID_ARRAYS, _canonical, _evaluator
 
 from conftest import source_models
@@ -37,9 +36,7 @@ class TestCovarianceEvaluate:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_printed_formulas(self, model, alpha, noise_var):
-        d_c_ref, d_p_ref = evaluate_setting1(
-            model, EncoderPolicy(alpha=alpha, noise_var=noise_var)
-        )
+        d_c_ref, d_p_ref = second_order_dc_dp(model, alpha, noise_var / model.sigma_x2)
         d_c, d_p = covariance_evaluate(model, alpha, noise_var)
         assert d_c == pytest.approx(d_c_ref, rel=1e-12, abs=1e-12 * model.sigma_x2)
         assert d_p == pytest.approx(d_p_ref, rel=1e-12, abs=1e-12 * model.sigma_x2)

@@ -24,7 +24,6 @@ from privcomm import (
     NonPositiveVarianceError,
     OracleOptimum,
     PrivacyBounds,
-    ProbeReport,
     Setting,
     SimConfig,
     SimResult,
@@ -69,10 +68,6 @@ RECORDS = [
      (0.05, 0.84, 0.84, None, 1.3, 1e-3, 1e-3, 1000, 7, "other"),
      (0.05, 0.84, 0.84, None, 1.3, 1e-3, 1e-3, 1000, 7, "numpy-pcg64"),
      {"generator": "numpy-pcg64"}),
-    (ProbeReport, ("gains", "d_c_values", "argmin_gain", "reference_gain",
-                   "gap_to_reference"),
-     ((0.5, 1.0), (0.3, 0.1), 1.0, 1.0, 0.0), ((0.5, 1.0), (0.3, 0.1), 1.0, None, None),
-     {}),
 ]
 
 IDS = [cls.__name__ for cls, *_ in RECORDS]
