@@ -2,8 +2,9 @@
 
 ``model`` and ``equilibrium`` load eagerly; the names of ``curves``,
 ``montecarlo`` and ``oracle`` load on first access (PEP 562).  Only
-``montecarlo`` and ``oracle`` import numpy, so solving an equilibrium,
-sweeping a curve and inverting the rate map never load it.
+``montecarlo`` and the oracle's grid search import numpy, so solving an
+equilibrium, sweeping a curve, inverting the rate map and scanning the
+multipliers never load it.
 """
 
 from .equilibrium import (

@@ -8,9 +8,9 @@ infeasible input, 2 verification failure (verify command only).
 Relative ``--output`` paths are resolved against the ``PRIVCOMM_OUTPUT_DIR``
 environment variable when it is set.
 
-Each subcommand imports the modules it uses.  ``solve``, ``tradeoff`` and
-``rate`` run without loading numpy; ``verify``, ``simulate`` and ``scan``
-load it through ``oracle`` and ``montecarlo``.
+Each subcommand imports the modules it uses.  ``solve``, ``tradeoff``,
+``rate`` and ``scan`` run without loading numpy; ``verify`` loads it for
+the oracle's grid search, and ``simulate`` through ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ import sys
 from .equilibrium import (
     ChannelSpec,
     Setting,
-    SolveError,
     evaluate_setting2,
     solve_setting1,
     solve_setting2,
     solve_setting3,
 )
-from .model import ModelError, require_memory, validate_model
+from .model import SourceModel, require_memory, validate_model
 
 OUTPUT_DIR_ENV = "PRIVCOMM_OUTPUT_DIR"
 
@@ -140,7 +139,7 @@ def _read_config(path: str, subparser: _Parser) -> dict:
     return values
 
 
-def _model_from(args) -> "validate_model":
+def _model_from(args) -> SourceModel:
     for name in ("sigma_x2", "rho", "r"):
         if getattr(args, name, None) is None:
             raise CliError(f"missing required model parameter --{name.replace('_', '-')}")
@@ -322,13 +321,15 @@ def _cmd_scan(args) -> int:
         if not lams:
             raise CliError(f"--lambdas lists no multiplier: {args.lambdas!r}")
     else:
-        if model.rho == 0.0:
-            raise CliError("the default grid [0, 1/rho^2] needs rho > 0; pass --lambdas")
+        rho2 = model.rho * model.rho
+        lam_max = 1.0 / rho2 if rho2 else math.inf
+        if lam_max == math.inf:
+            raise CliError(f"the default grid [0, 1/rho^2] needs a finite 1/rho^2, got "
+                           f"rho={model.rho!r}; pass --lambdas")
         if args.lambda_count < 2:
             raise CliError(f"--lambda-count must be >= 2, got {args.lambda_count}")
         require_memory(BYTES_PER_ROW * args.lambda_count,
                        f"--lambda-count {args.lambda_count}")
-        lam_max = 1.0 / model.rho**2
         lams = [lam_max * i / (args.lambda_count - 1) for i in range(args.lambda_count)]
     points = lagrangian_scan(model, lams)
     rows = [(p.lam, p.alpha, p.noise_var, p.d_p, p.d_c) for p in points]
@@ -355,10 +356,7 @@ def main(argv=None) -> int:
             subparser.set_defaults(**_read_config(args.config, subparser))
             args = parser.parse_args(argv)  # explicit flags win over the file
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ModelError, SolveError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # ModelError and SolveError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -84,8 +84,9 @@ class SourceModel(Record):
             raise NonPositiveVarianceError(f"sigma_x2 must be positive, got {sigma_x2}")
         if not math.isfinite(rho) or rho < 0.0:
             raise NegativeCorrelationError(f"rho must be >= 0, got {rho}")
-        if not math.isfinite(r) or rho**2 > r * (1.0 + BOUNDARY_EPS):
-            raise CorrelationBoundError(f"need rho^2 <= r, got rho^2={rho**2} > r={r}")
+        # rho * rho, not rho**2: a float ** raises OverflowError where * gives inf
+        if not math.isfinite(r) or rho * rho > r * (1.0 + BOUNDARY_EPS):
+            raise CorrelationBoundError(f"need rho^2 <= r, got rho^2={rho * rho} > r={r}")
         if not (math.isfinite(sigma_x2 * r) and math.isfinite(sigma_x2 * rho)):
             raise ModelError(f"Var(theta) = sigma_x2 * r overflows a float at "
                              f"sigma_x2={sigma_x2!r}, r={r!r}")

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .equilibrium import (
     ChannelSpec,
     DegenerateModelError,
@@ -32,7 +30,7 @@ from .model import Record, SourceModel, require_memory
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Peak number of float64 arrays of the oracle grid's size that the grid
-#: search or the multiplier scan holds at once (measured with tracemalloc).
+#: search holds at once (measured with tracemalloc).
 GRID_ARRAYS = 5
 
 #: Largest |D_C gap| and encoder noise at the oracle optimum that
@@ -47,17 +45,16 @@ REFINE_TOL = 1e-7
 NOISE_MAX = 4.0
 
 
-def _canonical(model: SourceModel, grid: int):
-    """(canon, alpha_axis, back): the model as a rescaling of (1, c, 1), c = rho/sqrt(r).
+def _canonical(model: SourceModel):
+    """(canon, alpha_lo, back): the model as a rescaling of (1, c, 1), c = rho/sqrt(r).
 
     X' = X/sigma_x and theta' = theta/(sigma_x*sqrt(r)) give alpha = alpha'/sqrt(r),
     sigma_N^2 = sigma_x2*n', D_C = sigma_x2*D_C', D_P = sigma_x2*r*D_P' and
     lam' = lam*r, which ``back`` applies; a channel enters only through
     sigma_z2/P_T.  c is clipped to 1 against rounding, and sqrt(r) taken as 1
-    when r = 0.  The alpha axis spans twice the frontier's [-c, 0], padded.
+    when r = 0.  The searched alpha range [alpha_lo, 0.5] spans twice the
+    frontier's [-c, 0], padded.
     """
-    if grid < 3:
-        raise ValueError(f"grid must be >= 3, got {grid}")
     s2, r = model.sigma_x2, model.r
     sqrt_r = math.sqrt(r) or 1.0
     canon = SourceModel(1.0, min(model.rho / sqrt_r, 1.0), 1.0)
@@ -66,7 +63,7 @@ def _canonical(model: SourceModel, grid: int):
         return (float(alpha) / sqrt_r, s2 * float(noise_var), s2 * float(d_c),
                 s2 * (r * float(d_p)))
 
-    return canon, np.linspace(-2.0 * canon.rho - 0.5, 0.5, grid), back
+    return canon, -2.0 * canon.rho - 0.5, back
 
 
 class OracleOptimum(Record):
@@ -112,8 +109,10 @@ def covariance_evaluate(
 ):
     """(d_c, d_p) from the explicit covariance of (X, theta, Y) via Schur complements.
 
-    Kept deliberately formula-free: the 3x3 second-moment matrix is assembled
-    from bilinearity of covariance and conditioned on Y numerically.
+    Kept deliberately formula-free: the covariance of (X, theta, Y) is
+    assembled from bilinearity of covariance and conditioned on Y.  A policy
+    that sends nothing (Var(Y) = 0), or a second moment beyond the float
+    range, raises ``ValueError``.
     """
     s2, rho, r = model.sigma_x2, model.rho, model.r
     cov_x_th = s2 * rho
@@ -121,20 +120,17 @@ def covariance_evaluate(
     # Y = beta*(X + alpha*theta + S) + Z
     cov_x_y = beta * (s2 + alpha * cov_x_th)
     cov_th_y = beta * (cov_x_th + alpha * var_th)
-    var_y = (
-        beta**2 * (s2 + 2.0 * alpha * cov_x_th + alpha**2 * var_th + noise_var)
-        + channel_noise
-    )
-    m = np.array(
-        [
-            [s2, cov_x_th, cov_x_y],
-            [cov_x_th, var_th, cov_th_y],
-            [cov_x_y, cov_th_y, var_y],
-        ]
-    )
-    d_c = m[0, 0] - m[0, 2] ** 2 / m[2, 2]
-    d_p = m[1, 1] - m[1, 2] ** 2 / m[2, 2]
-    return float(d_c), float(d_p)
+    try:
+        var_y = (
+            beta**2 * (s2 + 2.0 * alpha * cov_x_th + alpha**2 * var_th + noise_var)
+            + channel_noise
+        )
+        return s2 - cov_x_y**2 / var_y, var_th - cov_th_y**2 / var_y
+    except ZeroDivisionError:
+        raise ValueError(f"the policy sends nothing (Var(Y) = 0) at alpha={alpha!r}") from None
+    except OverflowError:
+        raise ValueError(f"a second moment of Y overflows a float at sigma_x2={s2!r}, "
+                         f"alpha={alpha!r}, beta={beta!r}") from None
 
 
 def _evaluator(canon, setting, channel):
@@ -151,16 +147,7 @@ def _evaluator(canon, setting, channel):
         canon, alpha, noise + z * (mixing_gain(canon, alpha) + noise) / p_t)
 
 
-def _dc_dp_grid(dc_dp, alpha_axis, noise_axis):
-    """(d_c, d_p) on the alpha x noise grid, by broadcasting the two axes."""
-    require_memory(
-        GRID_ARRAYS * 8 * alpha_axis.size * noise_axis.size,
-        f"an oracle grid of {alpha_axis.size} x {noise_axis.size}",
-    )
-    return dc_dp(alpha_axis[:, None], noise_axis[None, :])
-
-
-#: Why a grid over noise from 0 fails on a degenerate model: Y = 0 there.
+#: Why a search from zero noise fails on a degenerate model: Y = 0 there.
 _SENDS_NOTHING = "{} holds alpha = -rho/r without noise, which sends nothing"
 
 
@@ -229,7 +216,12 @@ def grid_search(
         if not math.isfinite(channel.sigma_z2 * (2.25 + NOISE_MAX) / channel.p_t):
             raise ValueError(f"the oracle cannot resolve a channel with sigma_z2/P_T = "
                              f"{channel.sigma_z2 / channel.p_t!r}")
-    canon, alpha_axis, back = _canonical(model, grid)
+    if grid < 3:
+        raise ValueError(f"grid must be >= 3, got {grid}")
+    import numpy as np  # only the grid search builds arrays
+
+    canon, alpha_lo, back = _canonical(model)
+    alpha_axis = np.linspace(alpha_lo, 0.5, grid)
     # with r = 0, D_P = 0 for every encoder
     target = (d_p_target / model.sigma_x2 / model.r if model.r
               else -math.inf if d_p_target <= 0.0 else math.inf)
@@ -245,7 +237,9 @@ def grid_search(
         noise_axis = np.linspace(0.0, NOISE_MAX, grid)
 
     dc_dp = _evaluator(canon, setting, channel)
-    d_c, d_p = _dc_dp_grid(dc_dp, alpha_axis, noise_axis)
+    require_memory(GRID_ARRAYS * 8 * alpha_axis.size * noise_axis.size,
+                   f"an oracle grid of {alpha_axis.size} x {noise_axis.size}")
+    d_c, d_p = dc_dp(alpha_axis[:, None], noise_axis[None, :])
 
     slack = max((float(np.max(np.abs(np.diff(d_p, axis=k)))) for k in (0, 1)
                  if d_p.shape[k] > 1), default=0.0)
@@ -310,29 +304,27 @@ def verify_equilibrium(
     )
 
 
-def lagrangian_scan(model: SourceModel, lambda_grid, grid: int = 401) -> list[ScanPoint]:
+def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     """Trace the frontier by minimizing D_C - lam*D_P over (alpha, noise).
 
     Every finite lam >= 0 is the multiplier of one frontier point: lam = 0
     gives the free floor, and the point runs to max privacy as lam grows.
-    For each multiplier the unconstrained grid minimizer on the canonical
-    model, at lam' = lam*r, is refined by alternating golden-section passes
-    over alpha and the noise (at most four rounds).  A pass depends only on
-    where it starts, so the rounds stop at their fixed point: the first
-    round whose noise pass returns the noise it began from.
+    For each multiplier, alternating golden-section passes over alpha and
+    the noise (at most four rounds) minimize the cost on the canonical
+    model, at lam' = lam*r, starting from zero noise.  No start can do
+    better: at fixed alpha the cost (g*(alpha^2 - lam') + (1 - lam')*n)/(A + n),
+    with g = 1 - c^2 and A = 1 + 2*alpha*c + alpha^2, is monotone in the
+    noise n, so the noise pass returns the same value from any start.  A
+    pass depends only on where it starts, so the rounds stop at their fixed
+    point: the first round whose noise pass returns the noise it began from.
     The optimum must sit at zero encoder noise; a noisy minimizer, or a
     lam*r beyond the float range, means that lam is too large for floating
     point to resolve the frontier point, and raises ``ValueError``.
     """
-    canon, alpha_axis, back = _canonical(model, grid)
+    canon, lo_a, back = _canonical(model)
     if canon.degenerate:
-        raise DegenerateModelError(model, _SENDS_NOTHING.format("the multiplier scan grid"))
+        raise DegenerateModelError(model, _SENDS_NOTHING.format("the scan's alpha range"))
     dc_dp = _evaluator(canon, Setting.SIMPLE, None)
-    noise_axis = np.linspace(0.0, NOISE_MAX, grid)
-    d_c_g, d_p_g = _dc_dp_grid(dc_dp, alpha_axis, noise_axis)
-    obj = np.empty_like(d_c_g)
-    # Python floats: numpy scalars would make every cost evaluation slow
-    lo_a, hi_a = float(alpha_axis[0]), float(alpha_axis[-1])
 
     out = []
     for lam in lambda_grid:
@@ -343,19 +335,16 @@ def lagrangian_scan(model: SourceModel, lambda_grid, grid: int = 401) -> list[Sc
         lam_c = lam * model.r
         if lam_c == math.inf:
             raise ValueError(f"{refusal}: lam*r overflows")
-        np.multiply(d_p_g, lam_c, out=obj)
-        np.subtract(d_c_g, obj, out=obj)
-        # the grid minimizer seeds the noise; the first pass re-solves alpha
-        _, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
-        noise = float(noise_axis[j])
 
         def cost(a, s):
             d_c, d_p = dc_dp(a, s)
             return d_c - lam_c * d_p
 
+        # the cost's slope in the noise has one sign at fixed alpha: any start will do
+        noise = 0.0
         for _ in range(4):
             start = noise
-            alpha = _golden_min(lambda a: cost(a, noise), lo_a, hi_a)
+            alpha = _golden_min(lambda a: cost(a, noise), lo_a, 0.5)
             noise = _golden_min(lambda s: cost(alpha, s), 0.0, NOISE_MAX)
             if noise == start:
                 break

@@ -254,6 +254,12 @@ class TestRejectedInputs:
         assert err == ("error: Var(theta) = sigma_x2 * r overflows a float at "
                        "sigma_x2=1.0558433295428895e+287, r=1.2493911043820676e+84\n")
 
+    def test_overflowing_rho_squared_exits_1(self):
+        code, out, err = run(["solve", "--setting", "simple", "--sigma-x2", "1",
+                              "--rho", "1e160", "--r", "1e300", "--dp", "1"])
+        assert code == 1 and out == ""
+        assert err == "error: need rho^2 <= r, got rho^2=inf > r=1e+300\n"
+
     def test_scan_nan_multiplier_exits_1(self):
         code, out, err = run(["scan", *MODEL_FLAGS, "--lambdas", "nan"])
         assert code == 1 and out == ""
@@ -274,8 +280,10 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert err == f"error: --lambdas lists no multiplier: {lambdas!r}\n"
 
-    def test_scan_rho_zero_needs_lambdas(self):
-        flags = ["--sigma-x2", "1", "--rho", "0", "--r", "1"]
+    # 1/rho^2 divides by zero, by an underflowed rho^2 or overflows
+    @pytest.mark.parametrize("rho", ["0", "1e-200", "1e-160"])
+    def test_scan_rho_zero_needs_lambdas(self, rho):
+        flags = ["--sigma-x2", "1", "--rho", rho, "--r", "1"]
         code, out, err = run(["scan", *flags])
         assert code == 1 and out == ""
         assert "error:" in err and "pass --lambdas" in err
@@ -417,9 +425,11 @@ MAGNITUDES = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
 
 
 def model_flags(draw):
-    """--sigma-x2, --rho and --r, with rho/sqrt(r) in {0, u, 1 - 1e-12, 1}."""
+    """--sigma-x2, --rho and --r, with rho/sqrt(r) in {0, u, 1 - 1e-12, 1} or,
+    beyond the bound rho^2 <= r, in {1 + 1e-6, 1e10}."""
     r = draw(MAGNITUDES)
-    frac = draw(st.sampled_from([0.0, 1.0 - 1e-12, 1.0]) | st.floats(0.0, 1.0))
+    frac = draw(st.sampled_from([0.0, 1.0 - 1e-12, 1.0, 1.0 + 1e-6, 1e10])
+                | st.floats(0.0, 1.0))
     return ["--sigma-x2", repr(draw(MAGNITUDES)), "--rho", repr(frac * math.sqrt(r)),
             "--r", repr(r)]
 
@@ -458,10 +468,12 @@ def test_scalar_commands_answer_finitely_or_exit_1(argv):
 
 @st.composite
 def oracle_argvs(draw):
-    """argv of verify (at --oracle-grid 21) or scan."""
+    """argv of verify (at --oracle-grid 21) or scan (on its default grid of 3)."""
     model = model_flags(draw)
     if draw(st.booleans()):
-        lams = draw(st.lists(MAGNITUDES | st.just(0.0), min_size=1, max_size=3))
+        lams = draw(st.none() | st.lists(MAGNITUDES | st.just(0.0), min_size=1, max_size=3))
+        if lams is None:
+            return ["scan", *model, "--lambda-count", "3"]
         return ["scan", *model, "--lambdas", ",".join(map(repr, lams))]
     setting = draw(st.sampled_from(["simple", "compression", "channel"]))
     argv = ["verify", "--setting", setting, *model, "--dp", repr(draw(MAGNITUDES)),

@@ -1,4 +1,4 @@
-"""solve, tradeoff and rate stay numpy-free and load neither ``dataclasses`` nor
+"""solve, tradeoff, rate and scan stay numpy-free and load neither ``dataclasses`` nor
 ``inspect``, and tradeoff and rate do not load ``json``; the package exports
 exactly the names listed here, and removed names stay gone."""
 
@@ -61,7 +61,7 @@ def test_scalar_commands_never_import_numpy(tmp_path):
     cfg = tmp_path / "channel.cfg"
     cfg.write_text("sigma-x2 = 1\nrho = 0.6\nr = 1\ndp = 0.92\npt = 1\nsigma-z2 = 1\n")
     # the probe is cumulative: tradeoff and rate run before solve loads json,
-    # and scan runs last, since it must see numpy once loaded
+    # and verify runs last, since it must see numpy once loaded
     argvs = [
         ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "3"],
         ["tradeoff", "--setting", "channel", *MODEL_FLAGS, "--pt", "1", "--sigma-z2", "1",
@@ -74,6 +74,8 @@ def test_scalar_commands_never_import_numpy(tmp_path):
         ["solve", "--setting", "channel", "--config", str(cfg)],
         ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "1.5"],
         ["scan", *MODEL_FLAGS, "--lambdas", "1"],
+        ["scan", *MODEL_FLAGS],
+        ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84", "--oracle-grid", "21"],
     ]
     src = str(pathlib.Path(privcomm.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -92,8 +94,10 @@ def test_scalar_commands_never_import_numpy(tmp_path):
         ["solve", 0, False, ["json"]],
         ["solve", 0, False, ["json"]],
         ["solve", 1, False, ["json"]],
+        ["scan", 0, False, ["json"]],
+        ["scan", 0, False, ["json"]],
     ]
-    assert report[-1][:3] == ["scan", 0, True]
+    assert report[-1][:3] == ["verify", 0, True]
     assert (tmp_path / "tradeoff.csv").read_text().startswith("d_p,d_c,alpha,kappa\n")
 
 

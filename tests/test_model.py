@@ -26,6 +26,12 @@ def test_rejects_rho_squared_above_r():
         validate_model(1.0, 0.5, 0.2)
 
 
+def test_rejects_rho_squared_beyond_float_range():
+    # rho^2 = 1e320 is inf, not an OverflowError
+    with pytest.raises(CorrelationBoundError, match=r"rho\^2=inf > r=1e\+300"):
+        validate_model(1.0, 1e160, 1e300)
+
+
 def test_rejects_nonpositive_variance():
     with pytest.raises(NonPositiveVarianceError):
         validate_model(0.0, 0.0, 1.0)

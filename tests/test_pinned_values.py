@@ -80,7 +80,7 @@ def test_grid_search_pinned(model, setting, target, sigma_n2, expected):
 @pytest.mark.parametrize("model, expected", SCAN)
 def test_lagrangian_scan_pinned(model, expected):
     lams = [row[0] for row in expected]
-    points = lagrangian_scan(validate_model(*model), lams, GRID_SIZE)
+    points = lagrangian_scan(validate_model(*model), lams)
     assert [(p.lam, p.alpha, p.noise_var, p.d_c, p.d_p) for p in points] == expected
 
 
