@@ -9,6 +9,7 @@ the seed (numpy PCG64 stream).
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -22,6 +23,9 @@ GENERATOR = "numpy-pcg64"
 BYTES_PER_SAMPLE = 4 * 8
 
 _SENDS_NOTHING = "the policy sends nothing (Var(Y) = 0); privacy MMSE undefined"
+
+#: Each thread's signal-chain workspace, kept between calls of one size.
+_local = threading.local()
 
 
 class SimConfig(Record):
@@ -60,20 +64,31 @@ class SimResult(Record):
         object.__setattr__(self, "generator", generator)
 
 
-def _draw_joint(model: SourceModel, rng, count: int):
-    """A (2, count) array whose rows are paired x and theta samples.
+def _workspace(samples: int):
+    """The calling thread's (4, samples) float64 workspace, reused while
+    ``samples`` is unchanged; a new size drops the old one before allocating."""
+    ws = getattr(_local, "ws", None)
+    if ws is None or ws.shape[1] != samples:
+        _local.ws = ws = None
+        _local.ws = ws = np.empty((4, samples))
+    return ws
+
+
+def _draw_joint(model: SourceModel, rng, ws):
+    """Fill ``ws[0]`` and ``ws[1]`` with paired x and theta samples; return them.
 
     Cholesky factorization of the 2x2 covariance, applied in place to one
-    draw of standard normals.
+    draw of standard normals; ``ws[2]`` takes rho*x on the way.
     """
-    z = rng.standard_normal((2, count))
+    z = ws[:2]
+    rng.standard_normal(out=z)
     x, theta = z
     theta *= math.sqrt(max(model.r - model.rho**2, 0.0))
-    theta += model.rho * x
+    theta += np.multiply(x, model.rho, out=ws[2])
     sigma_x = math.sqrt(model.sigma_x2)
     theta *= sigma_x
     x *= sigma_x
-    return z
+    return x, theta
 
 
 def _signal_chain(
@@ -84,11 +99,12 @@ def _signal_chain(
 ):
     """Return (x, theta, y, scratch, power_hat) for the configured setting.
 
-    The chain lives in four arrays of ``samples`` float64 values
-    (``BYTES_PER_SAMPLE``): x and theta share one draw, y is built in
-    place, and the scratch buffer takes the encoder noise, then the channel
-    noise, and is free for the caller.  ``power_hat`` is the mean of u^2
-    before the channel noise (``None`` outside the channel setting).
+    The chain lives in the thread's workspace, four rows of ``samples``
+    float64 values (``BYTES_PER_SAMPLE``): x and theta share one draw, y is
+    built in place, and the scratch row takes the encoder noise, then the
+    channel noise, and is free for the caller.  The rows are overwritten by
+    the thread's next call.  ``power_hat`` is the mean of u^2 before the
+    channel noise (``None`` outside the channel setting).
     """
     if config.setting is Setting.CHANNEL:
         if channel is None:
@@ -98,10 +114,11 @@ def _signal_chain(
     elif policy.beta != 1.0:
         raise ValueError("settings 1/2 use a unit transmit gain")
     rng = np.random.default_rng(config.seed)
-    x, theta = _draw_joint(model, rng, config.samples)
-    y = np.multiply(theta, policy.alpha)
+    ws = _workspace(config.samples)
+    x, theta = _draw_joint(model, rng, ws)
+    y = np.multiply(theta, policy.alpha, out=ws[2])
     y += x
-    scratch = np.empty_like(y)
+    scratch = ws[3]
     if policy.noise_var > 0.0:
         rng.standard_normal(out=scratch)
         scratch *= math.sqrt(policy.noise_var)

@@ -29,9 +29,15 @@ from .model import Record, SourceModel, require_memory
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Peak number of float64 arrays of the oracle grid's size that the grid
-#: search holds at once (measured with tracemalloc).
+#: Float64 arrays of the oracle grid's size that ``grid_search`` must fit
+#: in physical memory before it runs: the refusal bound, kept from the
+#: whole-grid search.  The blocked search holds O(grid) memory.
 GRID_ARRAYS = 5
+
+#: Most grid cells evaluated at once (a block holds at least one row): each
+#: float64 temporary of a block is 64 KiB, half glibc's default mmap
+#: threshold, so the heap recycles it.
+BLOCK_CELLS = 8192
 
 #: Largest |D_C gap| and encoder noise at the oracle optimum that
 #: ``verify_equilibrium`` passes, in units of sigma_x2.
@@ -191,6 +197,37 @@ def _boundary_alpha(dc_dp, c, noise_var, d_p_target):
     return lo  # feasible side of the boundary
 
 
+def _grid_stage(dc_dp, alpha_axis, noise_axis, target):
+    """(feasible, slack, best, cell) of the grid, one block of rows at a time.
+
+    ``feasible``: some cell meets the target within ``slack``, the largest
+    step of D_P between neighbouring cells.  ``best``: the least D_C of a
+    strictly feasible cell, and ``cell`` its first (row, column) in row-major
+    order; (inf, (0, 0)) when no cell is.  The slack and the largest D_P are
+    maxima, taken across block edges too, and a block's best replaces the
+    running one only when strictly smaller, so each fold equals its value
+    on the whole grid (D_P is finite on the canonical box).
+    """
+    import numpy as np
+
+    slack, d_p_max, best, cell, prev = 0.0, -math.inf, math.inf, (0, 0), None
+    rows = max(1, BLOCK_CELLS // noise_axis.size)
+    for i in range(0, alpha_axis.size, rows):
+        d_c, d_p = dc_dp(alpha_axis[i:i + rows, None], noise_axis[None, :])
+        if prev is not None:
+            slack = max(slack, float(np.max(np.abs(d_p[0] - prev))))
+        for axis in (0, 1):
+            if d_p.shape[axis] > 1:
+                slack = max(slack, float(np.max(np.abs(np.diff(d_p, axis=axis)))))
+        d_p_max = max(d_p_max, float(np.max(d_p)))
+        strict = np.where(d_p >= target, d_c, np.inf)
+        k, l = divmod(int(np.argmin(strict)), noise_axis.size)
+        if strict[k, l] < best:
+            best, cell = float(strict[k, l]), (i + k, l)
+        prev = d_p[-1].copy()
+    return d_p_max >= target - slack, slack, best, cell
+
+
 def grid_search(
     model: SourceModel,
     setting: Setting,
@@ -203,11 +240,12 @@ def grid_search(
 
     Searches the canonical model on ``grid`` encoder weights by ``grid``
     noise levels in [0, NOISE_MAX * sigma_x2] (one level, sigma_n2, for
-    compression).  Grid stage: rejects the target when no grid point meets
-    it within one-grid-cell slack.  Refinement stage: bisection onto the
-    constraint boundary in alpha, plus a golden-section pass over the
-    encoder noise (settings 1/3), which must not lose to the best strictly
-    feasible grid point.
+    compression), evaluated in blocks of rows of ``BLOCK_CELLS`` cells at
+    most, so it holds O(grid) memory.  Grid stage: rejects the target when
+    no grid point meets it within one-grid-cell slack.  Refinement stage:
+    bisection onto the constraint boundary in alpha, plus a golden-section
+    pass over the encoder noise (settings 1/3), which must not lose to the
+    best strictly feasible grid point.
     """
     if setting is Setting.CHANNEL:
         if channel is None:
@@ -239,11 +277,8 @@ def grid_search(
     dc_dp = _evaluator(canon, setting, channel)
     require_memory(GRID_ARRAYS * 8 * alpha_axis.size * noise_axis.size,
                    f"an oracle grid of {alpha_axis.size} x {noise_axis.size}")
-    d_c, d_p = dc_dp(alpha_axis[:, None], noise_axis[None, :])
-
-    slack = max((float(np.max(np.abs(np.diff(d_p, axis=k)))) for k in (0, 1)
-                 if d_p.shape[k] > 1), default=0.0)
-    if not np.any(d_p >= target - slack):
+    feasible, _, best, (k, l) = _grid_stage(dc_dp, alpha_axis, noise_axis, target)
+    if not feasible:
         raise InfeasiblePrivacyTarget(f"no feasible grid point for target {d_p_target}")
 
     if setting is Setting.COMPRESSION:
@@ -263,9 +298,7 @@ def grid_search(
         alpha = _boundary_alpha(dc_dp, canon.rho, noise, target)
         # refinement must never lose to a strictly feasible grid point (with
         # none, the minimum is inf, which no distortion exceeds)
-        strict = np.where(d_p >= target, d_c, np.inf)
-        k, l = np.unravel_index(int(np.argmin(strict)), strict.shape)
-        if dc_dp(alpha, noise)[0] > strict[k, l]:
+        if dc_dp(alpha, noise)[0] > best:
             alpha, noise = float(alpha_axis[k]), float(noise_axis[l])
     alpha, noise_var, d_c_opt, d_p_opt = back(alpha, noise, *dc_dp(alpha, noise))
     if setting is Setting.COMPRESSION:

@@ -77,6 +77,17 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "rate_compression.csv").read_text()
 
+    @pytest.mark.parametrize("setting, flags", [
+        ("compression", ["--sigma-n2", "0.7"]),
+        ("channel", ["--pt", "1", "--sigma-z2", "1"]),
+    ])
+    def test_simulate(self, setting, flags):
+        # pins the Monte Carlo stream and the signal chain's arithmetic
+        code, out, _ = run(["simulate", "--setting", setting, *MODEL_FLAGS, "--dp", "0.92",
+                            *flags, "--samples", "200000", "--seed", "2"])
+        assert code == 0
+        assert out == (GOLDEN / f"simulate_{setting}.json").read_text()
+
 
 class TestSolve:
     def test_json_round_trip(self):

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ N = 200_000
 
 
 def test_draw_joint_covariance():
-    x, theta = _draw_joint(M, np.random.default_rng(11), 1_000_000)
+    x, theta = _draw_joint(M, np.random.default_rng(11), np.empty((3, 1_000_000)))
     n = x.size
     se = 5.0 / math.sqrt(n)  # crude 5-standard-error band on unit-scale moments
     assert np.mean(x * x) == pytest.approx(1.0, abs=3 * se)
@@ -37,13 +38,13 @@ def test_draw_joint_covariance():
 
 def test_draw_joint_degenerate_correlation():
     m = validate_model(1.0, 0.7, 0.49)
-    x, theta = _draw_joint(m, np.random.default_rng(3), 1000)
+    x, theta = _draw_joint(m, np.random.default_rng(3), np.empty((3, 1000)))
     assert np.allclose(theta, 0.7 * x)
 
 
 def test_draw_joint_independent():
     m = validate_model(1.0, 0.0, 1.0)
-    x, theta = _draw_joint(m, np.random.default_rng(5), 500_000)
+    x, theta = _draw_joint(m, np.random.default_rng(5), np.empty((3, 500_000)))
     assert abs(np.corrcoef(x, theta)[0, 1]) < 0.01
 
 
@@ -173,6 +174,90 @@ def test_kernel_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * 8 * n
+
+
+def in_new_thread(f):
+    """``f()`` run in a thread of its own, so with a fresh workspace."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(f()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    return out[0]
+
+
+CHANNEL_CASE = (ChannelSpec(p_t=1.0, sigma_z2=1.0),
+                EncoderPolicy(alpha=-0.3, noise_var=0.2, beta=0.8))
+
+
+def simulate_case(n, seed):
+    ch, policy = CHANNEL_CASE
+    return simulate_policy(M, policy, ch, 0.7, SimConfig(n, seed, Setting.CHANNEL))
+
+
+class TestWorkspace:
+    """The signal chain reuses one workspace per thread between calls of one
+    size; no call may see what another left in it."""
+
+    def test_interleaved_sizes_and_seeds(self):
+        calls = [(1000, 1), (50_000, 2), (1000, 1), (2, 3), (50_000, 2), (50_000, 4), (1000, 1)]
+        fresh = {call: in_new_thread(lambda: simulate_case(*call)) for call in calls}
+        assert [simulate_case(*call) for call in calls] == [fresh[call] for call in calls]
+
+    def test_concurrent_threads_match_serial(self):
+        # more threads than cores run the same sizes at once, on seeds of their own
+        workers = 3
+        calls = [[(n, 10 * i + k) for i, n in enumerate([50_000, 1000, 50_000, 50_000])]
+                 for k in range(workers)]
+        serial = [[simulate_case(*call) for call in mine] for mine in calls]
+        barrier = threading.Barrier(workers, timeout=60)
+        results = [None] * workers
+
+        def worker(k):
+            barrier.wait()
+            results[k] = [simulate_case(*call) for call in calls[k]]
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
+    def test_same_size_call_allocates_no_arrays(self):
+        n = 100_000
+
+        def second_call_peak():
+            simulate_case(n, 5)
+            tracemalloc.start()
+            try:
+                simulate_case(n, 6)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert in_new_thread(second_call_peak) < 8 * n
+
+    def test_growing_drops_the_old_workspace_first(self):
+        n = 100_000
+
+        def growth_peak():
+            tracemalloc.start()
+            try:
+                simulate_case(n, 5)
+                tracemalloc.reset_peak()
+                simulate_case(2 * n, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert in_new_thread(growth_peak) <= 4.5 * 8 * 2 * n
 
 
 def test_samples_beyond_physical_memory_rejected(monkeypatch):

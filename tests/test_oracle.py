@@ -119,6 +119,93 @@ class TestGridSearch:
         assert noisy.d_c > base.d_c + 1e-6
 
 
+def whole_grid_stage(dc_dp, alpha_axis, noise_axis, target):
+    """``oracle._grid_stage`` on the whole grid at once, as before its blocks."""
+    d_c, d_p = dc_dp(alpha_axis[:, None], noise_axis[None, :])
+    slack = max((float(np.max(np.abs(np.diff(d_p, axis=k)))) for k in (0, 1)
+                 if d_p.shape[k] > 1), default=0.0)
+    strict = np.where(d_p >= target, d_c, np.inf)
+    k, l = np.unravel_index(int(np.argmin(strict)), strict.shape)
+    return (bool(np.any(d_p >= target - slack)), slack, float(strict[k, l]),
+            (int(k), int(l)))
+
+
+def blocked_and_whole(*args):
+    """``grid_search(*args)`` as (result or (exception type, message), grid stage)
+    for the blocked grid, then for the whole-grid reference."""
+    stages = []
+    blocked_stage = oracle._grid_stage
+
+    def outcome():
+        try:
+            return grid_search(*args)
+        except InfeasiblePrivacyTarget as exc:
+            return type(exc), str(exc)
+
+    def spy(*stage_args):
+        stages.append((blocked_stage(*stage_args), whole_grid_stage(*stage_args)))
+        return stages[-1][1]
+
+    blocked = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_grid_stage", spy)
+        whole = outcome()
+    ((blocked_stage_out, whole_stage_out),) = stages
+    return (blocked, blocked_stage_out), (whole, whole_stage_out)
+
+
+@st.composite
+def grid_cases(draw):
+    """A model, a target up to 5 % beyond max privacy, a channel and a noise."""
+    model = draw(source_models(min_rho=0.05))
+    target = draw(st.floats(0.0, 1.05)) * model.sigma_x2 * model.r
+    channel = ChannelSpec(draw(st.floats(0.5, 4.0)), draw(st.floats(0.1, 2.0)))
+    return model, target, channel, draw(st.floats(0.1, 2.0)) * model.sigma_x2
+
+
+class TestBlockedGrid:
+    """The grid is evaluated in blocks of rows; every answer, refusal and grid
+    stage must equal the whole-grid evaluation's."""
+
+    @pytest.mark.parametrize("grid", [3, 4, 21, 401, 1001])
+    @pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+    @settings(derandomize=True, max_examples=16, deadline=None)
+    @given(case=grid_cases())
+    def test_equals_whole_grid(self, setting, grid, case):
+        model, target, channel, sigma_n2 = case
+        blocked, whole = blocked_and_whole(
+            model, setting, channel if setting is Setting.CHANNEL else None, target, grid,
+            sigma_n2 if setting is Setting.COMPRESSION else None)
+        assert blocked == whole
+
+    def test_infeasible_target_refused_alike(self):
+        blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 1.05, 401)
+        assert blocked == whole
+        assert blocked[0] == (InfeasiblePrivacyTarget,
+                              "no feasible grid point for target 1.05")
+
+    def test_argmin_tie_keeps_the_first_cell(self):
+        # the grid's D_C rounded up to quarters ties cells in several blocks,
+        # and the refinement's scalar calls lose, so the first best cell wins
+        def tied(model, alpha, noise):
+            d_c, d_p = second_order_dc_dp(model, alpha, noise)
+            return (np.ceil(d_c * 4.0) / 4.0 if np.ndim(alpha) else d_c + 1.0), d_p
+
+        alpha_axis = np.linspace(_canonical(M)[1], 0.5, 401)
+        noise_axis = np.linspace(0.0, oracle.NOISE_MAX, 401)
+        d_c, d_p = tied(M, alpha_axis[:, None], noise_axis[None, :])
+        strict = np.where(d_p >= 0.84, d_c, np.inf)
+        rows, cols = np.nonzero(strict == strict.min())
+        assert len(set(rows // (oracle.BLOCK_CELLS // 401))) > 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "second_order_dc_dp", tied)
+            blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 0.84, 401)
+        assert blocked == whole
+        assert blocked[1][3] == (rows[0], cols[0])
+        assert (blocked[0].alpha, blocked[0].noise_var) == (alpha_axis[rows[0]],
+                                                            noise_axis[cols[0]])
+
+
 class TestVerifyEquilibrium:
     def test_simple_passes(self):
         report = verify_equilibrium(M, Setting.SIMPLE, None, 0.84)
