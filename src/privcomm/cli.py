@@ -28,7 +28,7 @@ from .equilibrium import (
     solve_setting2,
     solve_setting3,
 )
-from .model import SourceModel, require_memory, validate_model
+from .model import require_memory, validate_model
 
 OUTPUT_DIR_ENV = "PRIVCOMM_OUTPUT_DIR"
 
@@ -56,46 +56,50 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices
 
-    def add_common(p, channel=True, dp=True):
+    def add_common(p, *reads):
+        """The config, model and output flags, plus the optional groups in ``reads``:
+        "dp", "sigma_n2", "channel" (--pt, --sigma-z2) and "bits"."""
         p.add_argument("--config", help="flat key=value config file; flags override")
         p.add_argument("--sigma-x2", type=float, help="variance of X")
         p.add_argument("--rho", type=float, help="normalized cross-correlation")
         p.add_argument("--r", type=float, help="normalized variance of theta")
-        if dp:
+        if "dp" in reads:
             p.add_argument("--dp", type=float, help="privacy MMSE target")
-        p.add_argument("--sigma-n2", type=float, help="test-channel noise (compression)")
-        if channel:
+        if "sigma_n2" in reads:
+            p.add_argument("--sigma-n2", type=float, help="test-channel noise (compression)")
+        if "channel" in reads:
             p.add_argument("--pt", type=float, help="transmit power budget (channel)")
             p.add_argument("--sigma-z2", type=float, help="channel noise variance")
         p.add_argument("--output", help="output path; stdout when omitted")
-        p.add_argument("--bits", action="store_true", help="report rates/entropies in bits")
+        if "bits" in reads:
+            p.add_argument("--bits", action="store_true", help="report rates/entropies in bits")
 
+    settings = [s.value for s in Setting]
     p = sub.add_parser("solve", help="single equilibrium solution (JSON)")
-    p.add_argument("--setting", choices=[s.value for s in Setting], required=True)
-    add_common(p)
+    p.add_argument("--setting", choices=settings, required=True)
+    add_common(p, "dp", "sigma_n2", "channel", "bits")
 
     p = sub.add_parser("tradeoff", help="privacy-distortion curve (CSV)")
     p.add_argument("--setting", choices=["simple", "channel"], required=True)
-    add_common(p, dp=False)
+    add_common(p, "channel")
     p.add_argument("--grid", type=int, default=65, help="number of curve samples")
 
     p = sub.add_parser("rate", help="rate-distortion sweep at fixed privacy (CSV)")
-    add_common(p, channel=False)
+    add_common(p, "dp", "bits")
     p.add_argument("--noise-grid", help="comma-separated sigma_n2 values", required=True)
 
     p = sub.add_parser("verify", help="brute-force oracle verification (JSON)")
-    p.add_argument("--setting", choices=[s.value for s in Setting], required=True)
-    add_common(p)
-    p.add_argument("--oracle-grid", type=int, default=401)
+    p.add_argument("--setting", choices=settings, required=True)
+    add_common(p, "dp", "sigma_n2", "channel")
 
     p = sub.add_parser("simulate", help="Monte Carlo check of a solved equilibrium (JSON)")
-    p.add_argument("--setting", choices=[s.value for s in Setting], required=True)
-    add_common(p)
+    p.add_argument("--setting", choices=settings, required=True)
+    add_common(p, "dp", "sigma_n2", "channel", "bits")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scan", help="Lagrange-multiplier frontier scan (CSV)")
-    add_common(p, channel=False, dp=False)
+    add_common(p)
     p.add_argument("--lambdas", help="comma-separated finite multipliers >= 0")
     p.add_argument("--lambda-count", type=int, default=9,
                    help="size of the grid on [0, 1/rho^2] when --lambdas is omitted")
@@ -139,17 +143,28 @@ def _read_config(path: str, subparser: _Parser) -> dict:
     return values
 
 
-def _model_from(args) -> SourceModel:
+def _inputs(args):
+    """(model, setting, channel) of a command, once every input it needs is given.
+
+    The model flags are always needed, and --dp by every command that
+    declares it.  Compression needs --sigma-n2, and the channel --pt with
+    --sigma-z2.  ``setting`` is ``None`` for a command without --setting,
+    and ``channel`` is ``None`` outside the channel setting.
+    """
     for name in ("sigma_x2", "rho", "r"):
-        if getattr(args, name, None) is None:
+        if getattr(args, name) is None:
             raise CliError(f"missing required model parameter --{name.replace('_', '-')}")
-    return validate_model(args.sigma_x2, args.rho, args.r)
-
-
-def _channel_from(args) -> ChannelSpec:
-    if getattr(args, "pt", None) is None or getattr(args, "sigma_z2", None) is None:
+    if "dp" in args and args.dp is None:
+        raise CliError("missing required --dp")
+    setting = Setting(args.setting) if "setting" in args else None
+    if setting is Setting.COMPRESSION and args.sigma_n2 is None:
+        raise CliError("compression setting requires --sigma-n2")
+    if setting is Setting.CHANNEL and (args.pt is None or args.sigma_z2 is None):
         raise CliError("channel setting requires --pt and --sigma-z2")
-    return ChannelSpec(p_t=args.pt, sigma_z2=args.sigma_z2)
+    model = validate_model(args.sigma_x2, args.rho, args.r)
+    if setting is not Setting.CHANNEL:
+        return model, setting, None
+    return model, setting, ChannelSpec(p_t=args.pt, sigma_z2=args.sigma_z2)
 
 
 def _resolve_output(path: str) -> str:
@@ -201,24 +216,19 @@ def _solution_dict(setting: Setting, sol, rate=None, bits=False) -> dict:
     return out
 
 
-def _solve_for(args, setting: Setting, model):
-    if args.dp is None:
-        raise CliError("missing required --dp")
+def _solve_for(args, model, setting, channel):
     if setting is Setting.SIMPLE:
         return solve_setting1(model, args.dp), None
     if setting is Setting.COMPRESSION:
-        if args.sigma_n2 is None:
-            raise CliError("compression setting requires --sigma-n2")
         sol = solve_setting2(model, args.dp, args.sigma_n2)
         rate, _, _ = evaluate_setting2(model, sol.policy)
         return sol, rate
-    return solve_setting3(model, args.dp, _channel_from(args)), None
+    return solve_setting3(model, args.dp, channel), None
 
 
 def _cmd_solve(args) -> int:
-    model = _model_from(args)
-    setting = Setting(args.setting)
-    sol, rate = _solve_for(args, setting, model)
+    model, setting, channel = _inputs(args)
+    sol, rate = _solve_for(args, model, setting, channel)
     _emit(_json(_solution_dict(setting, sol, rate, args.bits)), args)
     return 0
 
@@ -226,9 +236,7 @@ def _cmd_solve(args) -> int:
 def _cmd_tradeoff(args) -> int:
     from .curves import sweep_privacy_distortion
 
-    model = _model_from(args)
-    setting = Setting(args.setting)
-    channel = _channel_from(args) if setting is Setting.CHANNEL else None
+    model, setting, channel = _inputs(args)
     require_memory(BYTES_PER_ROW * args.grid, f"--grid {args.grid}")
     curve = sweep_privacy_distortion(model, setting, channel, args.grid)
     _emit(_csv(curve.columns, curve.points), args)
@@ -238,9 +246,7 @@ def _cmd_tradeoff(args) -> int:
 def _cmd_rate(args) -> int:
     from .curves import sweep_rate_distortion
 
-    model = _model_from(args)
-    if args.dp is None:
-        raise CliError("missing required --dp")
+    model, _, _ = _inputs(args)
     try:
         noise_grid = [float(v) for v in args.noise_grid.split(",") if v.strip()]
     except ValueError:
@@ -257,18 +263,12 @@ def _cmd_rate(args) -> int:
 def _cmd_verify(args) -> int:
     from .oracle import verify_equilibrium
 
-    model = _model_from(args)
-    setting = Setting(args.setting)
-    channel = _channel_from(args) if setting is Setting.CHANNEL else None
-    if args.dp is None:
-        raise CliError("missing required --dp")
-    report = verify_equilibrium(
-        model, setting, channel, args.dp, args.oracle_grid, sigma_n2=args.sigma_n2
-    )
+    model, setting, channel = _inputs(args)
+    report = verify_equilibrium(model, setting, channel, args.dp, sigma_n2=args.sigma_n2)
     payload = {
         "passed": report.passed,
         "dc_gap": report.dc_gap,
-        "noise_at_optimum": report.noise_at_optimum,
+        "noise_at_optimum": report.oracle_optimum.noise_var,
         "oracle": {
             "alpha": report.oracle_optimum.alpha,
             "noise_var": report.oracle_optimum.noise_var,
@@ -282,12 +282,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .montecarlo import SimConfig, simulate_policy
+    from .montecarlo import GENERATOR, SimConfig, simulate_policy
 
-    model = _model_from(args)
-    setting = Setting(args.setting)
-    channel = _channel_from(args) if setting is Setting.CHANNEL else None
-    sol, rate = _solve_for(args, setting, model)
+    model, setting, channel = _inputs(args)
+    sol, rate = _solve_for(args, model, setting, channel)
     config = SimConfig(samples=args.samples, seed=args.seed, setting=setting)
     result = simulate_policy(model, sol.policy, channel, sol.kappa, config)
     entropy = result.entropy_hat / NATS_PER_BIT if args.bits else result.entropy_hat
@@ -301,9 +299,9 @@ def _cmd_simulate(args) -> int:
         "entropy_units": "bits" if args.bits else "nats",
         "stderr_dc": result.stderr_dc,
         "stderr_dp": result.stderr_dp,
-        "samples": result.samples,
-        "seed": result.seed,
-        "generator": result.generator,
+        "samples": args.samples,
+        "seed": args.seed,
+        "generator": GENERATOR,
     }
     _emit(_json(payload), args)
     return 0
@@ -312,7 +310,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_scan(args) -> int:
     from .oracle import lagrangian_scan
 
-    model = _model_from(args)
+    model, _, _ = _inputs(args)
     if args.lambdas is not None:
         try:
             lams = [float(v) for v in args.lambdas.split(",") if v.strip()]

@@ -34,26 +34,22 @@ RATE_TOL = 1e-10
 
 
 class TradeoffCurve(Record):
-    """Samples of a trade-off curve plus the model that produced it.
+    """Samples of a trade-off curve, under named columns.
 
     Columns are (d_p, d_c, alpha, kappa) for the simple/channel settings and
     (sigma_n2, rate, d_c, d_p, alpha) for compression.  The sweeps order the
     points by the first column.
     """
 
-    __slots__ = ("setting", "columns", "points", "model", "channel")
+    __slots__ = ("columns", "points")
 
-    def __init__(self, setting: Setting, columns: tuple[str, ...],
-                 points: tuple[tuple[float, ...], ...], model: SourceModel,
-                 channel: ChannelSpec | None = None) -> None:
+    def __init__(self, columns: tuple[str, ...],
+                 points: tuple[tuple[float, ...], ...]) -> None:
         for p in points:  # CSV output never holds nan or inf
             if not all(math.isfinite(v) for v in p):
                 raise ValueError(f"non-finite curve point {p}")
-        object.__setattr__(self, "setting", setting)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "channel", channel)
 
 
 def privacy_floor(
@@ -101,13 +97,7 @@ def sweep_privacy_distortion(
         else:
             sol = solve_setting3(model, target, channel)
         points.append((target, sol.d_c, sol.policy.alpha, sol.kappa))
-    return TradeoffCurve(
-        setting=setting,
-        columns=("d_p", "d_c", "alpha", "kappa"),
-        points=tuple(points),
-        model=model,
-        channel=channel,
-    )
+    return TradeoffCurve(columns=("d_p", "d_c", "alpha", "kappa"), points=tuple(points))
 
 
 def sweep_rate_distortion(
@@ -127,12 +117,8 @@ def sweep_rate_distortion(
         sol = solve_setting2(model, d_p_target, sigma_n2)
         rate, d_c, d_p = evaluate_setting2(model, sol.policy)
         points.append((sigma_n2, rate, d_c, d_p, sol.policy.alpha))
-    return TradeoffCurve(
-        setting=Setting.COMPRESSION,
-        columns=("sigma_n2", "rate", "d_c", "d_p", "alpha"),
-        points=tuple(points),
-        model=model,
-    )
+    return TradeoffCurve(columns=("sigma_n2", "rate", "d_c", "d_p", "alpha"),
+                         points=tuple(points))
 
 
 def noise_for_rate(model: SourceModel, d_p_target: float, rate_target: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .equilibrium import ChannelSpec, EncoderPolicy, Setting, mixing_gain
 from .model import Record, SourceModel, gaussian_conditional_entropy, require_memory
 
-#: Identifier of the normal-variate stream recorded in results.
+#: Identifier of the normal-variate stream, which ``privcomm simulate`` reports.
 GENERATOR = "numpy-pcg64"
 
 #: Bytes the signal chain holds per sample: four float64 arrays.
@@ -43,15 +43,12 @@ class SimConfig(Record):
 
 
 class SimResult(Record):
-    __slots__ = (
-        "d_c_hat", "d_p_hat", "d_p_hat_regression", "power_hat", "entropy_hat",
-        "stderr_dc", "stderr_dp", "samples", "seed", "generator",
-    )
+    __slots__ = ("d_c_hat", "d_p_hat", "d_p_hat_regression", "power_hat", "entropy_hat",
+                 "stderr_dc", "stderr_dp")
 
     def __init__(self, d_c_hat: float, d_p_hat: float, d_p_hat_regression: float,
                  power_hat: float | None, entropy_hat: float, stderr_dc: float,
-                 stderr_dp: float, samples: int, seed: int,
-                 generator: str = GENERATOR) -> None:
+                 stderr_dp: float) -> None:
         object.__setattr__(self, "d_c_hat", d_c_hat)
         object.__setattr__(self, "d_p_hat", d_p_hat)
         object.__setattr__(self, "d_p_hat_regression", d_p_hat_regression)
@@ -59,9 +56,6 @@ class SimResult(Record):
         object.__setattr__(self, "entropy_hat", entropy_hat)
         object.__setattr__(self, "stderr_dc", stderr_dc)
         object.__setattr__(self, "stderr_dp", stderr_dp)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "generator", generator)
 
 
 def _workspace(samples: int):
@@ -207,6 +201,4 @@ def simulate_policy(
         entropy_hat=gaussian_conditional_entropy(d_p_hat),
         stderr_dc=stderr_dc,
         stderr_dp=stderr_dp,
-        samples=config.samples,
-        seed=config.seed,
     )

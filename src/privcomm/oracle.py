@@ -25,14 +25,13 @@ from .equilibrium import (
     solve_setting2,
     solve_setting3,
 )
-from .model import Record, SourceModel, require_memory
+from .model import Record, SourceModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Float64 arrays of the oracle grid's size that ``grid_search`` must fit
-#: in physical memory before it runs: the refusal bound, kept from the
-#: whole-grid search.  The blocked search holds O(grid) memory.
-GRID_ARRAYS = 5
+#: Points on each axis of the oracle grid: encoder weights, and noise levels
+#: outside compression.
+GRID = 401
 
 #: Most grid cells evaluated at once (a block holds at least one row): each
 #: float64 temporary of a block is 64 KiB, half glibc's default mmap
@@ -83,14 +82,13 @@ class OracleOptimum(Record):
 
 
 class VerificationReport(Record):
-    __slots__ = ("oracle_optimum", "closed_form", "dc_gap", "noise_at_optimum", "passed")
+    __slots__ = ("oracle_optimum", "closed_form", "dc_gap", "passed")
 
     def __init__(self, oracle_optimum: OracleOptimum, closed_form: EquilibriumSolution,
-                 dc_gap: float, noise_at_optimum: float, passed: bool) -> None:
+                 dc_gap: float, passed: bool) -> None:
         object.__setattr__(self, "oracle_optimum", oracle_optimum)
         object.__setattr__(self, "closed_form", closed_form)
         object.__setattr__(self, "dc_gap", dc_gap)
-        object.__setattr__(self, "noise_at_optimum", noise_at_optimum)
         object.__setattr__(self, "passed", passed)
 
 
@@ -233,19 +231,18 @@ def grid_search(
     setting: Setting,
     channel: ChannelSpec | None,
     d_p_target: float,
-    grid: int = 401,
     sigma_n2: float | None = None,
 ) -> OracleOptimum:
     """Constrained brute-force minimizer of D_C subject to D_P >= d_p_target.
 
-    Searches the canonical model on ``grid`` encoder weights by ``grid``
+    Searches the canonical model on ``GRID`` encoder weights by ``GRID``
     noise levels in [0, NOISE_MAX * sigma_x2] (one level, sigma_n2, for
     compression), evaluated in blocks of rows of ``BLOCK_CELLS`` cells at
-    most, so it holds O(grid) memory.  Grid stage: rejects the target when
-    no grid point meets it within one-grid-cell slack.  Refinement stage:
-    bisection onto the constraint boundary in alpha, plus a golden-section
-    pass over the encoder noise (settings 1/3), which must not lose to the
-    best strictly feasible grid point.
+    most, so it never holds the whole grid.  Grid stage: rejects the target
+    when no grid point meets it within one-grid-cell slack.  Refinement
+    stage: bisection onto the constraint boundary in alpha, plus a
+    golden-section pass over the encoder noise (settings 1/3), which must
+    not lose to the best strictly feasible grid point.
     """
     if setting is Setting.CHANNEL:
         if channel is None:
@@ -254,12 +251,10 @@ def grid_search(
         if not math.isfinite(channel.sigma_z2 * (2.25 + NOISE_MAX) / channel.p_t):
             raise ValueError(f"the oracle cannot resolve a channel with sigma_z2/P_T = "
                              f"{channel.sigma_z2 / channel.p_t!r}")
-    if grid < 3:
-        raise ValueError(f"grid must be >= 3, got {grid}")
     import numpy as np  # only the grid search builds arrays
 
     canon, alpha_lo, back = _canonical(model)
-    alpha_axis = np.linspace(alpha_lo, 0.5, grid)
+    alpha_axis = np.linspace(alpha_lo, 0.5, GRID)
     # with r = 0, D_P = 0 for every encoder
     target = (d_p_target / model.sigma_x2 / model.r if model.r
               else -math.inf if d_p_target <= 0.0 else math.inf)
@@ -272,11 +267,9 @@ def grid_search(
     else:
         if canon.degenerate:
             raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle grid"))
-        noise_axis = np.linspace(0.0, NOISE_MAX, grid)
+        noise_axis = np.linspace(0.0, NOISE_MAX, GRID)
 
     dc_dp = _evaluator(canon, setting, channel)
-    require_memory(GRID_ARRAYS * 8 * alpha_axis.size * noise_axis.size,
-                   f"an oracle grid of {alpha_axis.size} x {noise_axis.size}")
     feasible, _, best, (k, l) = _grid_stage(dc_dp, alpha_axis, noise_axis, target)
     if not feasible:
         raise InfeasiblePrivacyTarget(f"no feasible grid point for target {d_p_target}")
@@ -311,7 +304,6 @@ def verify_equilibrium(
     setting: Setting,
     channel: ChannelSpec | None,
     d_p_target: float,
-    grid: int = 401,
     sigma_n2: float | None = None,
 ) -> VerificationReport:
     """Compare the closed-form equilibrium against the brute-force optimum."""
@@ -323,7 +315,7 @@ def verify_equilibrium(
         closed = solve_setting2(model, d_p_target, sigma_n2)
     else:
         closed = solve_setting3(model, d_p_target, channel)
-    optimum = grid_search(model, setting, channel, d_p_target, grid, sigma_n2)
+    optimum = grid_search(model, setting, channel, d_p_target, sigma_n2)
     dc_gap = optimum.d_c - closed.d_c
     tol = VERIFY_TOL * model.sigma_x2
     noise_ok = setting is Setting.COMPRESSION or optimum.noise_var <= tol
@@ -332,7 +324,6 @@ def verify_equilibrium(
         oracle_optimum=optimum,
         closed_form=closed,
         dc_gap=float(dc_gap),
-        noise_at_optimum=float(optimum.noise_var),
         passed=passed,
     )
 

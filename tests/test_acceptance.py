@@ -92,7 +92,7 @@ def test_criterion_2_oracle_agreement():
             target = b.dp_min + float(frac) * (b.dp_max - b.dp_min)
             rep = verify_equilibrium(model, Setting.SIMPLE, None, target)
             worst_gap = max(worst_gap, abs(rep.dc_gap) / model.sigma_x2)
-            worst_noise = max(worst_noise, rep.noise_at_optimum / model.sigma_x2)
+            worst_noise = max(worst_noise, rep.oracle_optimum.noise_var / model.sigma_x2)
             assert rep.passed
     elapsed = time.time() - start
     report(
@@ -122,23 +122,20 @@ def test_criterion_3_quadratic_sign_grid():
 
 
 def _shape_curves():
+    """(curve, model, setting) of three 64-point privacy-distortion sweeps."""
     channel = ChannelSpec(p_t=1.0, sigma_z2=0.5)
+    wide = validate_model(2.0, 0.5, 1.5)
     return [
-        (sweep_privacy_distortion(M, Setting.SIMPLE, grid=64), M),
-        (sweep_privacy_distortion(M, Setting.CHANNEL, channel, grid=64), M),
-        (
-            sweep_privacy_distortion(
-                validate_model(2.0, 0.5, 1.5), Setting.SIMPLE, grid=64
-            ),
-            validate_model(2.0, 0.5, 1.5),
-        ),
+        (sweep_privacy_distortion(M, Setting.SIMPLE, grid=64), M, Setting.SIMPLE),
+        (sweep_privacy_distortion(M, Setting.CHANNEL, channel, grid=64), M, Setting.CHANNEL),
+        (sweep_privacy_distortion(wide, Setting.SIMPLE, grid=64), wide, Setting.SIMPLE),
     ]
 
 
 def test_criterion_4a_frontier_monotone():
     start = time.time()
     ok = True
-    for curve, model in _shape_curves():
+    for curve, model, _ in _shape_curves():
         ys = np.asarray(column(curve, "d_c"))
         ok = ok and bool(np.all(np.diff(ys) >= -1e-12 * model.sigma_x2))
     elapsed = time.time() - start
@@ -152,7 +149,7 @@ def test_criterion_4b_frontier_concave():
     ok = True
     worst_second = math.inf
     worst_rise = -math.inf
-    for curve, model in _shape_curves():
+    for curve, model, _ in _shape_curves():
         d_p = column(curve, "d_p")
         d_c = column(curve, "d_c")
         second = d_c[2:] - 2.0 * d_c[1:-1] + d_c[:-2]
@@ -184,11 +181,11 @@ def test_criterion_4c_interior_slopes_capped():
     ok = True
     stencils = 0
     worst_low = worst_high = math.inf
-    for curve, model in _shape_curves():
+    for curve, model, setting in _shape_curves():
         d_p, d_c = column(curve, "d_p"), column(curve, "d_c")
         slopes = (d_c[2:] - d_c[:-2]) / (d_p[2:] - d_p[:-2])
         ok = ok and bool(np.all(slopes >= 0.0))
-        if curve.setting is Setting.CHANNEL:
+        if setting is Setting.CHANNEL:
             # lambda* is derived for the simple setting only
             ok = ok and bool(np.all(np.diff(slopes) >= 0.0))
             continue

@@ -153,6 +153,31 @@ class TestSolve:
 class TestRejectedInputs:
     """Inputs that exit 1 with one ``error:`` line: no output, no traceback."""
 
+    # flags that no code of the command reads
+    REMOVED = [
+        ("tradeoff", ["--setting", "simple"], "--sigma-n2", "0.5"),
+        ("tradeoff", ["--setting", "simple"], "--bits", None),
+        ("rate", ["--dp", "0.9", "--noise-grid", "0.5"], "--sigma-n2", "0.5"),
+        ("verify", ["--setting", "simple", "--dp", "0.84"], "--bits", None),
+        ("verify", ["--setting", "simple", "--dp", "0.84"], "--oracle-grid", "401"),
+        ("scan", [], "--sigma-n2", "0.5"),
+        ("scan", [], "--bits", None),
+    ]
+
+    @pytest.mark.parametrize("command, args, flag, value", REMOVED,
+                             ids=[f"{c}{f}" for c, _, f, _ in REMOVED])
+    def test_unread_flag_exits_1(self, tmp_path, command, args, flag, value):
+        argv = [command, *MODEL_FLAGS, *args]
+        given = [flag] if value is None else [flag, value]
+        code, out, err = run([*argv, *given])
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {' '.join(given)}\n"
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(f"{flag[2:]} = {value or 'true'}\n")
+        code, out, err = run([*argv, "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:1: unknown key {flag[2:]!r}\n"
+
     DEGENERATE = ["--sigma-x2", "1", "--rho", "1", "--r", "1"]
 
     @pytest.mark.parametrize(
@@ -318,13 +343,10 @@ class TestRejectedInputs:
         [
             ["simulate", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84",
              "--samples", "1000000"],
-            ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84",
-             "--oracle-grid", "1001"],
             ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "1000000000000"],
             ["scan", *MODEL_FLAGS, "--lambda-count", "1000000000000"],
         ],
-        ids=["simulate-samples", "verify-oracle-grid", "tradeoff-grid",
-             "scan-lambda-count"],
+        ids=["simulate-samples", "tradeoff-grid", "scan-lambda-count"],
     )
     def test_arrays_beyond_physical_memory_exit_1(self, argv, monkeypatch):
         import privcomm.model
@@ -466,20 +488,31 @@ def scalar_argvs(draw):
     return argv + channel if setting == "channel" else argv
 
 
+#: Messages of argparse's own errors.  A property test whose argv the parser
+#: refuses exits 1 without running its command, so it must never see one.
+PARSER_ERRORS = ("unrecognized arguments", "the following arguments are required")
+
+
+def assert_one_error_line(out, err):
+    """Exit 1 of a command that ran: no output and one ``error:`` line, not the parser's."""
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not any(message in err for message in PARSER_ERRORS), err
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(scalar_argvs())
 def test_scalar_commands_answer_finitely_or_exit_1(argv):
     code, out, err = run(argv)  # an exception escaping main fails the test
     assert code in (0, 1)
     if code == 1:
-        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert_one_error_line(out, err)
     else:
         assert err == "" and "nan" not in out and "inf" not in out
 
 
 @st.composite
 def oracle_argvs(draw):
-    """argv of verify (at --oracle-grid 21) or scan (on its default grid of 3)."""
+    """argv of verify or scan (on its default grid of 3)."""
     model = model_flags(draw)
     if draw(st.booleans()):
         lams = draw(st.none() | st.lists(MAGNITUDES | st.just(0.0), min_size=1, max_size=3))
@@ -487,8 +520,7 @@ def oracle_argvs(draw):
             return ["scan", *model, "--lambda-count", "3"]
         return ["scan", *model, "--lambdas", ",".join(map(repr, lams))]
     setting = draw(st.sampled_from(["simple", "compression", "channel"]))
-    argv = ["verify", "--setting", setting, *model, "--dp", repr(draw(MAGNITUDES)),
-            "--oracle-grid", "21"]
+    argv = ["verify", "--setting", setting, *model, "--dp", repr(draw(MAGNITUDES))]
     if setting == "compression":
         argv += ["--sigma-n2", repr(draw(MAGNITUDES))]
     if setting == "channel":
@@ -505,7 +537,7 @@ def test_oracle_commands_answer_finitely_or_exit_1(argv):
         code, out, err = run(argv)
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 1))
     if code == 1:
-        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert_one_error_line(out, err)
     else:
         assert err == "" and "nan" not in out and "inf" not in out
 
@@ -531,7 +563,7 @@ def test_simulate_answers_finitely_or_exit_1(argv):
         code, out, err = run(argv)
     assert code in (0, 1)
     if code == 1:
-        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert_one_error_line(out, err)
     else:
         assert err == "" and "nan" not in out and "inf" not in out
 
@@ -616,7 +648,7 @@ class TestOracleScaleRegressions:
         # the canonical noise sigma_n2/sigma_x2 or sigma_z2/P_T leaves the float range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(["verify", *argv, "--oracle-grid", "21"])
+            code, out, err = run(["verify", *argv])
         assert code == 1 and out == ""
         (line,) = err.splitlines()
         assert line.startswith(f"error: {message}")
@@ -680,7 +712,6 @@ def scalable_argvs(draw, commands):
                 *model, "--grid", "5"]
     else:
         argv = [command, "--setting", setting, *model, "--dp", repr(target)]
-        argv += ["--oracle-grid", "101"] if command == "verify" else []
         argv += ["--samples", "1000"] if command == "simulate" else []
         argv += ["--sigma-n2", noise] if setting == "compression" else []
     if "channel" in argv:
@@ -746,18 +777,17 @@ class TestVerifyExitCodes:
     def test_coarse_oracle_fails_with_2(self, monkeypatch):
         import privcomm.oracle
 
-        # a 5-point grid with no refinement cannot land within the tolerance
+        # with the refinement cut to one step, the answer is the best grid cell,
+        # which misses the closed form by more than the tolerance
         monkeypatch.setattr(privcomm.oracle, "REFINE_TOL", 1.0)
-        code, out, _ = run(
-            ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84", "--oracle-grid", "5"]
-        )
+        code, out, _ = run(["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"])
         assert code == 2
         assert json.loads(out)["passed"] is False
 
 
 @pytest.mark.parametrize("argv", [
     ["scan", "--lambda-count", "3"],
-    ["verify", "--setting", "simple", "--dp", "0.95e-21", "--oracle-grid", "21"],
+    ["verify", "--setting", "simple", "--dp", "0.95e-21"],
 ], ids=["scan", "verify"])
 def test_oracle_refinement_ends_where_floats_are_sparse(argv):
     # alpha reaches ~1e10 here, where floats lie further apart than REFINE_TOL
@@ -842,16 +872,20 @@ class TestConfigFile:
         assert run([*argv, "--grid", "2"])[1] == (GOLDEN / "tradeoff_simple_grid2.csv").read_text()
 
     @pytest.mark.parametrize(
-        "line", ["bits = maybe", "grid = 2.5", "rho = high", "setting = other", "bogus = 1"]
+        "line, message",
+        [("bits = maybe", "bad value"), ("grid = 2.5", "bad value"), ("rho = high", "bad value"),
+         ("setting = other", "bad value"), ("bogus = 1", "unknown key")],
+        ids=["bits = maybe", "grid = 2.5", "rho = high", "setting = other", "bogus = 1"],
     )
-    def test_bad_config_value_exits_1(self, tmp_path, line):
+    def test_bad_config_value_exits_1(self, tmp_path, line, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"sigma-x2 = 1\nrho = 0.6\nr = 1\n{line}\n")
-        code, out, err = run(
-            ["tradeoff", "--setting", "simple", "--config", str(cfg)]
-        )
+        # rate reads --bits, tradeoff does not
+        command = (["rate", "--noise-grid", "0.5"] if line.startswith("bits")
+                   else ["tradeoff", "--setting", "simple"])
+        code, out, err = run([*command, "--config", str(cfg)])
         assert code == 1 and out == ""
-        assert f"{cfg}:4:" in err
+        assert err.startswith(f"error: {cfg}:4: {message}")
 
     def test_missing_config_exits_1(self):
         code, _, err = run(

@@ -119,12 +119,7 @@ class TestSweepGrid:
 class TestCurveValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            TradeoffCurve(
-                setting=Setting.SIMPLE,
-                columns=("d_p", "d_c"),
-                points=((0.7, 0.1), (0.8, math.inf)),
-                model=M,
-            )
+            TradeoffCurve(columns=("d_p", "d_c"), points=((0.7, 0.1), (0.8, math.inf)))
 
 
 class TestRateSweep:

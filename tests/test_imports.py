@@ -75,7 +75,7 @@ def test_scalar_commands_never_import_numpy(tmp_path):
         ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "1.5"],
         ["scan", *MODEL_FLAGS, "--lambdas", "1"],
         ["scan", *MODEL_FLAGS],
-        ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84", "--oracle-grid", "21"],
+        ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"],
     ]
     src = str(pathlib.Path(privcomm.__file__).resolve().parents[1])
     env = dict(os.environ)

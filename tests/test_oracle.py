@@ -18,10 +18,9 @@ from privcomm import (
     validate_model,
     verify_equilibrium,
 )
-import privcomm.model
 from privcomm import oracle
 from privcomm.equilibrium import second_order_dc_dp
-from privcomm.oracle import GRID_ARRAYS, _canonical, _evaluator
+from privcomm.oracle import _canonical, _evaluator
 
 from conftest import source_models
 
@@ -173,13 +172,15 @@ class TestBlockedGrid:
     @given(case=grid_cases())
     def test_equals_whole_grid(self, setting, grid, case):
         model, target, channel, sigma_n2 = case
-        blocked, whole = blocked_and_whole(
-            model, setting, channel if setting is Setting.CHANNEL else None, target, grid,
-            sigma_n2 if setting is Setting.COMPRESSION else None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "GRID", grid)
+            blocked, whole = blocked_and_whole(
+                model, setting, channel if setting is Setting.CHANNEL else None, target,
+                sigma_n2 if setting is Setting.COMPRESSION else None)
         assert blocked == whole
 
     def test_infeasible_target_refused_alike(self):
-        blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 1.05, 401)
+        blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 1.05)
         assert blocked == whole
         assert blocked[0] == (InfeasiblePrivacyTarget,
                               "no feasible grid point for target 1.05")
@@ -191,15 +192,15 @@ class TestBlockedGrid:
             d_c, d_p = second_order_dc_dp(model, alpha, noise)
             return (np.ceil(d_c * 4.0) / 4.0 if np.ndim(alpha) else d_c + 1.0), d_p
 
-        alpha_axis = np.linspace(_canonical(M)[1], 0.5, 401)
-        noise_axis = np.linspace(0.0, oracle.NOISE_MAX, 401)
+        alpha_axis = np.linspace(_canonical(M)[1], 0.5, oracle.GRID)
+        noise_axis = np.linspace(0.0, oracle.NOISE_MAX, oracle.GRID)
         d_c, d_p = tied(M, alpha_axis[:, None], noise_axis[None, :])
         strict = np.where(d_p >= 0.84, d_c, np.inf)
         rows, cols = np.nonzero(strict == strict.min())
-        assert len(set(rows // (oracle.BLOCK_CELLS // 401))) > 1
+        assert len(set(rows // (oracle.BLOCK_CELLS // oracle.GRID))) > 1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "second_order_dc_dp", tied)
-            blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 0.84, 401)
+            blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 0.84)
         assert blocked == whole
         assert blocked[1][3] == (rows[0], cols[0])
         assert (blocked[0].alpha, blocked[0].noise_var) == (alpha_axis[rows[0]],
@@ -376,34 +377,35 @@ class TestScanFixedPoint:
 
 
 class TestGridMemory:
-    GRID = 201
+    """The blocked search holds a few blocks and a few grid-side arrays, never
+    the grid: traced peaks at grid 401 are 0.47 MB (simple), 0.53 MB (channel)
+    and 0.02 MB (compression), about 8 arrays of one block's 64 KiB, and the
+    compression search at grid 1001 about 5 arrays of the grid's side."""
 
+    #: Float64 arrays of one block's size, and of the grid's side, that the
+    #: bound allows at once.
+    BLOCK_ARRAYS, SIDE_ARRAYS = 10, 8
+
+    @pytest.mark.parametrize("grid", [401, 1001])
     @pytest.mark.parametrize(
         "run",
         [
-            lambda grid: grid_search(M, Setting.SIMPLE, None, 0.84, grid),
-            lambda grid: grid_search(M, Setting.CHANNEL, ChannelSpec(1.0, 1.0), 0.92, grid),
+            lambda: grid_search(M, Setting.SIMPLE, None, 0.84),
+            lambda: grid_search(M, Setting.CHANNEL, ChannelSpec(1.0, 1.0), 0.92),
+            lambda: grid_search(M, Setting.COMPRESSION, None, 0.9, sigma_n2=0.5),
         ],
-        ids=["simple", "channel"],
+        ids=["simple", "channel", "compression"],
     )
-    def test_peak_within_grid_arrays(self, run):
+    def test_peak_within_blocks(self, run, grid, monkeypatch):
+        monkeypatch.setattr(oracle, "GRID", grid)
+        block = max(oracle.BLOCK_CELLS, grid)  # a block holds at least one row
         tracemalloc.start()
         try:
-            run(self.GRID)
+            run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= GRID_ARRAYS * 8 * self.GRID**2
-
-    def test_grid_beyond_physical_memory_rejected(self, monkeypatch):
-        limit = GRID_ARRAYS * 8 * self.GRID**2
-        monkeypatch.setattr(privcomm.model, "physical_memory", lambda: limit)
-        grid_search(M, Setting.SIMPLE, None, 0.84, self.GRID)
-        big = self.GRID + 1
-        with pytest.raises(ValueError, match="physical memory"):
-            grid_search(M, Setting.SIMPLE, None, 0.84, big)
-        # compression holds one noise value: grid x 1 arrays only
-        grid_search(M, Setting.COMPRESSION, None, 0.9, big, sigma_n2=0.5)
+        assert peak <= 8 * (self.BLOCK_ARRAYS * block + self.SIDE_ARRAYS * grid)
 
 
 def test_alpha_range_without_theta():
@@ -420,9 +422,9 @@ def test_alpha_range_without_theta():
 def test_without_theta_only_a_zero_target_is_feasible():
     # r = 0: D_P = 0 for every encoder
     model = validate_model(2.0, 0.0, 0.0)
-    assert grid_search(model, Setting.SIMPLE, None, 0.0, 21).d_p == 0.0
+    assert grid_search(model, Setting.SIMPLE, None, 0.0).d_p == 0.0
     with pytest.raises(InfeasiblePrivacyTarget):
-        grid_search(model, Setting.SIMPLE, None, 0.5, 21)
+        grid_search(model, Setting.SIMPLE, None, 0.5)
 
 
 def test_effective_noise_channel_consistency():

