@@ -76,24 +76,24 @@ def _build_parser() -> _Parser:
 
     settings = [s.value for s in Setting]
     p = sub.add_parser("solve", help="single equilibrium solution (JSON)")
-    p.add_argument("--setting", choices=settings, required=True)
+    p.add_argument("--setting", choices=settings)
     add_common(p, "dp", "sigma_n2", "channel", "bits")
 
     p = sub.add_parser("tradeoff", help="privacy-distortion curve (CSV)")
-    p.add_argument("--setting", choices=["simple", "channel"], required=True)
+    p.add_argument("--setting", choices=["simple", "channel"])
     add_common(p, "channel")
     p.add_argument("--grid", type=int, default=65, help="number of curve samples")
 
     p = sub.add_parser("rate", help="rate-distortion sweep at fixed privacy (CSV)")
     add_common(p, "dp", "bits")
-    p.add_argument("--noise-grid", help="comma-separated sigma_n2 values", required=True)
+    p.add_argument("--noise-grid", help="comma-separated sigma_n2 values")
 
     p = sub.add_parser("verify", help="brute-force oracle verification (JSON)")
-    p.add_argument("--setting", choices=settings, required=True)
+    p.add_argument("--setting", choices=settings)
     add_common(p, "dp", "sigma_n2", "channel")
 
     p = sub.add_parser("simulate", help="Monte Carlo check of a solved equilibrium (JSON)")
-    p.add_argument("--setting", choices=settings, required=True)
+    p.add_argument("--setting", choices=settings)
     add_common(p, "dp", "sigma_n2", "channel", "bits")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
@@ -146,16 +146,18 @@ def _read_config(path: str, subparser: _Parser) -> dict:
 def _inputs(args):
     """(model, setting, channel) of a command, once every input it needs is given.
 
-    The model flags are always needed, and --dp by every command that
-    declares it.  Compression needs --sigma-n2, and the channel --pt with
+    The model flags are always needed, and --setting, --dp and --noise-grid
+    by every command that declares them; a flag or a config key can give
+    each.  Compression needs --sigma-n2, and the channel --pt with
     --sigma-z2.  ``setting`` is ``None`` for a command without --setting,
     and ``channel`` is ``None`` outside the channel setting.
     """
     for name in ("sigma_x2", "rho", "r"):
         if getattr(args, name) is None:
             raise CliError(f"missing required model parameter --{name.replace('_', '-')}")
-    if "dp" in args and args.dp is None:
-        raise CliError("missing required --dp")
+    for name in ("setting", "dp", "noise_grid"):
+        if name in args and getattr(args, name) is None:
+            raise CliError(f"missing required --{name.replace('_', '-')}")
     setting = Setting(args.setting) if "setting" in args else None
     if setting is Setting.COMPRESSION and args.sigma_n2 is None:
         raise CliError("compression setting requires --sigma-n2")

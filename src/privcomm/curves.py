@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import chain
 
 from .equilibrium import (
     ChannelSpec,
@@ -45,11 +46,13 @@ class TradeoffCurve(Record):
 
     def __init__(self, columns: tuple[str, ...],
                  points: tuple[tuple[float, ...], ...]) -> None:
-        for p in points:  # CSV output never holds nan or inf
-            if not all(math.isfinite(v) for v in p):
-                raise ValueError(f"non-finite curve point {p}")
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "points", points)
+        # CSV output never holds nan or inf
+        if not all(map(math.isfinite, chain.from_iterable(points))):
+            bad = next(p for p in points if not all(map(math.isfinite, p)))
+            raise ValueError(f"non-finite curve point {bad}")
+        set_columns, set_points = self._setters
+        set_columns(self, columns)
+        set_points(self, points)
 
 
 def privacy_floor(

@@ -38,6 +38,10 @@ ENDPOINT_RTOL = 1e-12
 #: the ENDPOINT_RTOL snap onto max privacy.
 SOLVE_TOL = 1e-9
 
+#: Branches of the solve core: the setting's free privacy floor (constraint
+#: inactive), the max-privacy endpoint and the interior root of the quadratic.
+FREE, ENDPOINT, INTERIOR = "free", "endpoint", "interior"
+
 
 class Setting(Enum):
     SIMPLE = "simple"
@@ -82,9 +86,10 @@ class EncoderPolicy(Record):
             raise ValueError(f"beta must be positive and finite, got {beta}")
         if not (0.0 <= noise_var < math.inf):
             raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "noise_var", noise_var)
+        set_alpha, set_beta, set_noise_var = self._setters
+        set_alpha(self, alpha)
+        set_beta(self, beta)
+        set_noise_var(self, noise_var)
 
 
 class ChannelSpec(Record):
@@ -97,8 +102,9 @@ class ChannelSpec(Record):
             raise ValueError(f"p_t must be positive and finite, got {p_t}")
         if not (0.0 <= sigma_z2 < math.inf):
             raise ValueError(f"sigma_z2 must be finite and >= 0, got {sigma_z2}")
-        object.__setattr__(self, "p_t", p_t)
-        object.__setattr__(self, "sigma_z2", sigma_z2)
+        set_p_t, set_sigma_z2 = self._setters
+        set_p_t(self, p_t)
+        set_sigma_z2(self, sigma_z2)
 
 
 class EquilibriumSolution(Record):
@@ -106,11 +112,12 @@ class EquilibriumSolution(Record):
 
     def __init__(self, policy: EncoderPolicy, kappa: float, d_c: float, d_p: float,
                  constraint_active: bool) -> None:
-        object.__setattr__(self, "policy", policy)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "d_c", d_c)
-        object.__setattr__(self, "d_p", d_p)
-        object.__setattr__(self, "constraint_active", constraint_active)
+        set_policy, set_kappa, set_d_c, set_d_p, set_constraint_active = self._setters
+        set_policy(self, policy)
+        set_kappa(self, kappa)
+        set_d_c(self, d_c)
+        set_d_p(self, d_p)
+        set_constraint_active(self, constraint_active)
 
 
 def mixing_gain(model: SourceModel, alpha):
@@ -128,13 +135,13 @@ def second_order_dc_dp(model: SourceModel, alpha, n_eff):
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     den = mixing_gain(model, alpha) + n_eff
-    nonpositive = den <= 0.0
-    # a Python float gives a bool; numpy scalars and arrays need .any()
-    if nonpositive if isinstance(nonpositive, bool) else nonpositive.any():
+    # a float (numpy's float64 is one) compares directly; numpy arrays need .any()
+    if den <= 0.0 if isinstance(den, float) else (den <= 0.0).any():
         raise RuntimeError("nonpositive output variance; invalid policy")
     # cancellation-free rewrites of 1 - (1+a*rho)^2/den and r - (rho+r*a)^2/den
-    d_c = s2 * (alpha * alpha * (r - rho**2) + n_eff) / den
-    d_p = s2 * ((r - rho**2) + r * n_eff) / den
+    gap = r - rho**2
+    d_c = s2 * (alpha * alpha * gap + n_eff) / den
+    d_p = s2 * (gap + r * n_eff) / den
     return d_c, d_p
 
 
@@ -222,7 +229,10 @@ def _constrained_alpha(
     d_eff: float | None = None,
     floor_unit: float = 1.0,
 ):
-    """(alpha, active) of the privacy-constrained encoder, for every setting.
+    """(alpha, branch) of the privacy-constrained encoder, for every setting.
+
+    ``branch`` is ``FREE``, ``ENDPOINT`` or ``INTERIOR``; the constraint is
+    active on the last two.
 
     ``floor`` is the setting's free privacy level in units of ``floor_unit``
     (1 for the target's own units, sigma_x2 for a normalized floor).  The
@@ -237,17 +247,13 @@ def _constrained_alpha(
     if d > r * (1.0 + ENDPOINT_RTOL):
         raise InfeasiblePrivacyTarget(f"d_p_target={d_p_target} exceeds dp_max={s2 * r}")
     if rho == 0.0 or d_p_target / floor_unit <= floor * (1.0 + ENDPOINT_RTOL):
-        return 0.0, False
-    if _at_max_privacy(model, d_p_target):
-        return -rho / r, True  # transmit the prediction error of X from theta
+        return 0.0, FREE
+    if d >= r * (1.0 - ENDPOINT_RTOL):
+        return -rho / r, ENDPOINT  # transmit the prediction error of X from theta
     if model.degenerate and n_eff == 0.0:
         raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
     alpha, _ = solve_alpha_quadratic(model, d if d_eff is None else d_eff, n_eff)
-    return min(alpha, 0.0), True  # clip last-ulp drift above alpha = 0
-
-
-def _at_max_privacy(model: SourceModel, d_p_target: float) -> bool:
-    return d_p_target / model.sigma_x2 >= model.r * (1.0 - ENDPOINT_RTOL)
+    return min(alpha, 0.0), INTERIOR  # clip last-ulp drift above alpha = 0
 
 
 def _transmit_variance(model: SourceModel, alpha: float, n_eff: float) -> float:
@@ -279,16 +285,16 @@ def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     floor = r - rho**2
-    alpha, active = _constrained_alpha(model, d_p_target, floor, floor_unit=s2)
+    alpha, branch = _constrained_alpha(model, d_p_target, floor, floor_unit=s2)
     policy = EncoderPolicy(alpha=alpha)
-    if not active:
+    if branch is FREE:
         d_c, d_p, kappa = 0.0, s2 * floor, 1.0
-    elif _at_max_privacy(model, d_p_target):
+    elif branch is ENDPOINT:
         d_c, d_p, kappa = s2 * rho**2 / r, s2 * r, 1.0
     else:
         kappa = (1.0 + alpha * rho) / _transmit_variance(model, alpha, 0.0)
         d_c, d_p = second_order_dc_dp(model, alpha, 0.0)
-    return _solution(model, d_p_target, policy, kappa, d_c, d_p, active)
+    return _solution(model, d_p_target, policy, kappa, d_c, d_p, branch is not FREE)
 
 
 def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
@@ -312,11 +318,11 @@ def solve_setting2(
     """
     floor = compression_privacy_floor(model, sigma_n2)
     n = sigma_n2 / model.sigma_x2
-    alpha, active = _constrained_alpha(model, d_p_target, floor, n_eff=n)
+    alpha, branch = _constrained_alpha(model, d_p_target, floor, n_eff=n)
     kappa = (1.0 + alpha * model.rho) / _transmit_variance(model, alpha, n)
     d_c, d_p = second_order_dc_dp(model, alpha, n)
     policy = EncoderPolicy(alpha=alpha, noise_var=sigma_n2)
-    return _solution(model, d_p_target, policy, kappa, d_c, d_p, active)
+    return _solution(model, d_p_target, policy, kappa, d_c, d_p, branch is not FREE)
 
 
 def channel_privacy_floor(model: SourceModel, channel: ChannelSpec) -> float:
@@ -344,7 +350,8 @@ def solve_setting3(
     d = d_p_target / s2
     d_eff = d - (r - d) * sigma_z2 / p_t
     floor = channel_privacy_floor(model, channel)
-    alpha, active = _constrained_alpha(model, d_p_target, floor, d_eff=d_eff)
+    alpha, branch = _constrained_alpha(model, d_p_target, floor, d_eff=d_eff)
+    active = branch is not FREE
     if active and model.degenerate:  # max privacy: X - (rho/r)*theta = 0
         raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
     var_u = s2 * _transmit_variance(model, alpha, 0.0)  # E{(X + alpha*theta)^2}
@@ -353,7 +360,7 @@ def solve_setting3(
         raise SolveError(f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}")
     policy = EncoderPolicy(alpha=alpha, beta=beta)
     kappa = beta * s2 * (1.0 + alpha * rho) / (p_t + sigma_z2)
-    if active and _at_max_privacy(model, d_p_target):
+    if branch is ENDPOINT:
         # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
         d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / (p_t + sigma_z2)), s2 * r
     else:

@@ -36,11 +36,17 @@ class Record:
     only to a record of the same class with equal fields.
 
     A subclass lists its fields in ``__slots__`` and sets them in its own
-    ``__init__`` through ``object.__setattr__``.  Pickle and ``copy`` rebuild
-    a record by calling that ``__init__``, so a copy is validated again.
+    ``__init__`` through ``_setters``, the slots' descriptor setters in the
+    same order, which skip the ``__setattr__`` that refuses assignment.
+    Pickle and ``copy`` rebuild a record by calling that ``__init__``, so a
+    copy is validated again.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -90,9 +96,10 @@ class SourceModel(Record):
         if not (math.isfinite(sigma_x2 * r) and math.isfinite(sigma_x2 * rho)):
             raise ModelError(f"Var(theta) = sigma_x2 * r overflows a float at "
                              f"sigma_x2={sigma_x2!r}, r={r!r}")
-        object.__setattr__(self, "sigma_x2", sigma_x2)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "r", r)
+        set_sigma_x2, set_rho, set_r = self._setters
+        set_sigma_x2(self, sigma_x2)
+        set_rho(self, rho)
+        set_r(self, r)
 
     @property
     def degenerate(self) -> bool:
@@ -111,8 +118,9 @@ class PrivacyBounds(Record):
     __slots__ = ("dp_min", "dp_max")
 
     def __init__(self, dp_min: float, dp_max: float) -> None:
-        object.__setattr__(self, "dp_min", dp_min)
-        object.__setattr__(self, "dp_max", dp_max)
+        set_dp_min, set_dp_max = self._setters
+        set_dp_min(self, dp_min)
+        set_dp_max(self, dp_max)
 
 
 def validate_model(sigma_x2: float, rho: float, r: float) -> SourceModel:

@@ -37,9 +37,10 @@ class SimConfig(Record):
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         require_memory(BYTES_PER_SAMPLE * samples, f"samples={samples}")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "setting", setting)
+        set_samples, set_seed, set_setting = self._setters
+        set_samples(self, samples)
+        set_seed(self, seed)
+        set_setting(self, setting)
 
 
 class SimResult(Record):
@@ -49,13 +50,15 @@ class SimResult(Record):
     def __init__(self, d_c_hat: float, d_p_hat: float, d_p_hat_regression: float,
                  power_hat: float | None, entropy_hat: float, stderr_dc: float,
                  stderr_dp: float) -> None:
-        object.__setattr__(self, "d_c_hat", d_c_hat)
-        object.__setattr__(self, "d_p_hat", d_p_hat)
-        object.__setattr__(self, "d_p_hat_regression", d_p_hat_regression)
-        object.__setattr__(self, "power_hat", power_hat)
-        object.__setattr__(self, "entropy_hat", entropy_hat)
-        object.__setattr__(self, "stderr_dc", stderr_dc)
-        object.__setattr__(self, "stderr_dp", stderr_dp)
+        (set_d_c_hat, set_d_p_hat, set_d_p_hat_regression, set_power_hat, set_entropy_hat,
+         set_stderr_dc, set_stderr_dp) = self._setters
+        set_d_c_hat(self, d_c_hat)
+        set_d_p_hat(self, d_p_hat)
+        set_d_p_hat_regression(self, d_p_hat_regression)
+        set_power_hat(self, power_hat)
+        set_entropy_hat(self, entropy_hat)
+        set_stderr_dc(self, stderr_dc)
+        set_stderr_dp(self, stderr_dp)
 
 
 def _workspace(samples: int):

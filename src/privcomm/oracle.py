@@ -75,10 +75,11 @@ class OracleOptimum(Record):
     __slots__ = ("alpha", "noise_var", "d_c", "d_p")
 
     def __init__(self, alpha: float, noise_var: float, d_c: float, d_p: float) -> None:
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "noise_var", noise_var)
-        object.__setattr__(self, "d_c", d_c)
-        object.__setattr__(self, "d_p", d_p)
+        set_alpha, set_noise_var, set_d_c, set_d_p = self._setters
+        set_alpha(self, alpha)
+        set_noise_var(self, noise_var)
+        set_d_c(self, d_c)
+        set_d_p(self, d_p)
 
 
 class VerificationReport(Record):
@@ -86,10 +87,11 @@ class VerificationReport(Record):
 
     def __init__(self, oracle_optimum: OracleOptimum, closed_form: EquilibriumSolution,
                  dc_gap: float, passed: bool) -> None:
-        object.__setattr__(self, "oracle_optimum", oracle_optimum)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "dc_gap", dc_gap)
-        object.__setattr__(self, "passed", passed)
+        set_oracle_optimum, set_closed_form, set_dc_gap, set_passed = self._setters
+        set_oracle_optimum(self, oracle_optimum)
+        set_closed_form(self, closed_form)
+        set_dc_gap(self, dc_gap)
+        set_passed(self, passed)
 
 
 class ScanPoint(Record):
@@ -97,11 +99,12 @@ class ScanPoint(Record):
 
     def __init__(self, lam: float, alpha: float, noise_var: float, d_c: float,
                  d_p: float) -> None:
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "noise_var", noise_var)
-        object.__setattr__(self, "d_c", d_c)
-        object.__setattr__(self, "d_p", d_p)
+        set_lam, set_alpha, set_noise_var, set_d_c, set_d_p = self._setters
+        set_lam(self, lam)
+        set_alpha(self, alpha)
+        set_noise_var(self, noise_var)
+        set_d_c(self, d_c)
+        set_d_p(self, d_p)
 
 
 def covariance_evaluate(

@@ -831,6 +831,41 @@ class TestConfigFile:
         assert code == 0
         assert out == (GOLDEN / "solve_simple.json").read_text()
 
+    @pytest.mark.parametrize(
+        "argv, lines, golden",
+        [(["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"],
+          ["setting = simple", "sigma-x2 = 1", "rho = 0.6", "r = 1", "dp = 0.84"],
+          "solve_simple.json"),
+         (["rate", "--sigma-x2", "2.5", "--rho", "0.3", "--r", "0.4", "--dp", "0.95",
+           "--noise-grid", "0.05,0.5,2,8"],
+          ["sigma-x2 = 2.5", "rho = 0.3", "r = 0.4", "dp = 0.95", "noise-grid = 0.05,0.5,2,8"],
+          "rate_compression.csv")],
+        ids=["solve-setting", "rate-noise-grid"],
+    )
+    def test_config_alone_supplies_every_input(self, tmp_path, argv, lines, golden):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code, out, err = run([argv[0], "--config", str(cfg)])
+        assert (code, err) == (0, "")
+        assert out == run(argv)[1] == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["solve", *MODEL_FLAGS, "--dp", "0.84"], "--setting"),
+         (["tradeoff", *MODEL_FLAGS], "--setting"),
+         (["verify", *MODEL_FLAGS, "--dp", "0.84"], "--setting"),
+         (["simulate", *MODEL_FLAGS, "--dp", "0.84"], "--setting"),
+         (["rate", *MODEL_FLAGS, "--dp", "0.9"], "--noise-grid")],
+        ids=["solve", "tradeoff", "verify", "simulate", "rate"],
+    )
+    def test_input_given_nowhere_exits_1(self, tmp_path, argv, flag):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("# no keys\n")
+        for given in (argv, [*argv, "--config", str(cfg)]):
+            code, out, err = run(given)
+            assert (code, out) == (1, "")
+            assert err == f"error: missing required {flag}\n"
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "model.cfg"
         cfg.write_text("sigma-x2 = 1\nrho = 0.6\nr = 1\ndp = 0.9\n")

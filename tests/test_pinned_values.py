@@ -1,11 +1,17 @@
-"""Oracle and Monte Carlo results pinned to the values of the reference kernel.
+"""Solver, sweep, oracle and Monte Carlo results pinned to reference values.
 
-The values were recorded from the straightforward implementation: fresh
-arrays per step, ``np.mean``/``np.std`` for the estimates, a ``meshgrid``
-oracle grid.  The in-place kernel and the broadcast grid do the same
-arithmetic in the same order, so every pinned field must match with ``==``.
-``d_p_hat_regression`` is not pinned: it now sums with pairwise reduction
-instead of a BLAS dot product, which moves its last digits.
+The oracle and Monte Carlo values were recorded from the straightforward
+implementation: fresh arrays per step, ``np.mean``/``np.std`` for the
+estimates, a ``meshgrid`` oracle grid.  The in-place kernel and the broadcast
+grid do the same arithmetic in the same order, so every pinned field must
+match with ``==``.  ``d_p_hat_regression`` is not pinned: it now sums with
+pairwise reduction instead of a BLAS dot product, which moves its last digits.
+
+The solver and sweep values were recorded from the solve core that tested
+the max-privacy endpoint once per branch and set record fields through
+``object.__setattr__``; they pin every field of a free, an endpoint and an
+interior solve of each setting on three models, a 9-point sweep per
+setting and one rate inversion, also with ``==``.
 """
 
 import pytest
@@ -17,7 +23,13 @@ from privcomm import (
     SimConfig,
     grid_search,
     lagrangian_scan,
+    noise_for_rate,
     simulate_policy,
+    solve_setting1,
+    solve_setting2,
+    solve_setting3,
+    sweep_privacy_distortion,
+    sweep_rate_distortion,
     validate_model,
 )
 from privcomm import oracle
@@ -70,6 +82,105 @@ SIM = [
      (1.1512362442280935, 0.9835945182190395, 1.376837382780427, 1.4106677622862924, 0.011588311631218037, 0.009890999219866001)),
 ]
 
+#: (model, setting, sigma_n2, target, (alpha, beta, noise_var, kappa, d_c, d_p,
+#: constraint_active)) at a free target (half the floor), the endpoint dp_max
+#: and an interior target (60 % of the way from the floor to dp_max).
+SOLVE = [
+    ((1.0, 0.6, 1.0), Setting.SIMPLE, None, 0.32,
+     (0.0, 1.0, 0.0, 1.0, 0.0, 0.64, False)),
+    ((1.0, 0.6, 1.0), Setting.SIMPLE, None, 1.0,
+     (-0.6, 1.0, 0.0, 1.0, 0.36, 1.0, True)),
+    ((1.0, 0.6, 1.0), Setting.SIMPLE, None, 0.856,
+     (-0.2718787550281616, 1.0, 0.0, 1.1193172990899, 0.06327385716492762, 0.8559999999999999, True)),
+    ((1.0, 0.6, 1.0), Setting.COMPRESSION, 0.6, 0.3875,
+     (0.0, 1.0, 0.6, 0.625, 0.37499999999999994, 0.7749999999999999, False)),
+    ((1.0, 0.6, 1.0), Setting.COMPRESSION, 0.6, 1.0,
+     (-0.6, 1.0, 0.6, 0.5161290322580645, 0.6696774193548387, 1.0, True)),
+    ((1.0, 0.6, 1.0), Setting.COMPRESSION, 0.6, 0.91,
+     (-0.24980382264027695, 1.0, 0.6, 0.6238767039019426, 0.46963136739261024, 0.9099999999999999, True)),
+    ((1.0, 0.6, 1.0), Setting.CHANNEL, None, 0.3772727272727273,
+     (0.0, 1.224744871391589, 0.0, 0.556702214268904, 0.31818181818181823, 0.7545454545454545, False)),
+    ((1.0, 0.6, 1.0), Setting.CHANNEL, None, 1.0,
+     (-0.6, 1.5309310892394863, 0.0, 0.44536177141512323, 0.5636363636363637, 1.0, True)),
+    ((1.0, 0.6, 1.0), Setting.CHANNEL, None, 0.9018181818181819,
+     (-0.2718787550281617, 1.4164215474215296, 0.0, 0.5388020869439604, 0.36132308443063244, 0.9018181818181819, True)),
+    ((2.5, 0.3, 0.4), Setting.SIMPLE, None, 0.38750000000000007,
+     (0.0, 1.0, 0.0, 1.0, 0.0, 0.7750000000000001, False)),
+    ((2.5, 0.3, 0.4), Setting.SIMPLE, None, 1.0,
+     (-0.7499999999999999, 1.0, 0.0, 1.0, 0.5624999999999999, 1.0, True)),
+    ((2.5, 0.3, 0.4), Setting.SIMPLE, None, 0.91,
+     (-0.3122547783003458, 1.0, 0.0, 1.064199284547104, 0.0887277723799723, 0.91, True)),
+    ((2.5, 0.3, 0.4), Setting.COMPRESSION, 1.5, 0.4296875,
+     (0.0, 1.0, 1.5, 0.625, 0.9375, 0.859375, False)),
+    ((2.5, 0.3, 0.4), Setting.COMPRESSION, 1.5, 1.0,
+     (-0.7499999999999999, 1.0, 1.5, 0.5636363636363636, 1.4079545454545455, 1.0, True)),
+    ((2.5, 0.3, 0.4), Setting.COMPRESSION, 1.5, 0.94375,
+     (-0.2973587447434059, 1.0, 1.5, 0.6251347675596532, 1.0765800484336165, 0.9437500000000001, True)),
+    ((2.5, 0.3, 0.4), Setting.CHANNEL, None, 0.4232954545454546,
+     (0.0, 0.7745966692414834, 0.0, 0.8802234877744128, 0.7954545454545454, 0.8465909090909091, False)),
+    ((2.5, 0.3, 0.4), Setting.CHANNEL, None, 1.0,
+     (-0.7499999999999999, 0.8798826901281197, 0.0, 0.7748966873287418, 1.1789772727272727, 1.0, True)),
+    ((2.5, 0.3, 0.4), Setting.CHANNEL, None, 0.9386363636363637,
+     (-0.3122547783003462, 0.8393545907614124, 0.0, 0.8644623253015199, 0.8559507538954363, 0.9386363636363637, True)),
+    ((0.4, 1.1, 2.0), Setting.SIMPLE, None, 0.15799999999999997,
+     (0.0, 1.0, 0.0, 1.0, 0.0, 0.31599999999999995, False)),
+    ((0.4, 1.1, 2.0), Setting.SIMPLE, None, 0.8,
+     (-0.55, 1.0, 0.0, 1.0, 0.24200000000000005, 0.8, True)),
+    ((0.4, 1.1, 2.0), Setting.SIMPLE, None, 0.6064,
+     (-0.2988942658763793, 1.0, 0.0, 1.2880555977525951, 0.05417443111018002, 0.6064, True)),
+    ((0.4, 1.1, 2.0), Setting.COMPRESSION, 0.24, 0.24875,
+     (0.0, 1.0, 0.24, 0.625, 0.15, 0.49749999999999994, False)),
+    ((0.4, 1.1, 2.0), Setting.COMPRESSION, 0.24, 0.8,
+     (-0.55, 1.0, 0.24, 0.3969849246231155, 0.33727638190954784, 0.8, True)),
+    ((0.4, 1.1, 2.0), Setting.COMPRESSION, 0.24, 0.679,
+     (-0.252248237739375, 1.0, 0.24, 0.6163263708950514, 0.22187503765143518, 0.679, True)),
+    ((0.4, 1.1, 2.0), Setting.CHANNEL, None, 0.235,
+     (0.0, 1.9364916731037085, 0.0, 0.35208939510976517, 0.12727272727272726, 0.47, False)),
+    ((0.4, 1.1, 2.0), Setting.CHANNEL, None, 0.8,
+     (-0.55, 3.081180112566604, 0.0, 0.22128475353887422, 0.2922727272727273, 0.8, True)),
+    ((0.4, 1.1, 2.0), Setting.CHANNEL, None, 0.668,
+     (-0.2988942658763793, 2.682573863222702, 0.0, 0.32737951330270515, 0.1642098393933046, 0.668, True)),
+]
+#: sweep_privacy_distortion(model (1, 0.6, 1), SIMPLE, grid=9).points
+SWEEP_SIMPLE = (
+    (0.64, 0.0, 0.0, 1.0),
+    (0.685, 0.0022647580645817574, -0.05749970567467366, 1.0333869077620454),
+    (0.73, 0.009398920695876218, -0.11346908755237006, 1.0629695932063465),
+    (0.775, 0.02212096587623841, -0.1689472751357402, 1.0881867454091887),
+    (0.8200000000000001, 0.04158004392386792, -0.22518297146734545, 1.1081405906844781),
+    (0.865, 0.06974537040303788, -0.28395507745957405, 1.1212926793726266),
+    (0.91, 0.11046550999191966, -0.3484116391867396, 1.1246363203188128),
+    (0.9550000000000001, 0.17358804056037244, -0.42634209472981893, 1.110478093312209),
+    (1.0, 0.36, -0.6, 1.0),
+)
+#: sweep_privacy_distortion(model (0.4, 1.1, 2), CHANNEL, CHANNEL, grid=9).points
+SWEEP_CHANNEL = (
+    (0.47, 0.12727272727272726, 0.0, 0.35208939510976517),
+    (0.51125, 0.12886134608466138, -0.07866708742606193, 0.3510624484173582),
+    (0.5525, 0.13353390842334628, -0.14496165110791476, 0.348024353625807),
+    (0.59375, 0.14131483366730946, -0.2034629317107729, 0.3429054775223915),
+    (0.635, 0.15246648125930704, -0.2573327454876455, 0.33543290803262593),
+    (0.67625, 0.16760474383429044, -0.3092579176751563, 0.32501416484216467),
+    (0.7175, 0.1880730543699771, -0.36239632223318563, 0.31037143849237897),
+    (0.75875, 0.21744107584434894, -0.422886362085412, 0.2880648002822621),
+    (0.8, 0.2922727272727273, -0.55, 0.22128475353887422),
+)
+#: sweep_rate_distortion(model (2.5, 0.3, 0.4), 0.95, RATE_NOISES).points
+RATE_NOISES = [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+SWEEP_RATE = (
+    (0.05, 1.8669515677439457, 0.22826559638016375, 0.9500000000000002, -0.4265726307841359),
+    (0.1, 1.5328009767572384, 0.2778449840789278, 0.9500000000000002, -0.4225296317141605),
+    (0.25, 1.1101734973785369, 0.41334888674458226, 0.9500000000000002, -0.41068955373085164),
+    (0.5, 0.8177066994186806, 0.6031118090513119, 0.9500000000000001, -0.39182480029431027),
+    (1.0, 0.5644260869289139, 0.8882807419771259, 0.9500000000000002, -0.3568012421714751),
+    (2.0, 0.36434605898967837, 1.2469657773895682, 0.9500000000000001, -0.2947672659998367),
+    (4.0, 0.2231435513142098, 1.6113070976156494, 0.9500000000000002, -0.19098300562505222),
+    (8.0, 0.13408361634408247, 1.912082662613129, 0.9500000000000002, -0.026794416649405073),
+    (16.0, 0.07259100492224894, 2.162162162162162, 0.9695945945945947, 0.0),
+)
+#: noise_for_rate(model (2.5, 0.3, 0.4), 0.95, 0.3)
+NOISE_FOR_RATE = 2.6504321675226534
+
 
 @pytest.mark.parametrize("model, setting, target, sigma_n2, expected", GRID)
 def test_grid_search_pinned(model, setting, target, sigma_n2, expected, monkeypatch):
@@ -96,3 +207,29 @@ def test_simulate_policy_pinned(model, setting, policy, gain, seed, expected):
     )
     assert (res.d_c_hat, res.d_p_hat, res.power_hat, res.entropy_hat, res.stderr_dc,
             res.stderr_dp) == expected
+
+
+@pytest.mark.parametrize("model, setting, sigma_n2, target, expected", SOLVE)
+def test_solve_pinned(model, setting, sigma_n2, target, expected):
+    m = validate_model(*model)
+    if setting is Setting.SIMPLE:
+        sol = solve_setting1(m, target)
+    elif setting is Setting.COMPRESSION:
+        sol = solve_setting2(m, target, sigma_n2)
+    else:
+        sol = solve_setting3(m, target, CHANNEL)
+    p = sol.policy
+    assert (p.alpha, p.beta, p.noise_var, sol.kappa, sol.d_c, sol.d_p,
+            sol.constraint_active) == expected
+
+
+def test_sweeps_and_rate_inversion_pinned():
+    simple = sweep_privacy_distortion(validate_model(1.0, 0.6, 1.0), Setting.SIMPLE, grid=9)
+    channel = sweep_privacy_distortion(validate_model(0.4, 1.1, 2.0), Setting.CHANNEL,
+                                       CHANNEL, grid=9)
+    compression = validate_model(2.5, 0.3, 0.4)
+    rate = sweep_rate_distortion(compression, 0.95, RATE_NOISES)
+    assert simple.points == SWEEP_SIMPLE
+    assert channel.points == SWEEP_CHANNEL
+    assert rate.points == SWEEP_RATE
+    assert noise_for_rate(compression, 0.95, 0.3) == NOISE_FOR_RATE

@@ -184,3 +184,16 @@ def test_sim_config_refuses_samples_beyond_physical_memory(monkeypatch):
     assert str(info.value) == (
         "samples=1000000 needs 31 MiB, more than the 1 MiB of physical memory"
     )
+
+
+def test_records_lists_every_record_class():
+    from privcomm.model import Record
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    listed = [cls for cls, *_ in RECORDS]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == set(subclasses(Record))
