@@ -57,14 +57,6 @@ class InfeasiblePrivacyTarget(SolveError):
     """Requested privacy MMSE exceeds what any encoder can provide."""
 
 
-class DegeneratePrivacyTarget(SolveError):
-    """Privacy target of zero leaves the constraint quadratic undefined."""
-
-
-class InfiniteRateError(SolveError):
-    """Compression with nonpositive or vanishing test-channel noise has unbounded rate."""
-
-
 class DegenerateModelError(SolveError):
     """rho^2 = r: theta = rho*X, and no encoder without noise reaches the interior."""
 
@@ -149,21 +141,17 @@ def evaluate_setting2(model: SourceModel, policy: EncoderPolicy):
     """(rate, d_c, d_p) for the compression setting.
 
     The rate is the Gaussian mutual information across the forward test
-    channel, in nats; a noise so small that it overflows raises
-    :class:`InfiniteRateError`.
+    channel, in nats; a nonpositive noise, or one so small that the rate
+    overflows, raises :class:`SolveError`.
     """
     if policy.beta != 1.0:
         raise ValueError("setting 2 uses a unit transmit gain")
     if policy.noise_var <= 0.0:
-        raise InfiniteRateError(
-            f"test-channel noise must be positive, got {policy.noise_var}"
-        )
+        raise SolveError(f"test-channel noise must be positive, got {policy.noise_var}")
     s2 = model.sigma_x2
     rate = 0.5 * math.log1p(mixing_gain(model, policy.alpha) * s2 / policy.noise_var)
     if not math.isfinite(rate):
-        raise InfiniteRateError(
-            f"rate overflows at test-channel noise {policy.noise_var!r}"
-        )
+        raise SolveError(f"rate overflows at test-channel noise {policy.noise_var!r}")
     d_c, d_p = second_order_dc_dp(model, policy.alpha, policy.noise_var / s2)
     return rate, d_c, d_p
 
@@ -198,9 +186,7 @@ def solve_alpha_quadratic(model: SourceModel, d_target: float, n_eff: float):
     underflows to zero or overflows raises :class:`SolveError`.
     """
     if d_target <= 0.0:
-        raise DegeneratePrivacyTarget(
-            f"normalized privacy target must be positive, got {d_target}"
-        )
+        raise SolveError(f"normalized privacy target must be positive, got {d_target}")
     if n_eff < 0.0:
         raise ValueError(f"n_eff must be >= 0, got {n_eff}")
     rho, r = model.rho, model.r
@@ -285,6 +271,8 @@ def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     floor = r - rho**2
+    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
+        floor = 0.0
     alpha, branch = _constrained_alpha(model, d_p_target, floor, floor_unit=s2)
     policy = EncoderPolicy(alpha=alpha)
     if branch is FREE:
@@ -302,7 +290,7 @@ def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
     if not math.isfinite(sigma_n2):
         raise SolveError(f"sigma_n2 must be finite, got {sigma_n2}")
     if sigma_n2 <= 0.0:
-        raise InfiniteRateError(f"sigma_n2 must be positive, got {sigma_n2}")
+        raise SolveError(f"sigma_n2 must be positive, got {sigma_n2}")
     n = sigma_n2 / model.sigma_x2
     return model.sigma_x2 * (model.r - model.rho**2 / (1.0 + n))
 

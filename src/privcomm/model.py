@@ -19,18 +19,6 @@ class ModelError(ValueError):
     """Base class for invalid source-model parameters."""
 
 
-class NonPositiveVarianceError(ModelError):
-    """sigma_x2 must be strictly positive."""
-
-
-class NegativeCorrelationError(ModelError):
-    """rho is taken nonnegative by convention."""
-
-
-class CorrelationBoundError(ModelError):
-    """rho^2 > r violates positive semidefiniteness of the covariance."""
-
-
 class Record:
     """Immutable record: hashed and printed by its fields, in order, and equal
     only to a record of the same class with equal fields.
@@ -87,12 +75,12 @@ class SourceModel(Record):
 
     def __init__(self, sigma_x2: float, rho: float, r: float) -> None:
         if not (sigma_x2 > 0.0) or not math.isfinite(sigma_x2):
-            raise NonPositiveVarianceError(f"sigma_x2 must be positive, got {sigma_x2}")
+            raise ModelError(f"sigma_x2 must be positive, got {sigma_x2}")
         if not math.isfinite(rho) or rho < 0.0:
-            raise NegativeCorrelationError(f"rho must be >= 0, got {rho}")
+            raise ModelError(f"rho must be >= 0, got {rho}")
         # rho * rho, not rho**2: a float ** raises OverflowError where * gives inf
         if not math.isfinite(r) or rho * rho > r * (1.0 + BOUNDARY_EPS):
-            raise CorrelationBoundError(f"need rho^2 <= r, got rho^2={rho * rho} > r={r}")
+            raise ModelError(f"need rho^2 <= r, got rho^2={rho * rho} > r={r}")
         if not (math.isfinite(sigma_x2 * r) and math.isfinite(sigma_x2 * rho)):
             raise ModelError(f"Var(theta) = sigma_x2 * r overflows a float at "
                              f"sigma_x2={sigma_x2!r}, r={r!r}")
@@ -126,9 +114,8 @@ class PrivacyBounds(Record):
 def validate_model(sigma_x2: float, rho: float, r: float) -> SourceModel:
     """Validate raw parameters and return an immutable :class:`SourceModel`.
 
-    Raises a distinct :class:`ModelError` subclass per violated constraint,
-    and :class:`ModelError` itself when Var(theta) overflows a float; never
-    clamps silently.
+    Raises :class:`ModelError` for a nonpositive sigma_x2, a negative rho,
+    rho^2 > r or a Var(theta) that overflows a float; never clamps silently.
     """
     return SourceModel(float(sigma_x2), float(rho), float(r))
 

@@ -317,6 +317,8 @@ def verify_equilibrium(
             raise ValueError("compression verification requires sigma_n2")
         closed = solve_setting2(model, d_p_target, sigma_n2)
     else:
+        if channel is None:
+            raise ValueError("channel setting requires a ChannelSpec")
         closed = solve_setting3(model, d_p_target, channel)
     optimum = grid_search(model, setting, channel, d_p_target, sigma_n2)
     dc_gap = optimum.d_c - closed.d_c

@@ -18,22 +18,21 @@ import pytest
 
 from privcomm import (
     ChannelSpec,
-    SimConfig,
     Setting,
     evaluate_setting3,
-    lagrangian_scan,
     privacy_bounds,
-    simulate_policy,
     solve_setting1,
     solve_setting2,
     solve_setting3,
-    sweep_privacy_distortion,
     validate_model,
-    verify_equilibrium,
 )
+from privcomm.curves import sweep_privacy_distortion
 from privcomm.equilibrium import evaluate_setting2, second_order_dc_dp
+from privcomm.montecarlo import SimConfig, simulate_policy
+from privcomm.oracle import lagrangian_scan, verify_equilibrium
 
 from conftest import column
+from test_cli import GOLDENS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -346,19 +345,8 @@ def test_criterion_9_cli_golden_files():
     from privcomm.cli import main
 
     start = time.time()
-    cases = [
-        ("solve_simple.json",
-         ["solve", "--setting", "simple", "--sigma-x2", "1", "--rho", "0.6",
-          "--r", "1", "--dp", "0.84"]),
-        ("tradeoff_simple_grid2.csv",
-         ["tradeoff", "--setting", "simple", "--sigma-x2", "1", "--rho", "0.6",
-          "--r", "1", "--grid", "2"]),
-        ("verify_channel.json",
-         ["verify", "--setting", "channel", "--sigma-x2", "1", "--rho", "0.6",
-          "--r", "1", "--dp", "0.92", "--pt", "1", "--sigma-z2", "1"]),
-    ]
     ok = True
-    for name, argv in cases:
+    for name, argv in GOLDENS:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)

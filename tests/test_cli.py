@@ -26,67 +26,63 @@ def run(argv):
     return code, buf.getvalue(), err.getvalue()
 
 
-def run_process(argv):
-    """``privcomm argv`` in a fresh interpreter, killed after 60 s."""
+#: Each golden file and the argv whose output it pins.
+GOLDENS = [
+    ("solve_simple.json", ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"]),
+    ("tradeoff_simple_grid2.csv",
+     ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "2"]),
+    ("verify_channel.json", ["verify", "--setting", "channel", *MODEL_FLAGS,
+                             "--dp", "0.92", "--pt", "1", "--sigma-z2", "1"]),
+    ("scan_simple.csv", ["scan", *MODEL_FLAGS]),
+    # a non-unit model and multipliers far above 1/rho^2
+    ("scan_lambdas.csv", ["scan", "--sigma-x2", "2.5", "--rho", "0.3", "--r", "0.4",
+                          "--lambdas", "0,0.5,3,25,1000,1e5"]),
+    ("rate_compression.csv", ["rate", "--sigma-x2", "2.5", "--rho", "0.3", "--r", "0.4",
+                              "--dp", "0.95", "--noise-grid", "0.05,0.5,2,8"]),
+    # the simulate goldens pin the Monte Carlo stream and the signal chain's arithmetic
+    ("simulate_compression.json",
+     ["simulate", "--setting", "compression", *MODEL_FLAGS, "--dp", "0.92",
+      "--sigma-n2", "0.7", "--samples", "200000", "--seed", "2"]),
+    ("simulate_channel.json",
+     ["simulate", "--setting", "channel", *MODEL_FLAGS, "--dp", "0.92",
+      "--pt", "1", "--sigma-z2", "1", "--samples", "200000", "--seed", "2"]),
+]
+
+#: The commands that run with numpy unavailable.
+NUMPY_FREE = ("solve", "tradeoff", "rate", "scan")
+
+# The console script's entry point, with numpy blocked when the first argument
+# says so; the remaining arguments are the command's argv.
+CONSOLE = """
+import sys
+if sys.argv.pop(1) == "no-numpy":
+    sys.modules["numpy"] = None
+from privcomm.cli import console_entry
+console_entry()
+"""
+
+
+def run_process(argv, *, entry=("-m", "privcomm.cli")):
+    """``python entry argv`` in a fresh interpreter, killed after 60 s."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "privcomm.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *entry, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
+@pytest.mark.parametrize("golden, argv", GOLDENS, ids=[g for g, _ in GOLDENS])
 class TestGolden:
-    def test_solve_simple(self):
-        code, out, _ = run(["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"])
+    def test_in_process(self, golden, argv):
+        code, out, _ = run(argv)
         assert code == 0
-        assert out == (GOLDEN / "solve_simple.json").read_text()
+        assert out == (GOLDEN / golden).read_text()
 
-    def test_tradeoff_simple_grid2(self):
-        code, out, _ = run(
-            ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "2"]
-        )
-        assert code == 0
-        assert out == (GOLDEN / "tradeoff_simple_grid2.csv").read_text()
-
-    def test_verify_channel(self):
-        code, out, _ = run(
-            [
-                "verify", "--setting", "channel", *MODEL_FLAGS,
-                "--dp", "0.92", "--pt", "1", "--sigma-z2", "1",
-            ]
-        )
-        assert code == 0
-        assert out == (GOLDEN / "verify_channel.json").read_text()
-
-
-    def test_scan_simple(self):
-        code, out, _ = run(["scan", *MODEL_FLAGS])
-        assert code == 0
-        assert out == (GOLDEN / "scan_simple.csv").read_text()
-
-    def test_scan_lambdas(self):
-        # a non-unit model and multipliers far above 1/rho^2
-        code, out, _ = run(["scan", "--sigma-x2", "2.5", "--rho", "0.3", "--r", "0.4",
-                            "--lambdas", "0,0.5,3,25,1000,1e5"])
-        assert code == 0
-        assert out == (GOLDEN / "scan_lambdas.csv").read_text()
-
-    def test_rate_compression(self):
-        code, out, _ = run(["rate", "--sigma-x2", "2.5", "--rho", "0.3", "--r", "0.4",
-                            "--dp", "0.95", "--noise-grid", "0.05,0.5,2,8"])
-        assert code == 0
-        assert out == (GOLDEN / "rate_compression.csv").read_text()
-
-    @pytest.mark.parametrize("setting, flags", [
-        ("compression", ["--sigma-n2", "0.7"]),
-        ("channel", ["--pt", "1", "--sigma-z2", "1"]),
-    ])
-    def test_simulate(self, setting, flags):
-        # pins the Monte Carlo stream and the signal chain's arithmetic
-        code, out, _ = run(["simulate", "--setting", setting, *MODEL_FLAGS, "--dp", "0.92",
-                            *flags, "--samples", "200000", "--seed", "2"])
-        assert code == 0
-        assert out == (GOLDEN / f"simulate_{setting}.json").read_text()
+    def test_console_entry_in_fresh_interpreter(self, golden, argv):
+        numpy = "no-numpy" if argv[0] in NUMPY_FREE else "numpy"
+        proc = run_process(argv, entry=("-c", CONSOLE, numpy))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (GOLDEN / golden).read_text()
 
 
 class TestSolve:
@@ -603,6 +599,14 @@ class TestOracleScaleRegressions:
 
     # rho^2 = r*(1 + 1e-12) passes validation, but (rho/sqrt(r))^2 exceeds 1 + 1e-12
     AT_BOUND = ["--sigma-x2", "1", "--rho", "16.528923604462967", "--r", "273.2053155218998"]
+
+    def test_free_floor_above_correlation_bound(self):
+        # rho^2 = r + 8e-13 passes validation and answers as the degenerate model does
+        code, out, err = run(["solve", "--setting", "simple", "--sigma-x2", "1",
+                              "--rho", "1.0000000000004", "--r", "1", "--dp", "0"])
+        assert (code, err) == (0, "")
+        assert out == run(["solve", "--setting", "simple", "--sigma-x2", "1",
+                           "--rho", "1", "--r", "1", "--dp", "0"])[1]
 
     def test_model_at_correlation_bound(self):
         code, out, _ = run(["verify", "--setting", "compression", *self.AT_BOUND,

@@ -9,15 +9,17 @@ from privcomm import (
     ChannelSpec,
     DegenerateModelError,
     Setting,
-    TradeoffCurve,
-    noise_for_rate,
-    privacy_floor,
     solve_setting1,
     solve_setting2,
     solve_setting3,
+    validate_model,
+)
+from privcomm.curves import (
+    TradeoffCurve,
+    noise_for_rate,
+    privacy_floor,
     sweep_privacy_distortion,
     sweep_rate_distortion,
-    validate_model,
 )
 from privcomm.equilibrium import SolveError, evaluate_setting2
 

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from privcomm import (
     ChannelSpec,
     DegenerateModelError,
-    DegeneratePrivacyTarget,
     EncoderPolicy,
     InfeasiblePrivacyTarget,
-    InfiniteRateError,
     SolveError,
     evaluate_setting2,
     evaluate_setting3,
@@ -60,7 +58,7 @@ class TestAlphaQuadratic:
             solve_alpha_quadratic(M, 1.5, 0.0)
 
     def test_degenerate_target(self):
-        with pytest.raises(DegeneratePrivacyTarget):
+        with pytest.raises(SolveError):
             solve_alpha_quadratic(M, 0.0, 0.0)
 
     @given(models_with_targets())
@@ -111,7 +109,7 @@ class TestEvaluators:
         assert d_p == pytest.approx(1.0, rel=1e-6)
 
     def test_setting2_rejects_zero_noise(self):
-        with pytest.raises(InfiniteRateError):
+        with pytest.raises(SolveError):
             evaluate_setting2(M, EncoderPolicy(alpha=0.0, noise_var=0.0))
 
     @given(source_models(), st.floats(-2.0, 1.0), st.floats(1e-3, 10.0))
@@ -218,7 +216,7 @@ class TestSolveSetting2:
             solve_setting2(M, 1.5, 1.0)
 
     def test_zero_noise_rejected(self):
-        with pytest.raises(InfiniteRateError):
+        with pytest.raises(SolveError):
             solve_setting2(M, 0.84, 0.0)
 
     @given(models_with_targets(), st.floats(1e-4, 10.0))
@@ -416,6 +414,14 @@ class TestDegenerateModel:
         assert solve_setting1(self.DEG, 0.0).d_c == 0.0
         sol = solve_setting1(self.DEG, 1.0)
         assert (sol.policy.alpha, sol.d_c, sol.d_p) == (-1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("target", [0.0, -1e-12])
+    def test_simple_free_floor_above_the_bound_is_zero(self, target):
+        # rho^2 = r + 8e-13 passes validation; its free floor is dp_min = 0, not r - rho^2
+        m = validate_model(1.0, 1.0000000000004, 1.0)
+        sol = solve_setting1(m, target)
+        assert (sol.policy.alpha, sol.d_c, sol.d_p, sol.constraint_active) == (
+            0.0, 0.0, 0.0, False)
 
     def test_compression_takes_the_root_in_range(self):
         # both roots give the same distortion; only alpha_plus lies in [-rho/r, 0]

@@ -1,38 +1,35 @@
 """solve, tradeoff, rate and scan stay numpy-free and load neither ``dataclasses`` nor
-``inspect``, and tradeoff and rate do not load ``json``; the package exports
+``inspect``, and tradeoff and rate do not load ``json``; ``import privcomm`` loads
+neither numpy nor the curves, oracle and Monte Carlo modules; the package binds
 exactly the names listed here, and removed names stay gone."""
 
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
 import privcomm
 
-#: Every public name ``privcomm`` exports, eagerly or on first access.
+#: Every public name the package root binds, apart from its submodules.
 EXPORTED = (
-    "ChannelSpec", "CorrelationBoundError", "DegenerateModelError", "DegeneratePrivacyTarget",
-    "EncoderPolicy", "EquilibriumSolution", "InfeasiblePrivacyTarget", "InfiniteRateError",
-    "ModelError", "NegativeCorrelationError", "NonPositiveVarianceError",
-    "OracleOptimum", "PrivacyBounds", "Setting", "SimConfig", "SimResult",
-    "SolveError", "SourceModel", "TradeoffCurve", "VerificationReport",
-    "covariance_evaluate", "curves",
-    "equilibrium", "evaluate_setting2", "evaluate_setting3",
-    "gaussian_conditional_entropy", "grid_search", "lagrangian_scan",
-    "model", "montecarlo", "noise_for_rate", "oracle",
-    "privacy_bounds", "privacy_floor", "simulate_policy",
-    "solve_alpha_quadratic", "solve_setting1", "solve_setting2", "solve_setting3",
-    "sweep_privacy_distortion", "sweep_rate_distortion", "validate_model",
-    "verify_equilibrium",
+    "ChannelSpec", "DegenerateModelError", "EncoderPolicy", "EquilibriumSolution",
+    "InfeasiblePrivacyTarget", "ModelError", "PrivacyBounds", "Setting", "SolveError",
+    "SourceModel", "evaluate_setting2", "evaluate_setting3", "gaussian_conditional_entropy",
+    "privacy_bounds", "solve_alpha_quadratic", "solve_setting1", "solve_setting2",
+    "solve_setting3", "validate_model",
 )
 
 #: Names that neither the package nor the module that defined them has any more.
 REMOVED = [("montecarlo", "ProbeReport"), ("montecarlo", "decoder_optimality_probe"),
            ("montecarlo", "sample_joint"), ("equilibrium", "evaluate_setting1"),
-           ("equilibrium", "xi_sign_check")]
+           ("equilibrium", "xi_sign_check"), ("model", "NonPositiveVarianceError"),
+           ("model", "NegativeCorrelationError"), ("model", "CorrelationBoundError"),
+           ("equilibrium", "DegeneratePrivacyTarget"), ("equilibrium", "InfiniteRateError")]
 
 # Runs cli.main on each argv in one fresh interpreter and reports, after each
 # call, its exit status, whether numpy has been imported so far, and which of
@@ -57,6 +54,15 @@ print(json.dumps(report))
 MODEL_FLAGS = ["--sigma-x2", "1", "--rho", "0.6", "--r", "1"]
 
 
+def run_child(*argv):
+    """``python argv`` in a fresh interpreter that imports privcomm from this checkout."""
+    src = str(pathlib.Path(privcomm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          check=True)
+
+
 def test_scalar_commands_never_import_numpy(tmp_path):
     cfg = tmp_path / "channel.cfg"
     cfg.write_text("sigma-x2 = 1\nrho = 0.6\nr = 1\ndp = 0.92\npt = 1\nsigma-z2 = 1\n")
@@ -77,14 +83,7 @@ def test_scalar_commands_never_import_numpy(tmp_path):
         ["scan", *MODEL_FLAGS],
         ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"],
     ]
-    src = str(pathlib.Path(privcomm.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, repr(argvs)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    report = json.loads(proc.stdout)
+    report = json.loads(run_child("-c", CHILD, repr(argvs)).stdout)
     assert report[:-1] == [
         ["tradeoff", 0, False, []],
         ["tradeoff", 0, False, []],
@@ -101,18 +100,19 @@ def test_scalar_commands_never_import_numpy(tmp_path):
     assert (tmp_path / "tradeoff.csv").read_text().startswith("d_p,d_c,alpha,kappa\n")
 
 
-def test_every_exported_name_resolves():
-    import privcomm.curves
-    import privcomm.montecarlo
-    import privcomm.oracle
+def test_import_loads_neither_numpy_nor_curves_oracle_montecarlo():
+    probe = ("import sys; import privcomm; print(sorted(m for m in ('numpy', "
+             "'privcomm.curves', 'privcomm.oracle', 'privcomm.montecarlo') if m in sys.modules))")
+    assert run_child("-c", probe).stdout == "[]\n"
 
+
+def test_every_exported_name_resolves():
+    public = {name for name, value in vars(privcomm).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(EXPORTED)
     for name in EXPORTED:
         value = getattr(privcomm, name)
-        owner = getattr(value, "__module__", None)
-        if owner in ("privcomm.curves", "privcomm.montecarlo", "privcomm.oracle"):
-            assert value is getattr(sys.modules[owner], name)
-    assert set(privcomm.__all__) == set(EXPORTED)
-    assert set(EXPORTED) <= set(dir(privcomm))
+        assert value is getattr(sys.modules[value.__module__], name)
 
 
 def test_star_import():
@@ -131,8 +131,10 @@ def test_removed_name_raises_attribute_error(module, name):
     with pytest.raises(AttributeError, match=name):
         getattr(privcomm, name)
     with pytest.raises(AttributeError, match=name):
-        getattr(getattr(privcomm, module), name)
+        getattr(importlib.import_module(f"privcomm.{module}"), name)
 
 
 def test_tradeoff_curve_has_no_column_method():
-    assert not hasattr(privcomm.TradeoffCurve, "column")
+    from privcomm.curves import TradeoffCurve
+
+    assert not hasattr(TradeoffCurve, "column")

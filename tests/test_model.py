@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from privcomm import (
-    CorrelationBoundError,
-    NegativeCorrelationError,
-    NonPositiveVarianceError,
+    ModelError,
     gaussian_conditional_entropy,
     privacy_bounds,
     validate_model,
@@ -22,23 +20,23 @@ def test_valid_model():
 
 
 def test_rejects_rho_squared_above_r():
-    with pytest.raises(CorrelationBoundError):
+    with pytest.raises(ModelError):
         validate_model(1.0, 0.5, 0.2)
 
 
 def test_rejects_rho_squared_beyond_float_range():
     # rho^2 = 1e320 is inf, not an OverflowError
-    with pytest.raises(CorrelationBoundError, match=r"rho\^2=inf > r=1e\+300"):
+    with pytest.raises(ModelError, match=r"rho\^2=inf > r=1e\+300"):
         validate_model(1.0, 1e160, 1e300)
 
 
 def test_rejects_nonpositive_variance():
-    with pytest.raises(NonPositiveVarianceError):
+    with pytest.raises(ModelError):
         validate_model(0.0, 0.0, 1.0)
 
 
 def test_rejects_negative_rho():
-    with pytest.raises(NegativeCorrelationError):
+    with pytest.raises(ModelError):
         validate_model(1.0, -0.1, 1.0)
 
 
@@ -57,7 +55,7 @@ def test_validation_is_total(sigma_x2, rho, r):
     # every triple either validates or raises exactly one model error; no clamping
     try:
         m = validate_model(sigma_x2, rho, r)
-    except (NonPositiveVarianceError, NegativeCorrelationError, CorrelationBoundError):
+    except ModelError:
         return
     assert m.sigma_x2 == sigma_x2 and m.rho == rho and m.r == r
 

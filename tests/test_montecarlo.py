@@ -13,15 +13,13 @@ import privcomm.model
 from privcomm import (
     ChannelSpec,
     EncoderPolicy,
-    SimConfig,
     Setting,
     gaussian_conditional_entropy,
-    simulate_policy,
     solve_setting1,
     solve_setting3,
     validate_model,
 )
-from privcomm.montecarlo import _draw_joint
+from privcomm.montecarlo import SimConfig, _draw_joint, simulate_policy
 
 M = validate_model(1.0, 0.6, 1.0)
 N = 200_000

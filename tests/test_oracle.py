@@ -9,18 +9,21 @@ from privcomm import (
     ChannelSpec,
     InfeasiblePrivacyTarget,
     Setting,
-    covariance_evaluate,
-    grid_search,
-    lagrangian_scan,
     solve_setting1,
     solve_setting2,
     solve_setting3,
     validate_model,
-    verify_equilibrium,
 )
 from privcomm import oracle
 from privcomm.equilibrium import second_order_dc_dp
-from privcomm.oracle import _canonical, _evaluator
+from privcomm.oracle import (
+    _canonical,
+    _evaluator,
+    covariance_evaluate,
+    grid_search,
+    lagrangian_scan,
+    verify_equilibrium,
+)
 
 from conftest import source_models
 
@@ -221,6 +224,10 @@ class TestVerifyEquilibrium:
         ch = ChannelSpec(p_t=1.0, sigma_z2=1.0)
         report = verify_equilibrium(M, Setting.CHANNEL, ch, 0.92)
         assert report.passed
+
+    def test_channel_requires_a_channel_spec(self):
+        with pytest.raises(ValueError, match="channel setting requires a ChannelSpec"):
+            verify_equilibrium(M, Setting.CHANNEL, None, 0.92)
 
     @given(source_models(min_rho=0.1))
     @settings(max_examples=15, deadline=None)

@@ -20,19 +20,19 @@ from privcomm import (
     ChannelSpec,
     EncoderPolicy,
     Setting,
-    SimConfig,
-    grid_search,
-    lagrangian_scan,
-    noise_for_rate,
-    simulate_policy,
     solve_setting1,
     solve_setting2,
     solve_setting3,
-    sweep_privacy_distortion,
-    sweep_rate_distortion,
     validate_model,
 )
 from privcomm import oracle
+from privcomm.curves import (
+    noise_for_rate,
+    sweep_privacy_distortion,
+    sweep_rate_distortion,
+)
+from privcomm.montecarlo import SimConfig, simulate_policy
+from privcomm.oracle import grid_search, lagrangian_scan
 
 CHANNEL = ChannelSpec(1.5, 0.7)
 GRID_SIZE = 201

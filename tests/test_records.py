@@ -16,22 +16,16 @@ import pytest
 
 from privcomm import (
     ChannelSpec,
-    CorrelationBoundError,
     EncoderPolicy,
     EquilibriumSolution,
     ModelError,
-    NegativeCorrelationError,
-    NonPositiveVarianceError,
-    OracleOptimum,
     PrivacyBounds,
     Setting,
-    SimConfig,
-    SimResult,
     SourceModel,
-    TradeoffCurve,
-    VerificationReport,
 )
-from privcomm.oracle import ScanPoint
+from privcomm.curves import TradeoffCurve
+from privcomm.montecarlo import SimConfig, SimResult
+from privcomm.oracle import OracleOptimum, ScanPoint, VerificationReport
 
 MODEL = SourceModel(1.0, 0.6, 1.0)
 POLICY = EncoderPolicy(-0.25, 1.0, 0.0)
@@ -144,13 +138,13 @@ def test_pickle_and_copy_round_trips(cls, fields, values, other, defaults):
 
 
 VALIDATION = [
-    (lambda: SourceModel(0.0, 0.6, 1.0), NonPositiveVarianceError,
+    (lambda: SourceModel(0.0, 0.6, 1.0), ModelError,
      "sigma_x2 must be positive, got 0.0"),
-    (lambda: SourceModel(math.inf, 0.6, 1.0), NonPositiveVarianceError,
+    (lambda: SourceModel(math.inf, 0.6, 1.0), ModelError,
      "sigma_x2 must be positive, got inf"),
-    (lambda: SourceModel(1.0, -0.1, 1.0), NegativeCorrelationError,
+    (lambda: SourceModel(1.0, -0.1, 1.0), ModelError,
      "rho must be >= 0, got -0.1"),
-    (lambda: SourceModel(1.0, 0.6, 0.3), CorrelationBoundError,
+    (lambda: SourceModel(1.0, 0.6, 0.3), ModelError,
      "need rho^2 <= r, got rho^2=0.36 > r=0.3"),
     (lambda: EncoderPolicy(math.nan), ValueError, "alpha must be finite, got nan"),
     (lambda: EncoderPolicy(0.0, 0.0), ValueError,
