@@ -2,7 +2,9 @@
 
 Sweeps are parameterized directly by the privacy target (settings 1/3) or by
 the test-channel noise (setting 2); the Lagrange multiplier is the local
-slope of the privacy-distortion curve, not a sweep parameter.
+slope of the privacy-distortion curve, not a sweep parameter.  Each sweep
+point comes from the per-target solve that the public solvers wrap, as plain
+floats, so a sweep builds no solution records.
 ``noise_for_rate`` runs setting 2 backwards: the test-channel noise that
 meets a privacy target at a given rate comes in closed form, checked by one
 solve at the noise it returns.
@@ -21,11 +23,13 @@ from .equilibrium import (
     ChannelSpec,
     DegenerateModelError,
     Setting,
+    _compression_rate,
+    _solve1,
+    _solve2,
+    _solve3,
     channel_privacy_floor,
     evaluate_setting2,
-    solve_setting1,
     solve_setting2,
-    solve_setting3,
 )
 from .model import Record, SourceModel, privacy_bounds
 
@@ -96,10 +100,10 @@ def sweep_privacy_distortion(
     points = []
     for target in targets:
         if setting is Setting.SIMPLE:
-            sol = solve_setting1(model, target)
+            alpha, _, kappa, d_c, _, _ = _solve1(model, target)
         else:
-            sol = solve_setting3(model, target, channel)
-        points.append((target, sol.d_c, sol.policy.alpha, sol.kappa))
+            alpha, _, kappa, d_c, _, _ = _solve3(model, target, channel)
+        points.append((target, d_c, alpha, kappa))
     return TradeoffCurve(columns=("d_p", "d_c", "alpha", "kappa"), points=tuple(points))
 
 
@@ -117,9 +121,8 @@ def sweep_rate_distortion(
             raise ValueError(f"noise_grid lists sigma_n2={n1!r} more than once")
     points = []
     for sigma_n2 in noises:
-        sol = solve_setting2(model, d_p_target, sigma_n2)
-        rate, d_c, d_p = evaluate_setting2(model, sol.policy)
-        points.append((sigma_n2, rate, d_c, d_p, sol.policy.alpha))
+        alpha, _, _, d_c, d_p, _ = _solve2(model, d_p_target, sigma_n2)
+        points.append((sigma_n2, _compression_rate(model, alpha, sigma_n2), d_c, d_p, alpha))
     return TradeoffCurve(columns=("sigma_n2", "rate", "d_c", "d_p", "alpha"),
                          points=tuple(points))
 

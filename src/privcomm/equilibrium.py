@@ -66,16 +66,21 @@ class DegenerateModelError(SolveError):
         )
 
 
+def _check_gain(alpha: float, beta: float) -> None:
+    """Refuse a non-finite alpha or a beta outside (0, inf), as EncoderPolicy does."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if not (0.0 < beta < math.inf):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 class EncoderPolicy(Record):
     """Linear-plus-noise encoder: transmit beta*(X + alpha*theta) + noise."""
 
     __slots__ = ("alpha", "beta", "noise_var")
 
     def __init__(self, alpha: float, beta: float = 1.0, noise_var: float = 0.0) -> None:
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha}")
-        if not (0.0 < beta < math.inf):
-            raise ValueError(f"beta must be positive and finite, got {beta}")
+        _check_gain(alpha, beta)
         if not (0.0 <= noise_var < math.inf):
             raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
         set_alpha, set_beta, set_noise_var = self._setters
@@ -146,14 +151,20 @@ def evaluate_setting2(model: SourceModel, policy: EncoderPolicy):
     """
     if policy.beta != 1.0:
         raise ValueError("setting 2 uses a unit transmit gain")
-    if policy.noise_var <= 0.0:
-        raise SolveError(f"test-channel noise must be positive, got {policy.noise_var}")
-    s2 = model.sigma_x2
-    rate = 0.5 * math.log1p(mixing_gain(model, policy.alpha) * s2 / policy.noise_var)
-    if not math.isfinite(rate):
-        raise SolveError(f"rate overflows at test-channel noise {policy.noise_var!r}")
-    d_c, d_p = second_order_dc_dp(model, policy.alpha, policy.noise_var / s2)
+    alpha, noise_var = policy.alpha, policy.noise_var
+    rate = _compression_rate(model, alpha, noise_var)
+    d_c, d_p = second_order_dc_dp(model, alpha, noise_var / model.sigma_x2)
     return rate, d_c, d_p
+
+
+def _compression_rate(model: SourceModel, alpha: float, noise_var: float) -> float:
+    """Rate of evaluate_setting2 for the encoder (alpha, unit gain, noise_var)."""
+    if noise_var <= 0.0:
+        raise SolveError(f"test-channel noise must be positive, got {noise_var}")
+    rate = 0.5 * math.log1p(mixing_gain(model, alpha) * model.sigma_x2 / noise_var)
+    if not math.isfinite(rate):
+        raise SolveError(f"rate overflows at test-channel noise {noise_var!r}")
+    return rate
 
 
 def evaluate_setting3(model: SourceModel, policy: EncoderPolicy, channel: ChannelSpec):
@@ -163,9 +174,14 @@ def evaluate_setting3(model: SourceModel, policy: EncoderPolicy, channel: Channe
     U = beta*(X + alpha*theta + encoder noise).  A squared covariance beyond
     the float range raises :class:`SolveError`.
     """
+    return _channel_dc_dp(model, policy.alpha, policy.beta, policy.noise_var, channel)
+
+
+def _channel_dc_dp(model: SourceModel, alpha: float, beta: float, noise_var: float,
+                   channel: ChannelSpec):
+    """evaluate_setting3 for the encoder (alpha, beta, noise_var)."""
     rho, r, s2 = model.rho, model.r, model.sigma_x2
-    alpha, beta = policy.alpha, policy.beta
-    power = beta * beta * (s2 * mixing_gain(model, alpha) + policy.noise_var)
+    power = beta * beta * (s2 * mixing_gain(model, alpha) + noise_var)
     var_y = power + channel.sigma_z2
     try:
         d_c = s2 - (beta * s2 * (1.0 + alpha * rho)) ** 2 / var_y
@@ -250,16 +266,41 @@ def _transmit_variance(model: SourceModel, alpha: float, n_eff: float) -> float:
     return var
 
 
-def _solution(model, d_p_target, policy, kappa, d_c, d_p, active) -> EquilibriumSolution:
-    """The solution, refused when rounding leaves an active D_P off its target."""
+def _check_residual(model: SourceModel, d_p_target: float, d_p: float) -> None:
+    """Refuse an active answer whose D_P rounding left off its target."""
     tol = SOLVE_TOL * min(model.sigma_x2, d_p_target) + ENDPOINT_RTOL * d_p_target
-    if active and abs(d_p - d_p_target) > tol:
+    if abs(d_p - d_p_target) > tol:
         raise DegenerateModelError(
             model, f"rounding misses the privacy target {d_p_target!r}: d_p = {d_p!r}"
         )
-    return EquilibriumSolution(
-        policy=policy, kappa=kappa, d_c=d_c, d_p=d_p, constraint_active=active
-    )
+
+
+def _solution(alpha, beta, kappa, d_c, d_p, active, noise_var=0.0) -> EquilibriumSolution:
+    """The records of one answer of ``_solve1/2/3``.
+
+    Those per-target solves make every check of the public solvers and return
+    plain floats (alpha, beta, kappa, d_c, d_p, active); the sweeps call them.
+    """
+    return EquilibriumSolution(EncoderPolicy(alpha, beta, noise_var), kappa, d_c, d_p, active)
+
+
+def _solve1(model: SourceModel, d_p_target: float):
+    """solve_setting1 as (alpha, beta, kappa, d_c, d_p, active)."""
+    rho, r, s2 = model.rho, model.r, model.sigma_x2
+    floor = r - rho**2
+    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
+        floor = 0.0
+    alpha, branch = _constrained_alpha(model, d_p_target, floor, floor_unit=s2)
+    _check_gain(alpha, 1.0)
+    if branch is FREE:
+        return alpha, 1.0, 1.0, 0.0, s2 * floor, False
+    if branch is ENDPOINT:
+        d_c, d_p, kappa = s2 * rho**2 / r, s2 * r, 1.0
+    else:
+        kappa = (1.0 + alpha * rho) / _transmit_variance(model, alpha, 0.0)
+        d_c, d_p = second_order_dc_dp(model, alpha, 0.0)
+    _check_residual(model, d_p_target, d_p)
+    return alpha, 1.0, kappa, d_c, d_p, True
 
 
 def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution:
@@ -269,20 +310,7 @@ def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution
     distortion, constraint inactive); targets above dp_max are infeasible.
     Encoder noise is never used: it is strictly suboptimal on the frontier.
     """
-    rho, r, s2 = model.rho, model.r, model.sigma_x2
-    floor = r - rho**2
-    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
-        floor = 0.0
-    alpha, branch = _constrained_alpha(model, d_p_target, floor, floor_unit=s2)
-    policy = EncoderPolicy(alpha=alpha)
-    if branch is FREE:
-        d_c, d_p, kappa = 0.0, s2 * floor, 1.0
-    elif branch is ENDPOINT:
-        d_c, d_p, kappa = s2 * rho**2 / r, s2 * r, 1.0
-    else:
-        kappa = (1.0 + alpha * rho) / _transmit_variance(model, alpha, 0.0)
-        d_c, d_p = second_order_dc_dp(model, alpha, 0.0)
-    return _solution(model, d_p_target, policy, kappa, d_c, d_p, branch is not FREE)
+    return _solution(*_solve1(model, d_p_target))
 
 
 def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
@@ -292,7 +320,26 @@ def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
     if sigma_n2 <= 0.0:
         raise SolveError(f"sigma_n2 must be positive, got {sigma_n2}")
     n = sigma_n2 / model.sigma_x2
-    return model.sigma_x2 * (model.r - model.rho**2 / (1.0 + n))
+    floor = model.sigma_x2 * (model.r - model.rho**2 / (1.0 + n))
+    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
+        floor = 0.0
+    return floor
+
+
+def _solve2(model: SourceModel, d_p_target: float, sigma_n2: float):
+    """solve_setting2 as (alpha, beta, kappa, d_c, d_p, active)."""
+    floor = compression_privacy_floor(model, sigma_n2)
+    n = sigma_n2 / model.sigma_x2
+    alpha, branch = _constrained_alpha(model, d_p_target, floor, n_eff=n)
+    kappa = (1.0 + alpha * model.rho) / _transmit_variance(model, alpha, n)
+    d_c, d_p = second_order_dc_dp(model, alpha, n)
+    _check_gain(alpha, 1.0)
+    active = branch is not FREE
+    if active:
+        _check_residual(model, d_p_target, d_p)
+    elif d_p < 0.0:  # rounding at rho^2 >= r, clamped as the floor is
+        d_p = 0.0
+    return alpha, 1.0, kappa, d_c, d_p, active
 
 
 def solve_setting2(
@@ -304,19 +351,45 @@ def solve_setting2(
     inactive (alpha = 0) whenever the target sits at or below the floor
     sigma_x2 * (r - rho^2 / (1 + n)).
     """
-    floor = compression_privacy_floor(model, sigma_n2)
-    n = sigma_n2 / model.sigma_x2
-    alpha, branch = _constrained_alpha(model, d_p_target, floor, n_eff=n)
-    kappa = (1.0 + alpha * model.rho) / _transmit_variance(model, alpha, n)
-    d_c, d_p = second_order_dc_dp(model, alpha, n)
-    policy = EncoderPolicy(alpha=alpha, noise_var=sigma_n2)
-    return _solution(model, d_p_target, policy, kappa, d_c, d_p, branch is not FREE)
+    return _solution(*_solve2(model, d_p_target, sigma_n2), sigma_n2)
 
 
 def channel_privacy_floor(model: SourceModel, channel: ChannelSpec) -> float:
     """Privacy MMSE at alpha = 0 under full-power transmission of X."""
     gamma = channel.p_t / (channel.p_t + channel.sigma_z2)
-    return model.sigma_x2 * (model.r - model.rho**2 * gamma)
+    floor = model.sigma_x2 * (model.r - model.rho**2 * gamma)
+    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
+        floor = 0.0
+    return floor
+
+
+def _solve3(model: SourceModel, d_p_target: float, channel: ChannelSpec):
+    """solve_setting3 as (alpha, beta, kappa, d_c, d_p, active)."""
+    rho, r, s2 = model.rho, model.r, model.sigma_x2
+    p_t, sigma_z2 = channel.p_t, channel.sigma_z2
+    d = d_p_target / s2
+    d_eff = d - (r - d) * sigma_z2 / p_t
+    floor = channel_privacy_floor(model, channel)
+    alpha, branch = _constrained_alpha(model, d_p_target, floor, d_eff=d_eff)
+    active = branch is not FREE
+    if active and model.degenerate:  # max privacy: X - (rho/r)*theta = 0
+        raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
+    var_u = s2 * _transmit_variance(model, alpha, 0.0)  # E{(X + alpha*theta)^2}
+    beta = math.sqrt(p_t / var_u) if var_u > 0.0 else math.inf
+    if beta == math.inf:
+        raise SolveError(f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}")
+    _check_gain(alpha, beta)
+    kappa = beta * s2 * (1.0 + alpha * rho) / (p_t + sigma_z2)
+    if branch is ENDPOINT:
+        # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
+        d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / (p_t + sigma_z2)), s2 * r
+    else:
+        d_c, d_p, _power = _channel_dc_dp(model, alpha, beta, 0.0, channel)
+    if active:
+        _check_residual(model, d_p_target, d_p)
+    elif d_p < 0.0:  # rounding at rho^2 >= r, clamped as the floor is
+        d_p = 0.0
+    return alpha, beta, kappa, d_c, d_p, active
 
 
 def solve_setting3(
@@ -333,24 +406,4 @@ def solve_setting3(
     active constraint raises :class:`DegenerateModelError`.  A transmit gain
     beyond the float range (a subnormal sigma_x2) raises :class:`SolveError`.
     """
-    rho, r, s2 = model.rho, model.r, model.sigma_x2
-    p_t, sigma_z2 = channel.p_t, channel.sigma_z2
-    d = d_p_target / s2
-    d_eff = d - (r - d) * sigma_z2 / p_t
-    floor = channel_privacy_floor(model, channel)
-    alpha, branch = _constrained_alpha(model, d_p_target, floor, d_eff=d_eff)
-    active = branch is not FREE
-    if active and model.degenerate:  # max privacy: X - (rho/r)*theta = 0
-        raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
-    var_u = s2 * _transmit_variance(model, alpha, 0.0)  # E{(X + alpha*theta)^2}
-    beta = math.sqrt(p_t / var_u) if var_u > 0.0 else math.inf
-    if beta == math.inf:
-        raise SolveError(f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}")
-    policy = EncoderPolicy(alpha=alpha, beta=beta)
-    kappa = beta * s2 * (1.0 + alpha * rho) / (p_t + sigma_z2)
-    if branch is ENDPOINT:
-        # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
-        d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / (p_t + sigma_z2)), s2 * r
-    else:
-        d_c, d_p, _power = evaluate_setting3(model, policy, channel)
-    return _solution(model, d_p_target, policy, kappa, d_c, d_p, active)
+    return _solution(*_solve3(model, d_p_target, channel))

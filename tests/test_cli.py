@@ -608,6 +608,15 @@ class TestOracleScaleRegressions:
         assert out == run(["solve", "--setting", "simple", "--sigma-x2", "1",
                            "--rho", "1", "--r", "1", "--dp", "0"])[1]
 
+    def test_compression_free_floor_above_correlation_bound(self):
+        # the compression floor r - rho^2/(1 + n) is -8e-13 at sigma_n2 = 1e-20; it clamps to 0
+        code, out, err = run(["solve", "--setting", "compression", "--sigma-x2", "1",
+                              "--rho", "1.0000000000004", "--r", "1", "--dp", "0",
+                              "--sigma-n2", "1e-20"])
+        assert (code, err) == (0, "")
+        sol = json.loads(out)
+        assert (sol["alpha"], sol["d_p"], sol["constraint_active"]) == (0.0, 0.0, False)
+
     def test_model_at_correlation_bound(self):
         code, out, _ = run(["verify", "--setting", "compression", *self.AT_BOUND,
                             "--dp", "200", "--sigma-n2", "1"])

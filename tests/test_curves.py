@@ -21,7 +21,7 @@ from privcomm.curves import (
     sweep_privacy_distortion,
     sweep_rate_distortion,
 )
-from privcomm.equilibrium import SolveError, evaluate_setting2
+from privcomm.equilibrium import SolveError, channel_privacy_floor, evaluate_setting2
 
 from conftest import column, source_models
 
@@ -118,6 +118,55 @@ class TestSweepGrid:
             sweep_privacy_distortion(model, Setting.SIMPLE, grid=grid)
 
 
+def first_refusal(model, setting, channel, grid):
+    """The exception of the first target of the sweep's grid that the solver refuses."""
+    floor = privacy_floor(model, setting, channel)
+    for target in np.linspace(floor, model.sigma_x2 * model.r, grid):
+        try:
+            if setting is Setting.SIMPLE:
+                solve_setting1(model, float(target))
+            else:
+                solve_setting3(model, float(target), channel)
+        except ValueError as exc:  # SolveError and its kinds included
+            return exc
+    raise AssertionError("the solver refuses no target of the grid")
+
+
+class TestSweepRefusals:
+    # Each sweep raises the exception, class and message, that the solver
+    # raises at the first target of the grid it refuses.
+    @pytest.mark.parametrize(
+        "setting, model, channel, message",
+        [
+            (Setting.SIMPLE, validate_model(1.0, 1.0, 1.0), None,
+             "degenerate model rho^2 = r"),
+            (Setting.CHANNEL, validate_model(1.0, 1.0, 1.0), ChannelSpec(1.0, 1.0),
+             "degenerate model rho^2 = r"),
+            (Setting.CHANNEL,
+             validate_model(9.627742484964946e+23, 5.185222171897798e-142,
+                            2.688652897199429e-283),
+             ChannelSpec(0.0008494897219415433, 2.006125257190469),
+             "r^2 * d underflows a float"),
+            (Setting.CHANNEL, validate_model(1e-310, 0.6, 1.0), ChannelSpec(1.0, 1.0),
+             "the transmit gain overflows a float"),
+            (Setting.CHANNEL, validate_model(1e300, 0.6, 1.0), ChannelSpec(1e10, 1.0),
+             "a squared covariance of Y overflows a float"),
+            (Setting.CHANNEL, validate_model(10.0, 0.6, 1.0), ChannelSpec(5e-324, 1.0),
+             "beta must be positive and finite, got 0.0"),
+        ],
+        ids=["degenerate-simple", "degenerate-channel", "quadratic-underflow",
+             "gain-overflow", "covariance-overflow", "beta-underflow"],
+    )
+    @pytest.mark.parametrize("grid", [3, 5, 65])
+    def test_sweep_raises_the_solvers_refusal(self, setting, model, channel, message, grid):
+        expected = first_refusal(model, setting, channel, grid)
+        assert str(expected).startswith(message)
+        with pytest.raises(ValueError) as info:
+            sweep_privacy_distortion(model, setting, channel, grid)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+
+
 class TestCurveValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -152,7 +201,7 @@ class TestRateSweep:
         def no_solve(*args):
             raise AssertionError("solved before the grid was checked")
 
-        monkeypatch.setattr(privcomm.curves, "solve_setting2", no_solve)
+        monkeypatch.setattr(privcomm.curves, "_solve2", no_solve)
         with pytest.raises(ValueError, match="sigma_n2=0.5 more than once"):
             sweep_rate_distortion(M, 0.9, [1.0, 0.5, 2.0, 0.5])
 
@@ -166,6 +215,53 @@ class TestRateSweep:
         for sigma_n2 in (0.1, 1.0):
             dcs = [solve_setting2(M, t, sigma_n2).d_c for t in (0.95, 0.9, 0.8, 0.7)]
             assert all(b <= a + 1e-12 for a, b in zip(dcs, dcs[1:]))
+
+
+def random_models(rng, count, log_sigma_x2=(-1.0, 1.0)):
+    """Models with the benchmark's ranges of rho and r, sigma_x2 = 10**uniform(*log_sigma_x2)."""
+    models = []
+    for _ in range(count):
+        s2 = float(10.0 ** rng.uniform(*log_sigma_x2))
+        r = float(rng.uniform(0.05, 4.0))
+        models.append(validate_model(s2, float(rng.uniform(0.05, 0.99)) * math.sqrt(r), r))
+    return models
+
+
+class TestRateSweepRows:
+    # sigma_x2 from the benchmark's range, then from 1e-300 to 1e300
+    @pytest.mark.parametrize("log_sigma_x2", [(-1.0, 1.0), (-300.0, 300.0)],
+                             ids=["benchmark", "wide"])
+    def test_rows_are_solves_and_evaluations(self, log_sigma_x2):
+        rng = np.random.default_rng(19)
+        branches = set()
+        for model in random_models(rng, 200, log_sigma_x2):
+            s2, rho, r = model.sigma_x2, model.rho, model.r
+            target = s2 * (r - rho**2) + float(rng.uniform(0.02, 0.98)) * s2 * rho**2
+            noises = [float(v) for v in np.geomspace(1e-2, 1e2, 16) * s2]
+            curve = sweep_rate_distortion(model, target, noises)
+            for row, sigma_n2 in zip(curve.points, noises):
+                sol = solve_setting2(model, target, sigma_n2)
+                rate, d_c, d_p = evaluate_setting2(model, sol.policy)
+                assert (d_c, d_p) == (sol.d_c, sol.d_p)
+                expected = (sigma_n2, rate, sol.d_c, sol.d_p, sol.policy.alpha)
+                assert np.array_equal(bits(row), bits(expected))
+                branches.add(sol.constraint_active)
+        assert branches == {False, True}
+
+
+def test_channel_solve_is_compression_at_the_channel_capacity():
+    # The channel at (P_T, sigma_z2) carries the compression solve whose
+    # rate is its capacity 0.5*ln(1 + P_T/sigma_z2): same alpha, same D_C.
+    rng = np.random.default_rng(5)
+    for model in random_models(rng, 3000):
+        channel = ChannelSpec(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.1, 2.0)))
+        lo, hi = channel_privacy_floor(model, channel), model.sigma_x2 * model.r
+        target = lo + float(rng.uniform(0.02, 0.98)) * (hi - lo)
+        sol3 = solve_setting3(model, target, channel)
+        capacity = 0.5 * math.log1p(channel.p_t / channel.sigma_z2)
+        sol2 = solve_setting2(model, target, noise_for_rate(model, target, capacity))
+        assert sol2.policy.alpha == pytest.approx(sol3.policy.alpha, rel=1e-11, abs=0.0)
+        assert sol2.d_c == pytest.approx(sol3.d_c, rel=0.0, abs=1e-13 * model.sigma_x2)
 
 
 def test_noise_for_rate_roundtrip():

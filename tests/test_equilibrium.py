@@ -19,7 +19,12 @@ from privcomm import (
     solve_setting3,
     validate_model,
 )
-from privcomm.equilibrium import mixing_gain, second_order_dc_dp
+from privcomm.equilibrium import (
+    channel_privacy_floor,
+    compression_privacy_floor,
+    mixing_gain,
+    second_order_dc_dp,
+)
 from privcomm.oracle import covariance_evaluate
 
 from conftest import models_with_targets, source_models
@@ -420,6 +425,25 @@ class TestDegenerateModel:
         # rho^2 = r + 8e-13 passes validation; its free floor is dp_min = 0, not r - rho^2
         m = validate_model(1.0, 1.0000000000004, 1.0)
         sol = solve_setting1(m, target)
+        assert (sol.policy.alpha, sol.d_c, sol.d_p, sol.constraint_active) == (
+            0.0, 0.0, 0.0, False)
+
+    @pytest.mark.parametrize("target", [0.0, -1e-12])
+    def test_compression_free_floor_above_the_bound_is_zero(self, target):
+        # at sigma_n2 = 1e-20 the unclamped floor r - rho^2/(1 + n) is -8e-13
+        m = validate_model(1.0, 1.0000000000004, 1.0)
+        assert compression_privacy_floor(m, 1e-20) == 0.0
+        sol = solve_setting2(m, target, 1e-20)
+        assert (sol.policy.alpha, sol.d_c, sol.d_p, sol.constraint_active) == (
+            0.0, 1e-20, 0.0, False)
+
+    @pytest.mark.parametrize("target", [0.0, -1e-12])
+    def test_channel_free_floor_above_the_bound_is_zero(self, target):
+        # at sigma_z2 = 1e-20 the unclamped floor r - rho^2*P_T/(P_T + sigma_z2) is -8e-13
+        m = validate_model(1.0, 1.0000000000004, 1.0)
+        channel = ChannelSpec(p_t=1.0, sigma_z2=1e-20)
+        assert channel_privacy_floor(m, channel) == 0.0
+        sol = solve_setting3(m, target, channel)
         assert (sol.policy.alpha, sol.d_c, sol.d_p, sol.constraint_active) == (
             0.0, 0.0, 0.0, False)
 
