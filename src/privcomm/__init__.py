@@ -15,9 +15,7 @@ from .equilibrium import (
     InfeasiblePrivacyTarget,
     Setting,
     SolveError,
-    evaluate_setting2,
-    evaluate_setting3,
-    solve_alpha_quadratic,
+    compression_rate,
     solve_setting1,
     solve_setting2,
     solve_setting3,

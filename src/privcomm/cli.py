@@ -23,7 +23,7 @@ import sys
 from .equilibrium import (
     ChannelSpec,
     Setting,
-    evaluate_setting2,
+    compression_rate,
     solve_setting1,
     solve_setting2,
     solve_setting3,
@@ -223,8 +223,7 @@ def _solve_for(args, model, setting, channel):
         return solve_setting1(model, args.dp), None
     if setting is Setting.COMPRESSION:
         sol = solve_setting2(model, args.dp, args.sigma_n2)
-        rate, _, _ = evaluate_setting2(model, sol.policy)
-        return sol, rate
+        return sol, compression_rate(model, sol.policy.alpha, args.sigma_n2)
     return solve_setting3(model, args.dp, channel), None
 
 

@@ -23,12 +23,11 @@ from .equilibrium import (
     ChannelSpec,
     DegenerateModelError,
     Setting,
-    _compression_rate,
     _solve1,
     _solve2,
     _solve3,
     channel_privacy_floor,
-    evaluate_setting2,
+    compression_rate,
     solve_setting2,
 )
 from .model import Record, SourceModel, privacy_bounds
@@ -122,7 +121,7 @@ def sweep_rate_distortion(
     points = []
     for sigma_n2 in noises:
         alpha, _, _, d_c, d_p, _ = _solve2(model, d_p_target, sigma_n2)
-        points.append((sigma_n2, _compression_rate(model, alpha, sigma_n2), d_c, d_p, alpha))
+        points.append((sigma_n2, compression_rate(model, alpha, sigma_n2), d_c, d_p, alpha))
     return TradeoffCurve(columns=("sigma_n2", "rate", "d_c", "d_p", "alpha"),
                          points=tuple(points))
 
@@ -165,7 +164,7 @@ def noise_for_rate(model: SourceModel, d_p_target: float, rate_target: float) ->
         raise ValueError(f"rate_target={rate_target} needs sigma_n2={sigma_n2}, "
                          "outside the normal floats")
     sol = solve_setting2(model, d_p_target, sigma_n2)
-    rate, _, _ = evaluate_setting2(model, sol.policy)
+    rate = compression_rate(model, sol.policy.alpha, sigma_n2)
     if abs(rate - rate_target) > RATE_TOL * max(1.0, rate_target):
         raise DegenerateModelError(
             model, f"rounding misses the rate {rate_target!r}: rate = {rate!r}"

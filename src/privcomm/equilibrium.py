@@ -13,12 +13,18 @@ setting's free privacy floor, the max-privacy endpoint, the degenerate model
 rho^2 = r without noise, and otherwise takes the root alpha_plus, the
 constrained minimizer.  Near rho^2 = r rounding can defeat the closed form,
 so a solution is refused with :class:`DegenerateModelError` when its encoder
-sends nothing or its D_P misses an active target by more than ``SOLVE_TOL``.
+sends nothing, its D_P misses an active target by more than ``SOLVE_TOL``,
+or the quadratic has no real root (rho^2 > r*(1 + n_eff): a model admitted
+just above rho^2 = r at a test-channel noise below its excess).
 
-Settings:
+Settings, each with one public solver:
   simple       Y = X + alpha*theta (noiseless, unit gain)
-  compression  Y = X + alpha*theta + N, N ~ N(0, sigma_n2) (forward test channel)
+  compression  Y = X + alpha*theta + N, N ~ N(0, sigma_n2) (forward test channel);
+               ``compression_rate`` gives the rate of its encoder
   channel      Y = beta*(X + alpha*theta) + Z over a power-limited Gaussian channel
+
+D_C and D_P have one formula per setting: ``second_order_dc_dp`` for the
+simple and compression settings, the channel's inside its solve.
 """
 
 from __future__ import annotations
@@ -142,82 +148,19 @@ def second_order_dc_dp(model: SourceModel, alpha, n_eff):
     return d_c, d_p
 
 
-def evaluate_setting2(model: SourceModel, policy: EncoderPolicy):
-    """(rate, d_c, d_p) for the compression setting.
+def compression_rate(model: SourceModel, alpha: float, sigma_n2: float) -> float:
+    """Rate of the compression encoder (alpha, unit gain, test-channel noise sigma_n2).
 
     The rate is the Gaussian mutual information across the forward test
     channel, in nats; a nonpositive noise, or one so small that the rate
     overflows, raises :class:`SolveError`.
     """
-    if policy.beta != 1.0:
-        raise ValueError("setting 2 uses a unit transmit gain")
-    alpha, noise_var = policy.alpha, policy.noise_var
-    rate = _compression_rate(model, alpha, noise_var)
-    d_c, d_p = second_order_dc_dp(model, alpha, noise_var / model.sigma_x2)
-    return rate, d_c, d_p
-
-
-def _compression_rate(model: SourceModel, alpha: float, noise_var: float) -> float:
-    """Rate of evaluate_setting2 for the encoder (alpha, unit gain, noise_var)."""
-    if noise_var <= 0.0:
-        raise SolveError(f"test-channel noise must be positive, got {noise_var}")
-    rate = 0.5 * math.log1p(mixing_gain(model, alpha) * model.sigma_x2 / noise_var)
+    if sigma_n2 <= 0.0:
+        raise SolveError(f"test-channel noise must be positive, got {sigma_n2}")
+    rate = 0.5 * math.log1p(mixing_gain(model, alpha) * model.sigma_x2 / sigma_n2)
     if not math.isfinite(rate):
-        raise SolveError(f"rate overflows at test-channel noise {noise_var!r}")
+        raise SolveError(f"rate overflows at test-channel noise {sigma_n2!r}")
     return rate
-
-
-def evaluate_setting3(model: SourceModel, policy: EncoderPolicy, channel: ChannelSpec):
-    """(d_c, d_p, power) for transmission over the Gaussian channel.
-
-    Works for an arbitrary transmit gain; power is E{U^2} for
-    U = beta*(X + alpha*theta + encoder noise).  A squared covariance beyond
-    the float range raises :class:`SolveError`.
-    """
-    return _channel_dc_dp(model, policy.alpha, policy.beta, policy.noise_var, channel)
-
-
-def _channel_dc_dp(model: SourceModel, alpha: float, beta: float, noise_var: float,
-                   channel: ChannelSpec):
-    """evaluate_setting3 for the encoder (alpha, beta, noise_var)."""
-    rho, r, s2 = model.rho, model.r, model.sigma_x2
-    power = beta * beta * (s2 * mixing_gain(model, alpha) + noise_var)
-    var_y = power + channel.sigma_z2
-    try:
-        d_c = s2 - (beta * s2 * (1.0 + alpha * rho)) ** 2 / var_y
-        d_p = s2 * r - (beta * s2 * (rho + r * alpha)) ** 2 / var_y
-    except OverflowError:
-        raise SolveError(
-            f"a squared covariance of Y overflows a float at sigma_x2={s2!r}, beta={beta!r}"
-        ) from None
-    return d_c, d_p, power
-
-
-def solve_alpha_quadratic(model: SourceModel, d_target: float, n_eff: float):
-    """Both roots of the active privacy constraint D_P(alpha, n_eff) = d_target.
-
-    ``d_target`` and ``n_eff`` are normalized by sigma_x2.  Returns
-    (alpha_plus, alpha_minus) = (-rho/r + delta, -rho/r - delta) with
-    delta^2 = (r - d)*(r - rho^2 + r*n_eff) / (r^2 * d); an r^2 * d that
-    underflows to zero or overflows raises :class:`SolveError`.
-    """
-    if d_target <= 0.0:
-        raise SolveError(f"normalized privacy target must be positive, got {d_target}")
-    if n_eff < 0.0:
-        raise ValueError(f"n_eff must be >= 0, got {n_eff}")
-    rho, r = model.rho, model.r
-    scale = r * r * d_target
-    if not scale > 0.0:
-        raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d_target!r}")
-    if scale == math.inf:
-        raise SolveError(f"r^2 * d overflows a float at r={r!r}, d={d_target!r}")
-    disc = (r - d_target) * (r - rho**2 + r * n_eff) / scale
-    if disc < -ENDPOINT_RTOL * max(1.0, r):
-        raise InfeasiblePrivacyTarget(
-            f"target {d_target} exceeds maximum privacy {r} (negative discriminant)"
-        )
-    delta = math.sqrt(max(disc, 0.0))
-    return -rho / r + delta, -rho / r - delta
 
 
 _NO_NOISELESS_ENCODER = "no encoder without noise meets the privacy target {!r}"
@@ -239,8 +182,11 @@ def _constrained_alpha(
     ``floor`` is the setting's free privacy level in units of ``floor_unit``
     (1 for the target's own units, sigma_x2 for a normalized floor).  The
     active constraint is the quadratic in ``n_eff`` at the normalized target,
-    or at ``d_eff`` when the setting shifts it; its root alpha_plus is the
-    constrained minimizer, because alpha_minus lies below -rho/r.
+    or at ``d_eff`` when the setting shifts it.  Its roots are -rho/r +- delta
+    with delta^2 = (r - d)*(r - rho^2 + r*n_eff) / (r^2 * d); the root
+    alpha_plus is the constrained minimizer, because alpha_minus lies below
+    -rho/r.  An r^2 * d that underflows to zero or overflows raises
+    :class:`SolveError`.
     """
     if not math.isfinite(d_p_target):
         raise SolveError(f"privacy target must be finite, got {d_p_target}")
@@ -254,7 +200,20 @@ def _constrained_alpha(
         return -rho / r, ENDPOINT  # transmit the prediction error of X from theta
     if model.degenerate and n_eff == 0.0:
         raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
-    alpha, _ = solve_alpha_quadratic(model, d if d_eff is None else d_eff, n_eff)
+    if d_eff is not None:
+        d = d_eff
+    if d <= 0.0:
+        raise SolveError(f"normalized privacy target must be positive, got {d}")
+    scale = r * r * d
+    if not scale > 0.0:
+        raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d!r}")
+    if scale == math.inf:
+        raise SolveError(f"r^2 * d overflows a float at r={r!r}, d={d!r}")
+    disc = (r - d) * (r - rho**2 + r * n_eff) / scale
+    if disc < -ENDPOINT_RTOL * max(1.0, r):  # d < r here, so rho^2 > r*(1 + n_eff)
+        raise DegenerateModelError(model, f"no encoder meets the privacy target {d_p_target!r} "
+                                          f"at test-channel noise sigma_n2/sigma_x2 = {n_eff!r}")
+    alpha = -rho / r + math.sqrt(max(disc, 0.0))
     return min(alpha, 0.0), INTERIOR  # clip last-ulp drift above alpha = 0
 
 
@@ -384,7 +343,14 @@ def _solve3(model: SourceModel, d_p_target: float, channel: ChannelSpec):
         # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
         d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / (p_t + sigma_z2)), s2 * r
     else:
-        d_c, d_p, _power = _channel_dc_dp(model, alpha, beta, 0.0, channel)
+        var_y = beta * beta * var_u + sigma_z2  # the power P_T plus the channel noise
+        try:
+            d_c = s2 - (beta * s2 * (1.0 + alpha * rho)) ** 2 / var_y
+            d_p = s2 * r - (beta * s2 * (rho + r * alpha)) ** 2 / var_y
+        except OverflowError:
+            raise SolveError(
+                f"a squared covariance of Y overflows a float at sigma_x2={s2!r}, beta={beta!r}"
+            ) from None
     if active:
         _check_residual(model, d_p_target, d_p)
     elif d_p < 0.0:  # rounding at rho^2 >= r, clamped as the floor is
@@ -404,6 +370,7 @@ def solve_setting3(
     (P_T + sigma_z2).  On a degenerate model (rho^2 = r) every encoder
     without noise either leaks at the free floor or sends nothing, so an
     active constraint raises :class:`DegenerateModelError`.  A transmit gain
-    beyond the float range (a subnormal sigma_x2) raises :class:`SolveError`.
+    (at a subnormal sigma_x2) or a squared covariance of Y beyond the float
+    range raises :class:`SolveError`.
     """
     return _solution(*_solve3(model, d_p_target, channel))

@@ -19,7 +19,6 @@ import pytest
 from privcomm import (
     ChannelSpec,
     Setting,
-    evaluate_setting3,
     privacy_bounds,
     solve_setting1,
     solve_setting2,
@@ -27,7 +26,7 @@ from privcomm import (
     validate_model,
 )
 from privcomm.curves import sweep_privacy_distortion
-from privcomm.equilibrium import evaluate_setting2, second_order_dc_dp
+from privcomm.equilibrium import mixing_gain, second_order_dc_dp
 from privcomm.montecarlo import SimConfig, simulate_policy
 from privcomm.oracle import lagrangian_scan, verify_equilibrium
 
@@ -226,7 +225,7 @@ def test_criterion_5_compression_consistency():
     for target in (0.75, 0.85, 0.95):
         sol = solve_setting2(M, target, 0.2)
         if sol.constraint_active:
-            _, _, d_p = evaluate_setting2(M, sol.policy)
+            _, d_p = second_order_dc_dp(M, sol.policy.alpha, 0.2 / M.sigma_x2)
             back_ok = back_ok and abs(d_p - target) <= 1e-9
     limit = solve_setting2(M, 0.84, 1e-9)
     ref = solve_setting1(M, 0.84)
@@ -250,7 +249,7 @@ def test_criterion_6_channel_reduction_and_power():
     ok = ok and abs(huge.d_c - solve_setting1(M, 0.84).d_c) <= 1e-9
     ch = ChannelSpec(p_t=1.0, sigma_z2=1.0)
     sol = solve_setting3(M, 0.92, ch)
-    _, _, power = evaluate_setting3(M, sol.policy, ch)
+    power = sol.policy.beta**2 * M.sigma_x2 * mixing_gain(M, sol.policy.alpha)
     ok = ok and abs(power - ch.p_t) <= 1e-10
     n = 1_000_000
     res = simulate_policy(M, sol.policy, ch, sol.kappa, SimConfig(n, 606, Setting.CHANNEL))

@@ -617,6 +617,21 @@ class TestOracleScaleRegressions:
         sol = json.loads(out)
         assert (sol["alpha"], sol["d_p"], sol["constraint_active"]) == (0.0, 0.0, False)
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--setting", "compression", "--sigma-n2", "1e-20"],
+        ["rate", "--noise-grid", "1e-20,1"],
+        ["verify", "--setting", "compression", "--sigma-n2", "1e-20"],
+        ["simulate", "--setting", "compression", "--sigma-n2", "1e-20"],
+    ], ids=["solve", "rate", "verify", "simulate"])
+    def test_compression_without_real_root_exits_1(self, argv):
+        # rho^2 = r*(1 + 8e-13) exceeds r*(1 + n) at n = 1e-20: the quadratic has no real root
+        code, out, err = run([*argv, "--sigma-x2", "1", "--rho", "1.0000000000004",
+                              "--r", "1", "--dp", "0.1"])
+        assert code == 1 and out == ""
+        assert err == ("error: degenerate model rho^2 = r (1.0000000000007998 vs 1.0): no "
+                       "encoder meets the privacy target 0.1 at test-channel noise "
+                       "sigma_n2/sigma_x2 = 1e-20\n")
+
     def test_model_at_correlation_bound(self):
         code, out, _ = run(["verify", "--setting", "compression", *self.AT_BOUND,
                             "--dp", "200", "--sigma-n2", "1"])

@@ -21,7 +21,13 @@ from privcomm.curves import (
     sweep_privacy_distortion,
     sweep_rate_distortion,
 )
-from privcomm.equilibrium import SolveError, channel_privacy_floor, evaluate_setting2
+from privcomm import equilibrium
+from privcomm.equilibrium import (
+    SolveError,
+    channel_privacy_floor,
+    compression_rate,
+    second_order_dc_dp,
+)
 
 from conftest import column, source_models
 
@@ -241,12 +247,21 @@ class TestRateSweepRows:
             curve = sweep_rate_distortion(model, target, noises)
             for row, sigma_n2 in zip(curve.points, noises):
                 sol = solve_setting2(model, target, sigma_n2)
-                rate, d_c, d_p = evaluate_setting2(model, sol.policy)
+                d_c, d_p = second_order_dc_dp(model, sol.policy.alpha, sigma_n2 / s2)
                 assert (d_c, d_p) == (sol.d_c, sol.d_p)
+                rate = compression_rate(model, sol.policy.alpha, sigma_n2)
                 expected = (sigma_n2, rate, sol.d_c, sol.d_p, sol.policy.alpha)
                 assert np.array_equal(bits(row), bits(expected))
                 branches.add(sol.constraint_active)
         assert branches == {False, True}
+
+
+def test_rate_sweep_without_real_root_is_degenerate():
+    # rho^2 = r*(1 + 8e-13) exceeds r*(1 + n) at n = 1e-20, the grid's first noise
+    m = validate_model(1.0, 1.0000000000004, 1.0)
+    with pytest.raises(DegenerateModelError,
+                       match="target 0.1 at test-channel noise sigma_n2/sigma_x2 = 1e-20"):
+        sweep_rate_distortion(m, 0.1, [1.0, 1e-20])
 
 
 def test_channel_solve_is_compression_at_the_channel_capacity():
@@ -267,8 +282,7 @@ def test_channel_solve_is_compression_at_the_channel_capacity():
 def test_noise_for_rate_roundtrip():
     sigma_n2 = noise_for_rate(M, 0.9, 0.7)
     sol = solve_setting2(M, 0.9, sigma_n2)
-    rate, _, _ = evaluate_setting2(M, sol.policy)
-    assert rate == pytest.approx(0.7, abs=1e-7)
+    assert compression_rate(M, sol.policy.alpha, sigma_n2) == pytest.approx(0.7, abs=1e-7)
 
 
 def exact_rate(model, sigma_n2, d_p_target):
@@ -316,6 +330,16 @@ class TestNoiseForRate:
         with pytest.raises(ValueError, match=f"rate_target={rate}") as info:
             noise_for_rate(model, 0.9 * model.sigma_x2, rate)
         assert not isinstance(info.value, SolveError)
+
+    @pytest.mark.parametrize("d_p", [0.64, 0.9], ids=["inactive", "active"])
+    def test_one_dc_dp_evaluation_per_inversion(self, d_p, monkeypatch):
+        # the guard solve evaluates D_C and D_P; the rate needs neither
+        calls = []
+        monkeypatch.setattr(equilibrium, "second_order_dc_dp",
+                            lambda *args: calls.append(args) or second_order_dc_dp(*args))
+        sigma_n2 = noise_for_rate(M, d_p, 0.5)
+        (args,) = calls
+        assert args == (M, solve_setting2(M, d_p, sigma_n2).policy.alpha, sigma_n2 / M.sigma_x2)
 
     def test_nan_target_refused(self):
         with pytest.raises(SolveError, match="privacy target must be finite"):

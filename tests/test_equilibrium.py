@@ -10,10 +10,8 @@ from privcomm import (
     EncoderPolicy,
     InfeasiblePrivacyTarget,
     SolveError,
-    evaluate_setting2,
-    evaluate_setting3,
+    compression_rate,
     privacy_bounds,
-    solve_alpha_quadratic,
     solve_setting1,
     solve_setting2,
     solve_setting3,
@@ -37,34 +35,87 @@ REF_DELTA = math.sqrt(0.64 * (1.0 / 0.84 - 1.0))
 REF_ALPHA = -0.6 + REF_DELTA
 
 
-class TestAlphaQuadratic:
+def quadratic_roots(model, d, n_eff):
+    """Both roots of r*d*a^2 + 2*rho*d*a + (rho^2 - r + d - (r - d)*n_eff) = 0.
+
+    By the textbook formula from the coefficients, not the solvers' -rho/r +- delta.
+    """
+    rho, r = model.rho, model.r
+    a, b, c = r * d, 2.0 * rho * d, rho**2 - r + d - (r - d) * n_eff
+    sq = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    return (-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)
+
+
+class TestAlphaPlus:
+    """Every solver's active alpha is the root alpha_plus of the constraint quadratic."""
+
+    CH = ChannelSpec(p_t=1.0, sigma_z2=1.0)
+
     def test_reference_roots(self):
-        plus, minus = solve_alpha_quadratic(M, 0.84, 0.0)
+        plus, minus = quadratic_roots(M, 0.84, 0.0)
         assert plus == pytest.approx(-0.250851, abs=1e-6)
         assert minus == pytest.approx(-0.949149, abs=1e-6)
-        assert plus == pytest.approx(REF_ALPHA, abs=1e-14)
+        alpha = solve_setting1(M, 0.84).policy.alpha
+        assert alpha == pytest.approx(REF_ALPHA, abs=1e-14)
+        assert alpha == pytest.approx(plus, abs=1e-14)
 
     def test_both_roots_hit_target(self):
-        for root in solve_alpha_quadratic(M, 0.84, 0.0):
-            _, d_p = second_order_dc_dp(M, root, 0.0)
+        for root in quadratic_roots(M, 0.84, 0.0):
+            _, d_p = covariance_evaluate(M, root, 0.0)
             assert d_p == pytest.approx(0.84, abs=1e-12)
 
+    def test_each_setting_meets_its_target(self):
+        # the channel at (1, 1) shifts 0.92 to the effective target 0.92 - (1 - 0.92) = 0.84
+        sol1, sol2 = solve_setting1(M, 0.84), solve_setting2(M, 0.9, 0.5)
+        sol3 = solve_setting3(M, 0.92, self.CH)
+        alpha1, alpha2, alpha3 = (sol.policy.alpha for sol in (sol1, sol2, sol3))
+        for sol, root, (d_c, d_p), target in (
+            (sol1, quadratic_roots(M, 0.84, 0.0)[0], covariance_evaluate(M, alpha1, 0.0), 0.84),
+            (sol2, quadratic_roots(M, 0.9, 0.5)[0], covariance_evaluate(M, alpha2, 0.5), 0.9),
+            (sol3, quadratic_roots(M, 0.84, 0.0)[0],
+             covariance_evaluate(M, alpha3, 0.0, sol3.policy.beta, 1.0), 0.92),
+        ):
+            assert sol.constraint_active and -0.6 < sol.policy.alpha < 0.0
+            assert sol.policy.alpha == pytest.approx(root, abs=1e-12)
+            assert d_p == pytest.approx(target, abs=1e-12)
+            assert sol.d_c == pytest.approx(d_c, abs=1e-12)
+
     def test_max_privacy_double_root(self):
-        plus, minus = solve_alpha_quadratic(M, 1.0, 0.0)
-        assert plus == minus == pytest.approx(-0.6, abs=1e-12)
+        plus, minus = quadratic_roots(M, 1.0, 0.0)
+        assert plus == pytest.approx(-0.6, abs=1e-12)
+        assert minus == pytest.approx(-0.6, abs=1e-12)
+        for sol in (solve_setting1(M, 1.0), solve_setting2(M, 1.0, 0.5),
+                    solve_setting3(M, 1.0, self.CH)):
+            assert sol.policy.alpha == -0.6 and sol.constraint_active
 
     def test_min_privacy_roots(self):
-        plus, minus = solve_alpha_quadratic(M, 0.64, 0.0)
+        plus, minus = quadratic_roots(M, 0.64, 0.0)
         assert plus == pytest.approx(0.0, abs=1e-12)
         assert minus == pytest.approx(-1.2, abs=1e-12)
+        sol = solve_setting1(M, 0.64 + 1e-9)
+        assert sol.constraint_active and -1e-8 < sol.policy.alpha < 0.0
 
     def test_infeasible_target(self):
-        with pytest.raises(InfeasiblePrivacyTarget):
-            solve_alpha_quadratic(M, 1.5, 0.0)
+        for solve in (lambda: solve_setting1(M, 1.5), lambda: solve_setting2(M, 1.5, 0.5),
+                      lambda: solve_setting3(M, 1.5, self.CH)):
+            with pytest.raises(InfeasiblePrivacyTarget, match="exceeds dp_max"):
+                solve()
 
-    def test_degenerate_target(self):
-        with pytest.raises(SolveError):
-            solve_alpha_quadratic(M, 0.0, 0.0)
+    def test_normalized_target_underflow_refused(self):
+        # the floor is 0 at n = 1e-20, and d = 1e-300 / 1e300 underflows to 0
+        with pytest.raises(SolveError, match="normalized privacy target must be positive"):
+            solve_setting2(validate_model(1e300, 1.0, 1.0), 1e-300, 1e280)
+
+    def test_no_real_root_is_degenerate(self):
+        # rho^2 = r*(1 + 8e-13) exceeds r*(1 + n) at n = 1e-20: the discriminant is negative
+        m = validate_model(1.0, 1.0000000000004, 1.0)
+        with pytest.raises(DegenerateModelError) as info:
+            solve_setting2(m, 0.1, 1e-20)
+        assert str(info.value) == (
+            "degenerate model rho^2 = r (1.0000000000007998 vs 1.0): no encoder meets the "
+            "privacy target 0.1 at test-channel noise sigma_n2/sigma_x2 = 1e-20")
+        # at n = 1e-3 the roots are real and the answer stands
+        assert solve_setting2(m, 0.1, 1e-3).d_p == pytest.approx(0.1, rel=1e-12)
 
     @given(models_with_targets())
     @settings(max_examples=200)
@@ -73,8 +124,12 @@ class TestAlphaQuadratic:
         d = target / model.sigma_x2
         if d <= 1e-9:
             return
-        for root in solve_alpha_quadratic(model, d, 0.0):
-            _, d_p = second_order_dc_dp(model, root, 0.0)
+        for root in quadratic_roots(model, d, 0.0):
+            _, d_p = covariance_evaluate(model, root, 0.0)
+            assert d_p / model.sigma_x2 == pytest.approx(d, abs=1e-9)
+        sol = solve_setting1(model, target)
+        if sol.constraint_active:
+            _, d_p = covariance_evaluate(model, sol.policy.alpha, 0.0)
             assert d_p / model.sigma_x2 == pytest.approx(d, abs=1e-9)
 
 
@@ -97,41 +152,47 @@ class TestEvaluators:
 
     def test_setting2_alpha_zero(self):
         m = validate_model(1.0, 0.5, 1.0)
-        rate, d_c, d_p = evaluate_setting2(m, EncoderPolicy(alpha=0.0, noise_var=1.0))
-        assert rate == pytest.approx(0.5 * math.log(2.0))
+        assert compression_rate(m, 0.0, 1.0) == pytest.approx(0.5 * math.log(2.0))
+        d_c, d_p = second_order_dc_dp(m, 0.0, 1.0)
         assert d_c == pytest.approx(0.5)
         assert d_p == pytest.approx(1.0 - 0.25 / 2.0)
 
     def test_setting2_reference(self):
         m = validate_model(1.0, 0.5, 1.0)
-        _, _, d_p = evaluate_setting2(m, EncoderPolicy(alpha=-0.2, noise_var=1.0))
+        _, d_p = second_order_dc_dp(m, -0.2, 1.0)
         assert d_p == pytest.approx(1.0 - 0.09 / 1.84, abs=1e-12)
 
     def test_setting2_large_noise_limit(self):
-        rate, d_c, d_p = evaluate_setting2(M, EncoderPolicy(alpha=-0.3, noise_var=1e9))
-        assert rate == pytest.approx(0.0, abs=1e-6)
+        assert compression_rate(M, -0.3, 1e9) == pytest.approx(0.0, abs=1e-6)
+        d_c, d_p = second_order_dc_dp(M, -0.3, 1e9)
         assert d_c == pytest.approx(1.0, rel=1e-6)
         assert d_p == pytest.approx(1.0, rel=1e-6)
 
-    def test_setting2_rejects_zero_noise(self):
-        with pytest.raises(SolveError):
-            evaluate_setting2(M, EncoderPolicy(alpha=0.0, noise_var=0.0))
+    @pytest.mark.parametrize("noise", [0.0, -1.0])
+    def test_setting2_rejects_nonpositive_noise(self, noise):
+        with pytest.raises(SolveError, match="test-channel noise must be positive"):
+            compression_rate(M, 0.0, noise)
+
+    def test_setting2_rejects_rate_overflow(self):
+        with pytest.raises(SolveError, match="rate overflows at test-channel noise 1e-320"):
+            compression_rate(M, 0.0, 1e-320)
 
     @given(source_models(), st.floats(-2.0, 1.0), st.floats(1e-3, 10.0))
     @settings(max_examples=300)
     def test_setting2_dc_forms_agree(self, model, alpha, noise):
-        _, d_c, _ = evaluate_setting2(model, EncoderPolicy(alpha=alpha, noise_var=noise))
         n = noise / model.sigma_x2
+        d_c, _ = second_order_dc_dp(model, alpha, n)
         alt = model.sigma_x2 * (
             1.0 - (1.0 + alpha * model.rho) ** 2 / (mixing_gain(model, alpha) + n)
         )
         assert d_c == pytest.approx(alt, rel=1e-10, abs=1e-13 * model.sigma_x2)
 
     def test_setting3_power(self):
-        ch = ChannelSpec(p_t=2.0, sigma_z2=0.5)
-        beta = math.sqrt(2.0 / mixing_gain(M, -0.3))
-        _, _, power = evaluate_setting3(M, EncoderPolicy(alpha=-0.3, beta=beta), ch)
-        assert power == pytest.approx(2.0, rel=1e-12)
+        # the transmit power beta^2 * sigma_x2 * A meets P_T
+        m = validate_model(2.5, 0.6, 1.0)
+        sol = solve_setting3(m, 2.3, ChannelSpec(p_t=2.0, sigma_z2=0.5))
+        alpha, beta = sol.policy.alpha, sol.policy.beta
+        assert beta**2 * m.sigma_x2 * mixing_gain(m, alpha) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestSolveSetting1:
@@ -190,7 +251,7 @@ class TestSolveSetting1:
         bounds = privacy_bounds(model)
         if not (bounds.dp_min * 1.001 + 1e-9 < target < bounds.dp_max * 0.999):
             return
-        plus, minus = solve_alpha_quadratic(model, d, 0.0)
+        plus, minus = quadratic_roots(model, d, 0.0)
         sol = solve_setting1(model, target)
         d_c_plus = second_order_dc_dp(model, plus, 0.0)[0]
         d_c_minus = second_order_dc_dp(model, minus, 0.0)[0]
@@ -264,7 +325,7 @@ class TestSolveSetting3:
     def test_power_always_active(self):
         ch = ChannelSpec(p_t=3.0, sigma_z2=0.7)
         sol = solve_setting3(M, 0.9, ch)
-        _, _, power = evaluate_setting3(M, sol.policy, ch)
+        power = sol.policy.beta**2 * M.sigma_x2 * mixing_gain(M, sol.policy.alpha)
         assert power == pytest.approx(3.0, rel=1e-10)
 
     @given(models_with_targets(), st.floats(0.1, 10.0), st.floats(0.0, 5.0))

@@ -19,9 +19,8 @@ import privcomm
 EXPORTED = (
     "ChannelSpec", "DegenerateModelError", "EncoderPolicy", "EquilibriumSolution",
     "InfeasiblePrivacyTarget", "ModelError", "PrivacyBounds", "Setting", "SolveError",
-    "SourceModel", "evaluate_setting2", "evaluate_setting3", "gaussian_conditional_entropy",
-    "privacy_bounds", "solve_alpha_quadratic", "solve_setting1", "solve_setting2",
-    "solve_setting3", "validate_model",
+    "SourceModel", "compression_rate", "gaussian_conditional_entropy", "privacy_bounds",
+    "solve_setting1", "solve_setting2", "solve_setting3", "validate_model",
 )
 
 #: Names that neither the package nor the module that defined them has any more.
@@ -29,7 +28,9 @@ REMOVED = [("montecarlo", "ProbeReport"), ("montecarlo", "decoder_optimality_pro
            ("montecarlo", "sample_joint"), ("equilibrium", "evaluate_setting1"),
            ("equilibrium", "xi_sign_check"), ("model", "NonPositiveVarianceError"),
            ("model", "NegativeCorrelationError"), ("model", "CorrelationBoundError"),
-           ("equilibrium", "DegeneratePrivacyTarget"), ("equilibrium", "InfiniteRateError")]
+           ("equilibrium", "DegeneratePrivacyTarget"), ("equilibrium", "InfiniteRateError"),
+           ("equilibrium", "evaluate_setting2"), ("equilibrium", "evaluate_setting3"),
+           ("equilibrium", "solve_alpha_quadratic")]
 
 # Runs cli.main on each argv in one fresh interpreter and reports, after each
 # call, its exit status, whether numpy has been imported so far, and which of
