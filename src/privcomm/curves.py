@@ -2,9 +2,10 @@
 
 Sweeps are parameterized directly by the privacy target (settings 1/3) or by
 the test-channel noise (setting 2); the Lagrange multiplier is the local
-slope of the privacy-distortion curve, not a sweep parameter.  Each sweep
-point comes from the per-target solve that the public solvers wrap, as plain
-floats, so a sweep builds no solution records.
+slope of the privacy-distortion curve, not a sweep parameter.  A privacy
+sweep hands its whole target grid to the solve core that the public solvers
+wrap, which works out the model's constants once and returns plain floats, so
+a sweep builds no solution records; the rate sweep calls it once per noise.
 ``noise_for_rate`` runs setting 2 backwards: the test-channel noise that
 meets a privacy target at a given rate comes in closed form, checked by one
 solve at the noise it returns.
@@ -23,9 +24,7 @@ from .equilibrium import (
     ChannelSpec,
     DegenerateModelError,
     Setting,
-    _solve1,
-    _solve2,
-    _solve3,
+    _solve,
     channel_privacy_floor,
     compression_rate,
     solve_setting2,
@@ -96,14 +95,10 @@ def sweep_privacy_distortion(
         if t2 <= t1:
             raise ValueError(f"grid={grid} repeats the privacy target {t1!r}: "
                              f"too few floats lie in [{lo!r}, {hi!r}]")
-    points = []
-    for target in targets:
-        if setting is Setting.SIMPLE:
-            alpha, _, kappa, d_c, _, _ = _solve1(model, target)
-        else:
-            alpha, _, kappa, d_c, _, _ = _solve3(model, target, channel)
-        points.append((target, d_c, alpha, kappa))
-    return TradeoffCurve(columns=("d_p", "d_c", "alpha", "kappa"), points=tuple(points))
+    rows = _solve(model, targets, channel=channel if setting is Setting.CHANNEL else None)
+    points = tuple((target, d_c, alpha, kappa)
+                   for target, (alpha, _, kappa, d_c, _, _) in zip(targets, rows))
+    return TradeoffCurve(columns=("d_p", "d_c", "alpha", "kappa"), points=points)
 
 
 def sweep_rate_distortion(
@@ -120,7 +115,7 @@ def sweep_rate_distortion(
             raise ValueError(f"noise_grid lists sigma_n2={n1!r} more than once")
     points = []
     for sigma_n2 in noises:
-        alpha, _, _, d_c, d_p, _ = _solve2(model, d_p_target, sigma_n2)
+        ((alpha, _, _, d_c, d_p, _),) = _solve(model, (d_p_target,), sigma_n2)
         points.append((sigma_n2, compression_rate(model, alpha, sigma_n2), d_c, d_p, alpha))
     return TradeoffCurve(columns=("sigma_n2", "rate", "d_c", "d_p", "alpha"),
                          points=tuple(points))

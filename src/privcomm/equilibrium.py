@@ -8,14 +8,17 @@ privacy constraint, a quadratic in alpha:
 
 where d is the normalized privacy target D_P / sigma_x2 (or the setting's
 effective target) and n_eff the normalized effective noise variance seen at
-the decoder.  The core tests, in order: a finite target, feasibility, the
-setting's free privacy floor, the max-privacy endpoint, the degenerate model
-rho^2 = r without noise, and otherwise takes the root alpha_plus, the
-constrained minimizer.  Near rho^2 = r rounding can defeat the closed form,
-so a solution is refused with :class:`DegenerateModelError` when its encoder
-sends nothing, its D_P misses an active target by more than ``SOLVE_TOL``,
-or the quadratic has no real root (rho^2 > r*(1 + n_eff): a model admitted
-just above rho^2 = r at a test-channel noise below its excess).
+the decoder.  The core takes a sequence of targets: it works out the model's
+free floor, bounds and quadratic coefficients once, then tests each target,
+in order: a finite target, feasibility, the setting's free privacy floor, the
+max-privacy endpoint, the degenerate model rho^2 = r without noise, and
+otherwise takes the root alpha_plus, the constrained minimizer.  Near
+rho^2 = r rounding can defeat the closed form, so a solution is refused with
+:class:`DegenerateModelError` when its encoder sends nothing, its D_P misses
+an active target by more than ``SOLVE_TOL``, or the quadratic has no real
+root (rho^2 > r*(1 + n_eff): a model admitted just above rho^2 = r at a
+test-channel noise below its excess).  The public solvers pass the core one
+target; the privacy sweeps pass it their whole grid.
 
 Settings, each with one public solver:
   simple       Y = X + alpha*theta (noiseless, unit gain)
@@ -163,115 +166,6 @@ def compression_rate(model: SourceModel, alpha: float, sigma_n2: float) -> float
     return rate
 
 
-_NO_NOISELESS_ENCODER = "no encoder without noise meets the privacy target {!r}"
-
-
-def _constrained_alpha(
-    model: SourceModel,
-    d_p_target: float,
-    floor: float,
-    n_eff: float = 0.0,
-    d_eff: float | None = None,
-    floor_unit: float = 1.0,
-):
-    """(alpha, branch) of the privacy-constrained encoder, for every setting.
-
-    ``branch`` is ``FREE``, ``ENDPOINT`` or ``INTERIOR``; the constraint is
-    active on the last two.
-
-    ``floor`` is the setting's free privacy level in units of ``floor_unit``
-    (1 for the target's own units, sigma_x2 for a normalized floor).  The
-    active constraint is the quadratic in ``n_eff`` at the normalized target,
-    or at ``d_eff`` when the setting shifts it.  Its roots are -rho/r +- delta
-    with delta^2 = (r - d)*(r - rho^2 + r*n_eff) / (r^2 * d); the root
-    alpha_plus is the constrained minimizer, because alpha_minus lies below
-    -rho/r.  An r^2 * d that underflows to zero or overflows raises
-    :class:`SolveError`.
-    """
-    if not math.isfinite(d_p_target):
-        raise SolveError(f"privacy target must be finite, got {d_p_target}")
-    rho, r, s2 = model.rho, model.r, model.sigma_x2
-    d = d_p_target / s2
-    if d > r * (1.0 + ENDPOINT_RTOL):
-        raise InfeasiblePrivacyTarget(f"d_p_target={d_p_target} exceeds dp_max={s2 * r}")
-    if rho == 0.0 or d_p_target / floor_unit <= floor * (1.0 + ENDPOINT_RTOL):
-        return 0.0, FREE
-    if d >= r * (1.0 - ENDPOINT_RTOL):
-        return -rho / r, ENDPOINT  # transmit the prediction error of X from theta
-    if model.degenerate and n_eff == 0.0:
-        raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
-    if d_eff is not None:
-        d = d_eff
-    if d <= 0.0:
-        raise SolveError(f"normalized privacy target must be positive, got {d}")
-    scale = r * r * d
-    if not scale > 0.0:
-        raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d!r}")
-    if scale == math.inf:
-        raise SolveError(f"r^2 * d overflows a float at r={r!r}, d={d!r}")
-    disc = (r - d) * (r - rho**2 + r * n_eff) / scale
-    if disc < -ENDPOINT_RTOL * max(1.0, r):  # d < r here, so rho^2 > r*(1 + n_eff)
-        raise DegenerateModelError(model, f"no encoder meets the privacy target {d_p_target!r} "
-                                          f"at test-channel noise sigma_n2/sigma_x2 = {n_eff!r}")
-    alpha = -rho / r + math.sqrt(max(disc, 0.0))
-    return min(alpha, 0.0), INTERIOR  # clip last-ulp drift above alpha = 0
-
-
-def _transmit_variance(model: SourceModel, alpha: float, n_eff: float) -> float:
-    """Normalized Var(X + alpha*theta + noise); refuses an encoder that sends nothing."""
-    var = mixing_gain(model, alpha) + n_eff
-    if not var > 0.0:
-        raise DegenerateModelError(model, f"the encoder alpha={alpha!r} sends nothing")
-    return var
-
-
-def _check_residual(model: SourceModel, d_p_target: float, d_p: float) -> None:
-    """Refuse an active answer whose D_P rounding left off its target."""
-    tol = SOLVE_TOL * min(model.sigma_x2, d_p_target) + ENDPOINT_RTOL * d_p_target
-    if abs(d_p - d_p_target) > tol:
-        raise DegenerateModelError(
-            model, f"rounding misses the privacy target {d_p_target!r}: d_p = {d_p!r}"
-        )
-
-
-def _solution(alpha, beta, kappa, d_c, d_p, active, noise_var=0.0) -> EquilibriumSolution:
-    """The records of one answer of ``_solve1/2/3``.
-
-    Those per-target solves make every check of the public solvers and return
-    plain floats (alpha, beta, kappa, d_c, d_p, active); the sweeps call them.
-    """
-    return EquilibriumSolution(EncoderPolicy(alpha, beta, noise_var), kappa, d_c, d_p, active)
-
-
-def _solve1(model: SourceModel, d_p_target: float):
-    """solve_setting1 as (alpha, beta, kappa, d_c, d_p, active)."""
-    rho, r, s2 = model.rho, model.r, model.sigma_x2
-    floor = r - rho**2
-    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
-        floor = 0.0
-    alpha, branch = _constrained_alpha(model, d_p_target, floor, floor_unit=s2)
-    _check_gain(alpha, 1.0)
-    if branch is FREE:
-        return alpha, 1.0, 1.0, 0.0, s2 * floor, False
-    if branch is ENDPOINT:
-        d_c, d_p, kappa = s2 * rho**2 / r, s2 * r, 1.0
-    else:
-        kappa = (1.0 + alpha * rho) / _transmit_variance(model, alpha, 0.0)
-        d_c, d_p = second_order_dc_dp(model, alpha, 0.0)
-    _check_residual(model, d_p_target, d_p)
-    return alpha, 1.0, kappa, d_c, d_p, True
-
-
-def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution:
-    """Equilibrium for the noiseless setting: Y = X + alpha*theta, Xhat = kappa*Y.
-
-    Targets at or below dp_min are satisfied for free (alpha = 0, zero
-    distortion, constraint inactive); targets above dp_max are infeasible.
-    Encoder noise is never used: it is strictly suboptimal on the frontier.
-    """
-    return _solution(*_solve1(model, d_p_target))
-
-
 def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
     """Privacy MMSE delivered at alpha = 0 by the test-channel noise alone."""
     if not math.isfinite(sigma_n2):
@@ -285,20 +179,160 @@ def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
     return floor
 
 
-def _solve2(model: SourceModel, d_p_target: float, sigma_n2: float):
-    """solve_setting2 as (alpha, beta, kappa, d_c, d_p, active)."""
-    floor = compression_privacy_floor(model, sigma_n2)
-    n = sigma_n2 / model.sigma_x2
-    alpha, branch = _constrained_alpha(model, d_p_target, floor, n_eff=n)
-    kappa = (1.0 + alpha * model.rho) / _transmit_variance(model, alpha, n)
-    d_c, d_p = second_order_dc_dp(model, alpha, n)
-    _check_gain(alpha, 1.0)
-    active = branch is not FREE
-    if active:
-        _check_residual(model, d_p_target, d_p)
-    elif d_p < 0.0:  # rounding at rho^2 >= r, clamped as the floor is
-        d_p = 0.0
-    return alpha, 1.0, kappa, d_c, d_p, active
+def channel_privacy_floor(model: SourceModel, channel: ChannelSpec) -> float:
+    """Privacy MMSE at alpha = 0 under full-power transmission of X."""
+    gamma = channel.p_t / (channel.p_t + channel.sigma_z2)
+    floor = model.sigma_x2 * (model.r - model.rho**2 * gamma)
+    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
+        floor = 0.0
+    return floor
+
+
+def _transmit_variance(model: SourceModel, alpha: float, n_eff: float) -> float:
+    """Normalized Var(X + alpha*theta + noise); refuses an encoder that sends nothing."""
+    var = mixing_gain(model, alpha) + n_eff
+    if not var > 0.0:
+        raise DegenerateModelError(model, f"the encoder alpha={alpha!r} sends nothing")
+    return var
+
+
+_NO_NOISELESS_ENCODER = "no encoder without noise meets the privacy target {!r}"
+
+
+def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
+           channel: ChannelSpec | None = None) -> list:
+    """One row (alpha, beta, kappa, d_c, d_p, active) per privacy target, as plain floats.
+
+    The setting is compression at test-channel noise ``sigma_n2`` when that
+    is given, the channel when ``channel`` is, and simple otherwise.  The
+    model's free floor, bounds and quadratic coefficients are worked out
+    once; each target then makes every check of the module docstring, in its
+    order, and the first target refused raises.  A list, not a generator:
+    a single solve pays for no generator frame.
+
+    The floor is the setting's free privacy level in units of ``floor_unit``
+    (sigma_x2 for the simple setting's normalized floor, the target's own
+    units otherwise).  The active constraint is the quadratic in ``n_eff`` at
+    the normalized target d, or at the channel's effective target d'.  Its
+    roots are -rho/r +- delta with delta^2 = (r - d)*(r - rho^2 + r*n_eff) /
+    (r^2 * d); the root alpha_plus is the constrained minimizer, because
+    alpha_minus lies below -rho/r.
+    """
+    rho, r, s2 = model.rho, model.r, model.sigma_x2
+    gap, n_eff = r - rho**2, 0.0
+    degenerate = gap <= 0.0  # model.degenerate, without a property call per solve
+    if channel is not None:
+        p_t, sigma_z2 = channel.p_t, channel.sigma_z2
+        p_y = p_t + sigma_z2  # Var(Y): the power P_T plus the channel noise
+        floor, floor_unit = channel_privacy_floor(model, channel), 1.0
+    elif sigma_n2 is not None:
+        floor, floor_unit = compression_privacy_floor(model, sigma_n2), 1.0
+        n_eff = sigma_n2 / s2
+    else:
+        floor, floor_unit = gap, s2
+        if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
+            floor = 0.0
+    free_max = floor * (1.0 + ENDPOINT_RTOL)
+    d_max, d_end = r * (1.0 + ENDPOINT_RTOL), r * (1.0 - ENDPOINT_RTOL)
+    # transmit the prediction error of X from theta; at r = 0 (so rho = 0, or
+    # rho*rho underflows to 0) every feasible target is free and this is never read
+    alpha_end = -rho / r if r > 0.0 else 0.0
+    r2, gap = r * r, gap + r * n_eff  # r - rho^2 + r*n_eff
+    disc_min = -ENDPOINT_RTOL * (r if r > 1.0 else 1.0)  # max(1.0, r), without the call
+    rows = []
+    for target in targets:
+        if not math.isfinite(target):
+            raise SolveError(f"privacy target must be finite, got {target}")
+        d = target / s2
+        if d > d_max:
+            raise InfeasiblePrivacyTarget(f"d_p_target={target} exceeds dp_max={s2 * r}")
+        if rho == 0.0 or target / floor_unit <= free_max:
+            alpha, branch = 0.0, FREE
+        elif d >= d_end:
+            alpha, branch = alpha_end, ENDPOINT
+        else:
+            if degenerate and n_eff == 0.0:
+                raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(target))
+            if channel is not None:
+                d = d - (r - d) * sigma_z2 / p_t  # the effective target d'
+            if d <= 0.0:
+                raise SolveError(f"normalized privacy target must be positive, got {d}")
+            scale = r2 * d
+            if not scale > 0.0:
+                raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d!r}")
+            if scale == math.inf:
+                raise SolveError(f"r^2 * d overflows a float at r={r!r}, d={d!r}")
+            disc = (r - d) * gap / scale
+            if disc < disc_min:  # d < r here, so rho^2 > r*(1 + n_eff)
+                raise DegenerateModelError(
+                    model, f"no encoder meets the privacy target {target!r} "
+                           f"at test-channel noise sigma_n2/sigma_x2 = {n_eff!r}"
+                )
+            alpha = alpha_end + math.sqrt(max(disc, 0.0))
+            alpha, branch = min(alpha, 0.0), INTERIOR  # clip last-ulp drift above alpha = 0
+        if channel is not None:
+            if branch is not FREE and degenerate:  # max privacy: X - (rho/r)*theta = 0
+                raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(target))
+            var_u = s2 * _transmit_variance(model, alpha, 0.0)  # E{(X + alpha*theta)^2}
+            beta = math.sqrt(p_t / var_u) if var_u > 0.0 else math.inf
+            if beta == math.inf:
+                raise SolveError(
+                    f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}"
+                )
+            _check_gain(alpha, beta)
+            kappa = beta * s2 * (1.0 + alpha * rho) / p_y
+            if branch is ENDPOINT:
+                # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
+                d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / p_y), s2 * r
+            else:
+                var_y = beta * beta * var_u + sigma_z2  # the power P_T plus the channel noise
+                try:
+                    d_c = s2 - (beta * s2 * (1.0 + alpha * rho)) ** 2 / var_y
+                    d_p = s2 * r - (beta * s2 * (rho + r * alpha)) ** 2 / var_y
+                except OverflowError:
+                    raise SolveError(f"a squared covariance of Y overflows a float at "
+                                     f"sigma_x2={s2!r}, beta={beta!r}") from None
+        elif sigma_n2 is not None:
+            beta, kappa = 1.0, (1.0 + alpha * rho) / _transmit_variance(model, alpha, n_eff)
+            d_c, d_p = second_order_dc_dp(model, alpha, n_eff)
+            _check_gain(alpha, beta)
+        else:
+            beta = 1.0
+            _check_gain(alpha, beta)
+            if branch is FREE:
+                kappa, d_c, d_p = 1.0, 0.0, s2 * floor
+            elif branch is ENDPOINT:
+                kappa, d_c, d_p = 1.0, s2 * rho**2 / r, s2 * r
+            else:
+                kappa = (1.0 + alpha * rho) / _transmit_variance(model, alpha, 0.0)
+                d_c, d_p = second_order_dc_dp(model, alpha, 0.0)
+        if branch is not FREE:  # refuse an active D_P that rounding left off its target
+            if abs(d_p - target) > SOLVE_TOL * min(s2, target) + ENDPOINT_RTOL * target:
+                raise DegenerateModelError(
+                    model, f"rounding misses the privacy target {target!r}: d_p = {d_p!r}"
+                )
+        elif d_p < 0.0:  # rounding at rho^2 >= r, clamped as the floor is
+            d_p = 0.0
+        rows.append((alpha, beta, kappa, d_c, d_p, branch is not FREE))
+    return rows
+
+
+def _solution(alpha, beta, kappa, d_c, d_p, active, noise_var=0.0) -> EquilibriumSolution:
+    """The records of one row of ``_solve``, which the public solvers return.
+
+    The sweeps read the rows' plain floats and build no records.
+    """
+    return EquilibriumSolution(EncoderPolicy(alpha, beta, noise_var), kappa, d_c, d_p, active)
+
+
+def solve_setting1(model: SourceModel, d_p_target: float) -> EquilibriumSolution:
+    """Equilibrium for the noiseless setting: Y = X + alpha*theta, Xhat = kappa*Y.
+
+    Targets at or below dp_min are satisfied for free (alpha = 0, zero
+    distortion, constraint inactive); targets above dp_max are infeasible.
+    Encoder noise is never used: it is strictly suboptimal on the frontier.
+    """
+    return _solution(*_solve(model, (d_p_target,))[0])
 
 
 def solve_setting2(
@@ -310,52 +344,7 @@ def solve_setting2(
     inactive (alpha = 0) whenever the target sits at or below the floor
     sigma_x2 * (r - rho^2 / (1 + n)).
     """
-    return _solution(*_solve2(model, d_p_target, sigma_n2), sigma_n2)
-
-
-def channel_privacy_floor(model: SourceModel, channel: ChannelSpec) -> float:
-    """Privacy MMSE at alpha = 0 under full-power transmission of X."""
-    gamma = channel.p_t / (channel.p_t + channel.sigma_z2)
-    floor = model.sigma_x2 * (model.r - model.rho**2 * gamma)
-    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
-        floor = 0.0
-    return floor
-
-
-def _solve3(model: SourceModel, d_p_target: float, channel: ChannelSpec):
-    """solve_setting3 as (alpha, beta, kappa, d_c, d_p, active)."""
-    rho, r, s2 = model.rho, model.r, model.sigma_x2
-    p_t, sigma_z2 = channel.p_t, channel.sigma_z2
-    d = d_p_target / s2
-    d_eff = d - (r - d) * sigma_z2 / p_t
-    floor = channel_privacy_floor(model, channel)
-    alpha, branch = _constrained_alpha(model, d_p_target, floor, d_eff=d_eff)
-    active = branch is not FREE
-    if active and model.degenerate:  # max privacy: X - (rho/r)*theta = 0
-        raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(d_p_target))
-    var_u = s2 * _transmit_variance(model, alpha, 0.0)  # E{(X + alpha*theta)^2}
-    beta = math.sqrt(p_t / var_u) if var_u > 0.0 else math.inf
-    if beta == math.inf:
-        raise SolveError(f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}")
-    _check_gain(alpha, beta)
-    kappa = beta * s2 * (1.0 + alpha * rho) / (p_t + sigma_z2)
-    if branch is ENDPOINT:
-        # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
-        d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / (p_t + sigma_z2)), s2 * r
-    else:
-        var_y = beta * beta * var_u + sigma_z2  # the power P_T plus the channel noise
-        try:
-            d_c = s2 - (beta * s2 * (1.0 + alpha * rho)) ** 2 / var_y
-            d_p = s2 * r - (beta * s2 * (rho + r * alpha)) ** 2 / var_y
-        except OverflowError:
-            raise SolveError(
-                f"a squared covariance of Y overflows a float at sigma_x2={s2!r}, beta={beta!r}"
-            ) from None
-    if active:
-        _check_residual(model, d_p_target, d_p)
-    elif d_p < 0.0:  # rounding at rho^2 >= r, clamped as the floor is
-        d_p = 0.0
-    return alpha, beta, kappa, d_c, d_p, active
+    return _solution(*_solve(model, (d_p_target,), sigma_n2)[0], sigma_n2)
 
 
 def solve_setting3(
@@ -373,4 +362,4 @@ def solve_setting3(
     (at a subnormal sigma_x2) or a squared covariance of Y beyond the float
     range raises :class:`SolveError`.
     """
-    return _solution(*_solve3(model, d_p_target, channel))
+    return _solution(*_solve(model, (d_p_target,), channel=channel)[0])

@@ -88,22 +88,46 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-class TestSweepGrid:
+#: (rho, r) of the sweep-grid models: an interior model, rho = 0, rho^2 = r, and
+#: rho/sqrt(r) = 1 + 4e-13, as far above rho^2 = r as SourceModel admits
+GRID_MODELS = {
+    "interior": (0.6, 1.0),
+    "rho0": (0.0, 1.0),
+    "degenerate": (0.6, 0.6**2),
+    "above": (1.0 + 4e-13, 1.0),
+}
+
+#: The families whose every sweep answers; the others may be refused.
+ANSWERING = ("interior", "rho0")
+
+
+def grid_cases():
+    """(setting, sigma_x2, family) cases; the interior family keeps the bare id."""
     # The channel setting refuses a subnormal sigma_x2 at every power budget
     # (beta overflows, or rounding breaks the sweep), so its scales start at 1e-300.
-    @pytest.mark.parametrize(
-        "setting, sigma_x2",
-        [(Setting.SIMPLE, s) for s in (1e-310, 1e-300, 1e-5, 1.0, 1e5, 1e300)]
-        + [(Setting.CHANNEL, s) for s in (1e-300, 1e-5, 1.0, 1e5, 1e300)],
-    )
+    scales = [(Setting.SIMPLE, s) for s in (1e-310, 1e-300, 1e-5, 1.0, 1e5, 1e300)]
+    scales += [(Setting.CHANNEL, s) for s in (1e-300, 1e-5, 1.0, 1e5, 1e300)]
+    return [pytest.param(setting, s2, family, id=f"{setting}-{s2}"
+                         + ("" if family == "interior" else f"-{family}"))
+            for family in GRID_MODELS for setting, s2 in scales]
+
+
+class TestSweepGrid:
+    @pytest.mark.parametrize("setting, sigma_x2, family", grid_cases())
     @pytest.mark.parametrize("grid", [2, 3, 65, 4097])
-    def test_targets_are_linspace_and_rows_are_solves(self, setting, sigma_x2, grid):
-        model = validate_model(sigma_x2, 0.6, 1.0)
+    def test_targets_are_linspace_and_rows_are_solves(self, setting, sigma_x2, family, grid):
+        model = validate_model(sigma_x2, *GRID_MODELS[family])
         channel = ChannelSpec(p_t=1.0, sigma_z2=0.5) if setting is Setting.CHANNEL else None
+        expected = first_refusal(model, setting, channel, grid)
+        if expected is not None:
+            assert family not in ANSWERING
+            with pytest.raises(ValueError) as info:
+                sweep_privacy_distortion(model, setting, channel, grid)
+            assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+            return
         curve = sweep_privacy_distortion(model, setting, channel, grid)
-        floor = privacy_floor(model, setting, channel)
-        expected = np.linspace(floor, model.sigma_x2 * model.r, grid)
-        assert np.array_equal(bits(column(curve, "d_p")), bits(expected))
+        targets = grid_targets(model, setting, channel, grid)
+        assert np.array_equal(bits(column(curve, "d_p")), bits(targets))
         for row in curve.points:
             if setting is Setting.SIMPLE:
                 sol = solve_setting1(model, row[0])
@@ -124,10 +148,15 @@ class TestSweepGrid:
             sweep_privacy_distortion(model, Setting.SIMPLE, grid=grid)
 
 
+def grid_targets(model, setting, channel, grid):
+    """numpy.linspace from the setting's floor to dp_max, or dp_max alone when they meet."""
+    floor, hi = privacy_floor(model, setting, channel), model.sigma_x2 * model.r
+    return np.linspace(floor, hi, grid) if hi > floor else np.array([hi])
+
+
 def first_refusal(model, setting, channel, grid):
-    """The exception of the first target of the sweep's grid that the solver refuses."""
-    floor = privacy_floor(model, setting, channel)
-    for target in np.linspace(floor, model.sigma_x2 * model.r, grid):
+    """The exception of the first target of the sweep's grid that the solver refuses, or None."""
+    for target in grid_targets(model, setting, channel, grid):
         try:
             if setting is Setting.SIMPLE:
                 solve_setting1(model, float(target))
@@ -135,7 +164,7 @@ def first_refusal(model, setting, channel, grid):
                 solve_setting3(model, float(target), channel)
         except ValueError as exc:  # SolveError and its kinds included
             return exc
-    raise AssertionError("the solver refuses no target of the grid")
+    return None
 
 
 class TestSweepRefusals:
@@ -207,7 +236,7 @@ class TestRateSweep:
         def no_solve(*args):
             raise AssertionError("solved before the grid was checked")
 
-        monkeypatch.setattr(privcomm.curves, "_solve2", no_solve)
+        monkeypatch.setattr(privcomm.curves, "_solve", no_solve)
         with pytest.raises(ValueError, match="sigma_n2=0.5 more than once"):
             sweep_rate_distortion(M, 0.9, [1.0, 0.5, 2.0, 0.5])
 
@@ -254,6 +283,60 @@ class TestRateSweepRows:
                 assert np.array_equal(bits(row), bits(expected))
                 branches.add(sol.constraint_active)
         assert branches == {False, True}
+
+    @pytest.mark.parametrize("sigma_x2", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("family", GRID_MODELS)
+    def test_rows_are_solves_on_the_grid_models(self, sigma_x2, family):
+        # a noise of 1e-20*sigma_x2 leaves the quadratic of the model above
+        # rho^2 = r without a real root
+        model = validate_model(sigma_x2, *GRID_MODELS[family])
+        target = sigma_x2 * (model.r - model.rho**2 / 2.0)
+        noises = [sigma_x2 * v for v in (1e-20, 1e-2, 0.5, 1.0, 1e2)]
+        expected, rows = None, []
+        for sigma_n2 in noises:
+            try:
+                sol = solve_setting2(model, target, sigma_n2)
+                rate = compression_rate(model, sol.policy.alpha, sigma_n2)
+            except ValueError as exc:  # SolveError and its kinds included
+                expected = exc
+                break
+            rows.append((sigma_n2, rate, sol.d_c, sol.d_p, sol.policy.alpha))
+        if expected is not None:
+            assert family not in ANSWERING
+            with pytest.raises(ValueError) as info:
+                sweep_rate_distortion(model, target, noises)
+            assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+            return
+        curve = sweep_rate_distortion(model, target, noises)
+        assert np.array_equal(bits(curve.points), bits(rows))
+
+
+class TestUncorrelatedModels:
+    # rho = 0: every target up to dp_max is free.  At r = 0 dp_max is 0, and
+    # rho*rho may underflow below r, as at rho = 1e-200.
+    @pytest.mark.parametrize("params", [(1.0, 0.0, 0.0), (2.0, 0.0, 3.0), (1.0, 1e-200, 0.0)],
+                             ids=["r0", "rho0", "rho-underflows"])
+    def test_free_point_in_every_solver_and_sweep(self, params):
+        model = validate_model(*params)
+        free = model.sigma_x2 * model.r
+        channel = ChannelSpec(p_t=1.0, sigma_z2=0.5)
+        sols = [solve_setting1(model, free), solve_setting2(model, free, 0.5),
+                solve_setting3(model, free, channel)]
+        for sol in sols:
+            pol = sol.policy
+            assert not sol.constraint_active and pol.alpha == 0.0 and sol.d_p == free
+            assert all(map(math.isfinite, (pol.beta, pol.noise_var, sol.kappa, sol.d_c)))
+        simple, compression, over_channel = sols
+        curve = sweep_privacy_distortion(model, Setting.SIMPLE)
+        assert curve.points == ((free, simple.d_c, 0.0, simple.kappa),)
+        curve = sweep_privacy_distortion(model, Setting.CHANNEL, channel)
+        assert curve.points == ((free, over_channel.d_c, 0.0, over_channel.kappa),)
+        curve = sweep_rate_distortion(model, free, [0.25, 0.5, 4.0])
+        assert curve.points[1] == (0.5, compression_rate(model, 0.0, 0.5), compression.d_c,
+                                   free, 0.0)
+        for sigma_n2, rate, d_c, d_p, alpha in curve.points:
+            assert alpha == 0.0 and d_p == free
+            assert math.isfinite(rate) and math.isfinite(d_c)
 
 
 def test_rate_sweep_without_real_root_is_degenerate():
