@@ -26,8 +26,10 @@ Settings, each with one public solver:
                ``compression_rate`` gives the rate of its encoder
   channel      Y = beta*(X + alpha*theta) + Z over a power-limited Gaussian channel
 
-D_C and D_P have one formula per setting: ``second_order_dc_dp`` for the
-simple and compression settings, the channel's inside its solve.
+Each quantity has one formula.  The simple setting is compression at zero
+noise: D_C and D_P come from ``second_order_dc_dp``, and only its exact
+max-privacy endpoint is its own.  The channel computes its D_C and D_P in
+units of sigma_x2.  A free answer's D_P is its setting's floor, bit for bit.
 """
 
 from __future__ import annotations
@@ -167,14 +169,17 @@ def compression_rate(model: SourceModel, alpha: float, sigma_n2: float) -> float
 
 
 def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
-    """Privacy MMSE delivered at alpha = 0 by the test-channel noise alone."""
+    """Privacy MMSE delivered at alpha = 0 by the test-channel noise alone.
+
+    It is the D_P of ``second_order_dc_dp`` at alpha = 0, in the same arithmetic.
+    """
     if not math.isfinite(sigma_n2):
         raise SolveError(f"sigma_n2 must be finite, got {sigma_n2}")
     if sigma_n2 <= 0.0:
         raise SolveError(f"sigma_n2 must be positive, got {sigma_n2}")
     n = sigma_n2 / model.sigma_x2
-    floor = model.sigma_x2 * (model.r - model.rho**2 / (1.0 + n))
-    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
+    floor = model.sigma_x2 * (model.r - model.rho**2 + model.r * n) / (1.0 + n)
+    if floor <= 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
         floor = 0.0
     return floor
 
@@ -183,7 +188,7 @@ def channel_privacy_floor(model: SourceModel, channel: ChannelSpec) -> float:
     """Privacy MMSE at alpha = 0 under full-power transmission of X."""
     gamma = channel.p_t / (channel.p_t + channel.sigma_z2)
     floor = model.sigma_x2 * (model.r - model.rho**2 * gamma)
-    if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
+    if floor <= 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
         floor = 0.0
     return floor
 
@@ -224,6 +229,7 @@ def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
     if channel is not None:
         p_t, sigma_z2 = channel.p_t, channel.sigma_z2
         p_y = p_t + sigma_z2  # Var(Y): the power P_T plus the channel noise
+        w = p_t / p_y  # the share of Var(Y) that the encoder sends
         floor, floor_unit = channel_privacy_floor(model, channel), 1.0
     elif sigma_n2 is not None:
         floor, floor_unit = compression_privacy_floor(model, sigma_n2), 1.0
@@ -234,8 +240,8 @@ def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
             floor = 0.0
     free_max = floor * (1.0 + ENDPOINT_RTOL)
     d_max, d_end = r * (1.0 + ENDPOINT_RTOL), r * (1.0 - ENDPOINT_RTOL)
-    # transmit the prediction error of X from theta; at r = 0 (so rho = 0, or
-    # rho*rho underflows to 0) every feasible target is free and this is never read
+    # transmit the prediction error of X from theta; at r = 0 (so rho = 0)
+    # every feasible target is free and this is never read
     alpha_end = -rho / r if r > 0.0 else 0.0
     r2, gap = r * r, gap + r * n_eff  # r - rho^2 + r*n_eff
     disc_min = -ENDPOINT_RTOL * (r if r > 1.0 else 1.0)  # max(1.0, r), without the call
@@ -273,7 +279,8 @@ def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
         if channel is not None:
             if branch is not FREE and degenerate:  # max privacy: X - (rho/r)*theta = 0
                 raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(target))
-            var_u = s2 * _transmit_variance(model, alpha, 0.0)  # E{(X + alpha*theta)^2}
+            a = _transmit_variance(model, alpha, 0.0)
+            var_u = s2 * a  # E{(X + alpha*theta)^2}
             beta = math.sqrt(p_t / var_u) if var_u > 0.0 else math.inf
             if beta == math.inf:
                 raise SolveError(
@@ -285,33 +292,24 @@ def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
                 # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
                 d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / p_y), s2 * r
             else:
-                var_y = beta * beta * var_u + sigma_z2  # the power P_T plus the channel noise
-                try:
-                    d_c = s2 - (beta * s2 * (1.0 + alpha * rho)) ** 2 / var_y
-                    d_p = s2 * r - (beta * s2 * (rho + r * alpha)) ** 2 / var_y
-                except OverflowError:
-                    raise SolveError(f"a squared covariance of Y overflows a float at "
-                                     f"sigma_x2={s2!r}, beta={beta!r}") from None
-        elif sigma_n2 is not None:
+                # the MMSE of X and of theta from Y, in units of sigma_x2
+                q = w / a
+                d_c = s2 * (1.0 - q * (1.0 + alpha * rho) ** 2)
+                d_p = s2 * (r - q * (rho + r * alpha) ** 2)
+        elif branch is ENDPOINT and sigma_n2 is None:
+            # exact: Y = X - (rho/r)*theta carries nothing of theta
+            beta, kappa, d_c, d_p = 1.0, 1.0, s2 * rho**2 / r, s2 * r
+            _check_gain(alpha, beta)
+        else:  # compression, and the simple setting as compression at n_eff = 0
             beta, kappa = 1.0, (1.0 + alpha * rho) / _transmit_variance(model, alpha, n_eff)
             d_c, d_p = second_order_dc_dp(model, alpha, n_eff)
             _check_gain(alpha, beta)
-        else:
-            beta = 1.0
-            _check_gain(alpha, beta)
-            if branch is FREE:
-                kappa, d_c, d_p = 1.0, 0.0, s2 * floor
-            elif branch is ENDPOINT:
-                kappa, d_c, d_p = 1.0, s2 * rho**2 / r, s2 * r
-            else:
-                kappa = (1.0 + alpha * rho) / _transmit_variance(model, alpha, 0.0)
-                d_c, d_p = second_order_dc_dp(model, alpha, 0.0)
         if branch is not FREE:  # refuse an active D_P that rounding left off its target
             if abs(d_p - target) > SOLVE_TOL * min(s2, target) + ENDPOINT_RTOL * target:
                 raise DegenerateModelError(
                     model, f"rounding misses the privacy target {target!r}: d_p = {d_p!r}"
                 )
-        elif d_p < 0.0:  # rounding at rho^2 >= r, clamped as the floor is
+        elif d_p <= 0.0:  # rounding at rho^2 >= r, clamped as the floor is; -0.0 too
             d_p = 0.0
         rows.append((alpha, beta, kappa, d_c, d_p, branch is not FREE))
     return rows
@@ -342,7 +340,7 @@ def solve_setting2(
 
     Compression inherently leaks less about theta, so the constraint is
     inactive (alpha = 0) whenever the target sits at or below the floor
-    sigma_x2 * (r - rho^2 / (1 + n)).
+    sigma_x2 * (r - rho^2 + r*n) / (1 + n), with n = sigma_n2 / sigma_x2.
     """
     return _solution(*_solve(model, (d_p_target,), sigma_n2)[0], sigma_n2)
 
@@ -356,10 +354,12 @@ def solve_setting3(
     The active privacy constraint reduces to the noiseless quadratic through
     the effective target d' = d - (r - d) * sigma_z2 / P_T (normalized).
     The decoder gain is the MMSE coefficient beta*sigma_x2*(1+alpha*rho) /
-    (P_T + sigma_z2).  On a degenerate model (rho^2 = r) every encoder
-    without noise either leaks at the free floor or sends nothing, so an
-    active constraint raises :class:`DegenerateModelError`.  A transmit gain
-    (at a subnormal sigma_x2) or a squared covariance of Y beyond the float
-    range raises :class:`SolveError`.
+    (P_T + sigma_z2).  With A = Var(X + alpha*theta) / sigma_x2 and
+    q = P_T / ((P_T + sigma_z2) * A), D_C = sigma_x2*(1 - q*(1+alpha*rho)^2)
+    and D_P = sigma_x2*(r - q*(rho+r*alpha)^2).  On a degenerate model
+    (rho^2 = r) every encoder without noise either leaks at the free floor or
+    sends nothing, so an active constraint raises
+    :class:`DegenerateModelError`.  A transmit gain beyond the float range
+    (at a subnormal sigma_x2) raises :class:`SolveError`.
     """
     return _solution(*_solve(model, (d_p_target,), channel=channel)[0])

@@ -81,6 +81,8 @@ class SourceModel(Record):
         # rho * rho, not rho**2: a float ** raises OverflowError where * gives inf
         if not math.isfinite(r) or rho * rho > r * (1.0 + BOUNDARY_EPS):
             raise ModelError(f"need rho^2 <= r, got rho^2={rho * rho} > r={r}")
+        if rho > 0.0 and r == 0.0:  # rho * rho underflows to 0 below rho ~ 1.5e-162
+            raise ModelError(f"need rho = 0 at r = 0, got rho={rho!r}")
         if not (math.isfinite(sigma_x2 * r) and math.isfinite(sigma_x2 * rho)):
             raise ModelError(f"Var(theta) = sigma_x2 * r overflows a float at "
                              f"sigma_x2={sigma_x2!r}, r={r!r}")
@@ -115,7 +117,8 @@ def validate_model(sigma_x2: float, rho: float, r: float) -> SourceModel:
     """Validate raw parameters and return an immutable :class:`SourceModel`.
 
     Raises :class:`ModelError` for a nonpositive sigma_x2, a negative rho,
-    rho^2 > r or a Var(theta) that overflows a float; never clamps silently.
+    rho^2 > r (rho > 0 at r = 0 included) or a Var(theta) that overflows a
+    float; never clamps silently.
     """
     return SourceModel(float(sigma_x2), float(rho), float(r))
 

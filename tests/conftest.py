@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -26,3 +27,18 @@ def models_with_targets(draw, min_rho=0.05):
 def column(curve, name):
     """The named column of a ``TradeoffCurve`` as a numpy array."""
     return np.array([p[curve.columns.index(name)] for p in curve.points])
+
+
+def exact_channel_dc_dp(model, alpha, channel):
+    """D_C and D_P of the full-power channel encoder at ``alpha``, each rounded once.
+
+    Exact rational arithmetic on the covariances of Y = beta*(X + alpha*theta) + Z,
+    with beta^2 = P_T / Var(X + alpha*theta): D = Var - Cov(., Y)^2 / Var(Y).
+    """
+    s2, rho, r, a, p_t, sigma_z2 = map(Fraction, (
+        model.sigma_x2, model.rho, model.r, alpha, channel.p_t, channel.sigma_z2))
+    beta2 = p_t / (s2 * (1 + 2 * a * rho + a * a * r))
+    var_y = p_t + sigma_z2
+    d_c = s2 - beta2 * (s2 * (1 + a * rho)) ** 2 / var_y
+    d_p = s2 * r - beta2 * (s2 * (rho + r * a)) ** 2 / var_y
+    return float(d_c), float(d_p)

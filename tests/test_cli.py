@@ -11,7 +11,10 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privcomm import ChannelSpec, validate_model
 from privcomm.cli import main
+
+from conftest import exact_channel_dc_dp
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -116,6 +119,28 @@ class TestSolve:
         bits = json.loads(bits_out)
         assert bits["rate_units"] == "bits"
         assert bits["rate"] == pytest.approx(nats["rate"] / 0.6931471805599453)
+
+    def test_channel_at_sigma_x2_1e300_answers(self):
+        # (beta * sigma_x2 * (1 + alpha*rho))^2 exceeds the largest float; D_C and D_P
+        # in units of sigma_x2 do not square it
+        code, out, err = run(["solve", "--setting", "channel", "--sigma-x2", "1e300",
+                              "--rho", "0.6", "--r", "1", "--pt", "1e10", "--sigma-z2", "1",
+                              "--dp", "9e299"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        exact_dc, exact_dp = exact_channel_dc_dp(
+            validate_model(1e300, 0.6, 1.0), doc["alpha"], ChannelSpec(1e10, 1.0))
+        assert (exact_dc, exact_dp) == (1.0000000008e299, doc["d_p"])
+        assert abs(doc["d_c"] - exact_dc) <= 4 * sys.float_info.epsilon * 1e300
+
+    def test_free_d_p_is_never_negative_zero(self):
+        # sigma_x2 * (r - rho^2 + r*n) underflows to -0.0 just above rho^2 = r
+        code, out, err = run(["solve", "--setting", "compression",
+                              "--sigma-x2", "7.550065163253295e-150",
+                              "--rho", "1.0000000000004e-150", "--r", "1e-300", "--dp", "0",
+                              "--sigma-n2", "1e-170"])
+        assert (code, err) == (0, "")
+        assert '"d_p": 0.0,' in out and "-0.0" not in out
 
     def test_infeasible_target_exits_1(self):
         code, out, err = run(["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "1.5"])
@@ -382,15 +407,6 @@ class TestRejectedInputs:
         code, out, err = run(["scan", *MODEL_FLAGS, "--lambda-count", count])
         assert code == 1 and out == ""
         assert "--lambda-count must be >= 2" in err
-
-    def test_channel_covariance_overflow_exits_1(self):
-        # (beta * sigma_x2 * (1 + alpha*rho))^2 exceeds the largest float
-        code, out, err = run(["solve", "--setting", "channel", "--sigma-x2", "1e300",
-                              "--rho", "0.6", "--r", "1", "--pt", "1e10", "--sigma-z2", "1",
-                              "--dp", "9e299"])
-        assert code == 1 and out == ""
-        (line,) = err.splitlines()
-        assert line.startswith("error: a squared covariance of Y overflows a float")
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from privcomm import (
     ChannelSpec,
     DegenerateModelError,
+    ModelError,
     Setting,
     solve_setting1,
     solve_setting2,
@@ -29,7 +31,7 @@ from privcomm.equilibrium import (
     second_order_dc_dp,
 )
 
-from conftest import column, source_models
+from conftest import column, exact_channel_dc_dp, source_models
 
 M = validate_model(1.0, 0.6, 1.0)
 
@@ -184,13 +186,11 @@ class TestSweepRefusals:
              "r^2 * d underflows a float"),
             (Setting.CHANNEL, validate_model(1e-310, 0.6, 1.0), ChannelSpec(1.0, 1.0),
              "the transmit gain overflows a float"),
-            (Setting.CHANNEL, validate_model(1e300, 0.6, 1.0), ChannelSpec(1e10, 1.0),
-             "a squared covariance of Y overflows a float"),
             (Setting.CHANNEL, validate_model(10.0, 0.6, 1.0), ChannelSpec(5e-324, 1.0),
              "beta must be positive and finite, got 0.0"),
         ],
         ids=["degenerate-simple", "degenerate-channel", "quadratic-underflow",
-             "gain-overflow", "covariance-overflow", "beta-underflow"],
+             "gain-overflow", "beta-underflow"],
     )
     @pytest.mark.parametrize("grid", [3, 5, 65])
     def test_sweep_raises_the_solvers_refusal(self, setting, model, channel, message, grid):
@@ -200,6 +200,20 @@ class TestSweepRefusals:
             sweep_privacy_distortion(model, setting, channel, grid)
         assert type(info.value) is type(expected)
         assert str(info.value) == str(expected)
+
+
+@pytest.mark.parametrize("grid", [3, 5, 65])
+def test_channel_sweep_at_sigma_x2_1e300_answers(grid):
+    # (beta * sigma_x2 * (1 + alpha*rho))^2 exceeds the largest float; D_C in
+    # units of sigma_x2 does not square it
+    model, channel = validate_model(1e300, 0.6, 1.0), ChannelSpec(1e10, 1.0)
+    curve = sweep_privacy_distortion(model, Setting.CHANNEL, channel, grid)
+    assert len(curve.points) == grid
+    for d_p, d_c, alpha, kappa in curve.points:
+        exact_dc, exact_dp = exact_channel_dc_dp(model, alpha, channel)
+        # the rounding of P_T/(P_T + sigma_z2) alone is ~eps*sigma_x2 where D_C = 1e-10*sigma_x2
+        assert abs(d_c - exact_dc) <= 4 * sys.float_info.epsilon * model.sigma_x2
+        assert abs(d_p - exact_dp) <= 1e-9 * model.sigma_x2  # the solve's residual check
 
 
 class TestCurveValidation:
@@ -312,10 +326,8 @@ class TestRateSweepRows:
 
 
 class TestUncorrelatedModels:
-    # rho = 0: every target up to dp_max is free.  At r = 0 dp_max is 0, and
-    # rho*rho may underflow below r, as at rho = 1e-200.
-    @pytest.mark.parametrize("params", [(1.0, 0.0, 0.0), (2.0, 0.0, 3.0), (1.0, 1e-200, 0.0)],
-                             ids=["r0", "rho0", "rho-underflows"])
+    # rho = 0: every target up to dp_max is free.  At r = 0 dp_max is 0.
+    @pytest.mark.parametrize("params", [(1.0, 0.0, 0.0), (2.0, 0.0, 3.0)], ids=["r0", "rho0"])
     def test_free_point_in_every_solver_and_sweep(self, params):
         model = validate_model(*params)
         free = model.sigma_x2 * model.r
@@ -337,6 +349,11 @@ class TestUncorrelatedModels:
         for sigma_n2, rate, d_c, d_p, alpha in curve.points:
             assert alpha == 0.0 and d_p == free
             assert math.isfinite(rate) and math.isfinite(d_c)
+
+    def test_rho_underflows_refused(self):
+        # rho*rho underflows to 0 = r at rho = 1e-200, but Cov(X, theta) != 0 needs Var(theta) > 0
+        with pytest.raises(ModelError, match=r"^need rho = 0 at r = 0, got rho=1e-200$"):
+            validate_model(1.0, 1e-200, 0.0)
 
 
 def test_rate_sweep_without_real_root_is_degenerate():

@@ -9,6 +9,7 @@ from privcomm import (
     DegenerateModelError,
     EncoderPolicy,
     InfeasiblePrivacyTarget,
+    Setting,
     SolveError,
     compression_rate,
     privacy_bounds,
@@ -25,7 +26,7 @@ from privcomm.equilibrium import (
 )
 from privcomm.oracle import covariance_evaluate
 
-from conftest import models_with_targets, source_models
+from conftest import exact_channel_dc_dp, models_with_targets, source_models
 
 M = validate_model(1.0, 0.6, 1.0)
 
@@ -102,9 +103,12 @@ class TestAlphaPlus:
                 solve()
 
     def test_normalized_target_underflow_refused(self):
-        # the floor is 0 at n = 1e-20, and d = 1e-300 / 1e300 underflows to 0
+        # just above rho^2 = r the floor is 0 at n = 1e-20, and d = 1e-300 / 1e300 underflows to 0
         with pytest.raises(SolveError, match="normalized privacy target must be positive"):
-            solve_setting2(validate_model(1e300, 1.0, 1.0), 1e-300, 1e280)
+            solve_setting2(validate_model(1e300, 1.0000000000004, 1.0), 1e-300, 1e280)
+        # at rho^2 = r the noise alone leaves D_P = sigma_x2 * r*n/(1 + n) = 1e280: free
+        sol = solve_setting2(validate_model(1e300, 1.0, 1.0), 1e-300, 1e280)
+        assert (sol.constraint_active, sol.policy.alpha, sol.d_p) == (False, 0.0, 1e280)
 
     def test_no_real_root_is_degenerate(self):
         # rho^2 = r*(1 + 8e-13) exceeds r*(1 + n) at n = 1e-20: the discriminant is negative
@@ -297,6 +301,15 @@ class TestSolveSetting2:
 
 
 class TestSolveSetting3:
+    def test_noiseless_channel_at_tiny_sigma_x2_carries_x(self):
+        # sigma_z2 = 0: Y = beta*X carries X exactly, so D_C = 0; the squared
+        # covariances of Y (~8e-382 here) would underflow and leave D_C = sigma_x2
+        m = validate_model(1.027469197060022e-298, 3.844527004504537e+60,
+                           1.4780387888364629e+121)
+        channel = ChannelSpec(8.208594107966809e-84, 0.0)
+        sol = solve_setting3(m, 0.0, channel)
+        assert sol.d_c == exact_channel_dc_dp(m, 0.0, channel)[0] == 0.0
+
     def test_effective_target_reduction(self):
         sol = solve_setting3(M, 0.92, ChannelSpec(p_t=1.0, sigma_z2=1.0))
         assert sol.policy.alpha == pytest.approx(-0.250851, abs=1e-6)
@@ -508,6 +521,14 @@ class TestDegenerateModel:
         assert (sol.policy.alpha, sol.d_c, sol.d_p, sol.constraint_active) == (
             0.0, 0.0, 0.0, False)
 
+    def test_free_d_p_never_negative_zero(self):
+        # sigma_x2 * (r - rho^2 + r*n) underflows to -0.0 just above rho^2 = r
+        m = validate_model(7.550065163253295e-150, 1.0000000000004e-150, 1e-300)
+        floor, sol = compression_privacy_floor(m, 1e-170), solve_setting2(m, 0.0, 1e-170)
+        assert not sol.constraint_active
+        assert math.copysign(1.0, sol.d_p) == math.copysign(1.0, floor) == 1.0
+        assert sol.d_p == floor == 0.0
+
     def test_compression_takes_the_root_in_range(self):
         # both roots give the same distortion; only alpha_plus lies in [-rho/r, 0]
         for sigma_n2 in (0.5, 1.0, 2.0):  # floors 1/3, 1/2, 2/3 lie below 0.7
@@ -537,3 +558,25 @@ class TestDegenerateModel:
     def test_channel_free_floor_stays_finite(self):
         sol = solve_setting3(self.DEG, 0.2, ChannelSpec(p_t=1.0, sigma_z2=1.0))
         assert sol.constraint_active is False and sol.policy.alpha == 0.0
+
+
+@pytest.mark.parametrize("setting", list(Setting))
+def test_free_d_p_is_the_floor_bit_for_bit(setting):
+    # a free target is tested against the setting's floor function, and its D_P is that floor
+    rng = np.random.default_rng(22)
+    for _ in range(3000):
+        s2, r = float(10.0 ** rng.uniform(-3.0, 3.0)), float(rng.uniform(0.05, 4.0))
+        model = validate_model(s2, float(rng.uniform(0.0, 1.0)) * math.sqrt(r), r)
+        sigma_n2 = float(10.0 ** rng.uniform(-3.0, 3.0)) * s2
+        channel = ChannelSpec(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.1, 2.0)))
+        if setting is Setting.SIMPLE:
+            floor = privacy_bounds(model).dp_min
+            sol = solve_setting1(model, floor * float(rng.uniform(0.5, 1.0)))
+        elif setting is Setting.COMPRESSION:
+            floor = compression_privacy_floor(model, sigma_n2)
+            sol = solve_setting2(model, floor * float(rng.uniform(0.5, 1.0)), sigma_n2)
+        else:
+            floor = channel_privacy_floor(model, channel)
+            sol = solve_setting3(model, floor * float(rng.uniform(0.5, 1.0)), channel)
+        assert not sol.constraint_active
+        assert sol.d_p.hex() == floor.hex()

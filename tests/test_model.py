@@ -30,6 +30,19 @@ def test_rejects_rho_squared_beyond_float_range():
         validate_model(1.0, 1e160, 1e300)
 
 
+@pytest.mark.parametrize("r", [1.0, 1e-300])
+@pytest.mark.parametrize("excess, admitted",
+                         [(1.0, True), (1.0 + 4e-13, True), (1.0 + 9e-13, False)])
+def test_rho_squared_boundary(r, excess, admitted):
+    # rho^2 up to r*(1 + BOUNDARY_EPS) is admitted; (1 + 9e-13)^2 = 1 + 1.8e-12 is beyond
+    rho = excess * math.sqrt(r)
+    if admitted:
+        assert validate_model(1.0, rho, r).rho == rho
+    else:
+        with pytest.raises(ModelError, match=r"need rho\^2 <= r"):
+            validate_model(1.0, rho, r)
+
+
 def test_rejects_nonpositive_variance():
     with pytest.raises(ModelError):
         validate_model(0.0, 0.0, 1.0)

@@ -11,8 +11,14 @@ The solver and sweep values were recorded from the solve core that tested
 the max-privacy endpoint once per branch and set record fields through
 ``object.__setattr__``; they pin every field of a free, an endpoint and an
 interior solve of each setting on three models, a 9-point sweep per
-setting and one rate inversion, also with ``==``.
+setting and one rate inversion, also with ``==``.  The channel's free and
+interior D_C and D_P were re-recorded when the channel solve came to compute
+them in units of sigma_x2 (six solve rows and six points of the channel
+sweep moved by 1-2 ulp); each pinned channel value lies within 3 ulp of exact
+rational evaluation at its alpha.
 """
+
+import math
 
 import pytest
 
@@ -33,6 +39,8 @@ from privcomm.curves import (
 )
 from privcomm.montecarlo import SimConfig, simulate_policy
 from privcomm.oracle import grid_search, lagrangian_scan
+
+from conftest import exact_channel_dc_dp
 
 CHANNEL = ChannelSpec(1.5, 0.7)
 GRID_SIZE = 201
@@ -99,11 +107,11 @@ SOLVE = [
     ((1.0, 0.6, 1.0), Setting.COMPRESSION, 0.6, 0.91,
      (-0.24980382264027695, 1.0, 0.6, 0.6238767039019426, 0.46963136739261024, 0.9099999999999999, True)),
     ((1.0, 0.6, 1.0), Setting.CHANNEL, None, 0.3772727272727273,
-     (0.0, 1.224744871391589, 0.0, 0.556702214268904, 0.31818181818181823, 0.7545454545454545, False)),
+     (0.0, 1.224744871391589, 0.0, 0.556702214268904, 0.31818181818181823, 0.7545454545454546, False)),
     ((1.0, 0.6, 1.0), Setting.CHANNEL, None, 1.0,
      (-0.6, 1.5309310892394863, 0.0, 0.44536177141512323, 0.5636363636363637, 1.0, True)),
     ((1.0, 0.6, 1.0), Setting.CHANNEL, None, 0.9018181818181819,
-     (-0.2718787550281617, 1.4164215474215296, 0.0, 0.5388020869439604, 0.36132308443063244, 0.9018181818181819, True)),
+     (-0.2718787550281617, 1.4164215474215296, 0.0, 0.5388020869439604, 0.36132308443063255, 0.9018181818181819, True)),
     ((2.5, 0.3, 0.4), Setting.SIMPLE, None, 0.38750000000000007,
      (0.0, 1.0, 0.0, 1.0, 0.0, 0.7750000000000001, False)),
     ((2.5, 0.3, 0.4), Setting.SIMPLE, None, 1.0,
@@ -117,11 +125,11 @@ SOLVE = [
     ((2.5, 0.3, 0.4), Setting.COMPRESSION, 1.5, 0.94375,
      (-0.2973587447434059, 1.0, 1.5, 0.6251347675596532, 1.0765800484336165, 0.9437500000000001, True)),
     ((2.5, 0.3, 0.4), Setting.CHANNEL, None, 0.4232954545454546,
-     (0.0, 0.7745966692414834, 0.0, 0.8802234877744128, 0.7954545454545454, 0.8465909090909091, False)),
+     (0.0, 0.7745966692414834, 0.0, 0.8802234877744128, 0.7954545454545456, 0.8465909090909092, False)),
     ((2.5, 0.3, 0.4), Setting.CHANNEL, None, 1.0,
      (-0.7499999999999999, 0.8798826901281197, 0.0, 0.7748966873287418, 1.1789772727272727, 1.0, True)),
     ((2.5, 0.3, 0.4), Setting.CHANNEL, None, 0.9386363636363637,
-     (-0.3122547783003462, 0.8393545907614124, 0.0, 0.8644623253015199, 0.8559507538954363, 0.9386363636363637, True)),
+     (-0.3122547783003462, 0.8393545907614124, 0.0, 0.8644623253015199, 0.8559507538954361, 0.9386363636363637, True)),
     ((0.4, 1.1, 2.0), Setting.SIMPLE, None, 0.15799999999999997,
      (0.0, 1.0, 0.0, 1.0, 0.0, 0.31599999999999995, False)),
     ((0.4, 1.1, 2.0), Setting.SIMPLE, None, 0.8,
@@ -135,11 +143,11 @@ SOLVE = [
     ((0.4, 1.1, 2.0), Setting.COMPRESSION, 0.24, 0.679,
      (-0.252248237739375, 1.0, 0.24, 0.6163263708950514, 0.22187503765143518, 0.679, True)),
     ((0.4, 1.1, 2.0), Setting.CHANNEL, None, 0.235,
-     (0.0, 1.9364916731037085, 0.0, 0.35208939510976517, 0.12727272727272726, 0.47, False)),
+     (0.0, 1.9364916731037085, 0.0, 0.35208939510976517, 0.1272727272727273, 0.47, False)),
     ((0.4, 1.1, 2.0), Setting.CHANNEL, None, 0.8,
      (-0.55, 3.081180112566604, 0.0, 0.22128475353887422, 0.2922727272727273, 0.8, True)),
     ((0.4, 1.1, 2.0), Setting.CHANNEL, None, 0.668,
-     (-0.2988942658763793, 2.682573863222702, 0.0, 0.32737951330270515, 0.1642098393933046, 0.668, True)),
+     (-0.2988942658763793, 2.682573863222702, 0.0, 0.32737951330270515, 0.16420983939330458, 0.668, True)),
 ]
 #: sweep_privacy_distortion(model (1, 0.6, 1), SIMPLE, grid=9).points
 SWEEP_SIMPLE = (
@@ -155,12 +163,12 @@ SWEEP_SIMPLE = (
 )
 #: sweep_privacy_distortion(model (0.4, 1.1, 2), CHANNEL, CHANNEL, grid=9).points
 SWEEP_CHANNEL = (
-    (0.47, 0.12727272727272726, 0.0, 0.35208939510976517),
-    (0.51125, 0.12886134608466138, -0.07866708742606193, 0.3510624484173582),
-    (0.5525, 0.13353390842334628, -0.14496165110791476, 0.348024353625807),
-    (0.59375, 0.14131483366730946, -0.2034629317107729, 0.3429054775223915),
-    (0.635, 0.15246648125930704, -0.2573327454876455, 0.33543290803262593),
-    (0.67625, 0.16760474383429044, -0.3092579176751563, 0.32501416484216467),
+    (0.47, 0.1272727272727273, 0.0, 0.35208939510976517),
+    (0.51125, 0.12886134608466154, -0.07866708742606193, 0.3510624484173582),
+    (0.5525, 0.13353390842334642, -0.14496165110791476, 0.348024353625807),
+    (0.59375, 0.1413148336673095, -0.2034629317107729, 0.3429054775223915),
+    (0.635, 0.15246648125930698, -0.2573327454876455, 0.33543290803262593),
+    (0.67625, 0.1676047438342904, -0.3092579176751563, 0.32501416484216467),
     (0.7175, 0.1880730543699771, -0.36239632223318563, 0.31037143849237897),
     (0.75875, 0.21744107584434894, -0.422886362085412, 0.2880648002822621),
     (0.8, 0.2922727272727273, -0.55, 0.22128475353887422),
@@ -221,6 +229,19 @@ def test_solve_pinned(model, setting, sigma_n2, target, expected):
     p = sol.policy
     assert (p.alpha, p.beta, p.noise_var, sol.kappa, sol.d_c, sol.d_p,
             sol.constraint_active) == expected
+
+
+def test_pinned_channel_values_against_exact_evaluation():
+    # each pinned channel D_C and D_P lies within 3 ulp of exact evaluation at its alpha
+    for model, setting, _, _, (alpha, _, _, _, d_c, d_p, _) in SOLVE:
+        if setting is Setting.CHANNEL:
+            exact = exact_channel_dc_dp(validate_model(*model), alpha, CHANNEL)
+            for value, reference in zip((d_c, d_p), exact):
+                assert abs(value - reference) <= 3 * math.ulp(reference)
+    model = validate_model(0.4, 1.1, 2.0)
+    for _, d_c, alpha, _ in SWEEP_CHANNEL:  # its d_p column holds the targets
+        exact_dc, _ = exact_channel_dc_dp(model, alpha, CHANNEL)
+        assert abs(d_c - exact_dc) <= 3 * math.ulp(exact_dc)
 
 
 def test_sweeps_and_rate_inversion_pinned():
