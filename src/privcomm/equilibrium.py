@@ -15,10 +15,13 @@ max-privacy endpoint, the degenerate model rho^2 = r without noise, and
 otherwise takes the root alpha_plus, the constrained minimizer.  Near
 rho^2 = r rounding can defeat the closed form, so a solution is refused with
 :class:`DegenerateModelError` when its encoder sends nothing, its D_P misses
-an active target by more than ``SOLVE_TOL``, or the quadratic has no real
-root (rho^2 > r*(1 + n_eff): a model admitted just above rho^2 = r at a
-test-channel noise below its excess).  The public solvers pass the core one
-target; the privacy sweeps pass it their whole grid.
+an interior target, or the dp_max that an endpoint target was snapped to, by
+more than ``SOLVE_TOL``, or the quadratic has no real root (rho^2 >
+r*(1 + n_eff): a model admitted just above rho^2 = r at a test-channel noise
+below its excess).  The public solvers pass the core one target; the privacy
+sweeps pass it their whole grid.  Per target the core calls only
+``math.isfinite``, ``math.sqrt``, the list's ``append`` and, in the simple and
+compression settings, ``second_order_dc_dp``.
 
 Settings, each with one public solver:
   simple       Y = X + alpha*theta (noiseless, unit gain)
@@ -44,9 +47,9 @@ from .model import Record, SourceModel
 #: the square root in the quadratic amplifies last-ulp noise there.
 ENDPOINT_RTOL = 1e-12
 
-#: Back-substitution residual tolerance: an active solution's D_P meets its
-#: target to SOLVE_TOL relative and to SOLVE_TOL * sigma_x2 at most, beyond
-#: the ENDPOINT_RTOL snap onto max privacy.
+#: Back-substitution residual tolerance: an interior solution's D_P meets its
+#: target, and a max-privacy endpoint's D_P meets dp_max, to SOLVE_TOL relative
+#: and to SOLVE_TOL * sigma_x2 at most, plus ENDPOINT_RTOL relative.
 SOLVE_TOL = 1e-9
 
 #: Branches of the solve core: the setting's free privacy floor (constraint
@@ -77,12 +80,9 @@ class DegenerateModelError(SolveError):
         )
 
 
-def _check_gain(alpha: float, beta: float) -> None:
-    """Refuse a non-finite alpha or a beta outside (0, inf), as EncoderPolicy does."""
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    if not (0.0 < beta < math.inf):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+_NO_NOISELESS_ENCODER = "no encoder without noise meets the privacy target {!r}"
+_SENDS_NOTHING = "the encoder alpha={!r} sends nothing"
+_ALPHA_NOT_FINITE = "alpha must be finite, got {}"
 
 
 class EncoderPolicy(Record):
@@ -91,7 +91,10 @@ class EncoderPolicy(Record):
     __slots__ = ("alpha", "beta", "noise_var")
 
     def __init__(self, alpha: float, beta: float = 1.0, noise_var: float = 0.0) -> None:
-        _check_gain(alpha, beta)
+        if not math.isfinite(alpha):
+            raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
+        if not (0.0 < beta < math.inf):
+            raise ValueError(f"beta must be positive and finite, got {beta}")
         if not (0.0 <= noise_var < math.inf):
             raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
         set_alpha, set_beta, set_noise_var = self._setters
@@ -142,7 +145,7 @@ def second_order_dc_dp(model: SourceModel, alpha, n_eff):
     output variance passes the guard, as it would under ``numpy.any``.
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
-    den = mixing_gain(model, alpha) + n_eff
+    den = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff  # mixing_gain + n_eff, inline
     # a float (numpy's float64 is one) compares directly; numpy arrays need .any()
     if den <= 0.0 if isinstance(den, float) else (den <= 0.0).any():
         raise RuntimeError("nonpositive output variance; invalid policy")
@@ -172,6 +175,8 @@ def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
     """Privacy MMSE delivered at alpha = 0 by the test-channel noise alone.
 
     It is the D_P of ``second_order_dc_dp`` at alpha = 0, in the same arithmetic.
+    A sigma_n2 / sigma_x2 or r * sigma_n2 / sigma_x2 past the float range
+    makes it inf or NaN, and raises :class:`SolveError`.
     """
     if not math.isfinite(sigma_n2):
         raise SolveError(f"sigma_n2 must be finite, got {sigma_n2}")
@@ -179,6 +184,9 @@ def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
         raise SolveError(f"sigma_n2 must be positive, got {sigma_n2}")
     n = sigma_n2 / model.sigma_x2
     floor = model.sigma_x2 * (model.r - model.rho**2 + model.r * n) / (1.0 + n)
+    if not math.isfinite(floor):  # n = inf makes it NaN, r*n = inf makes it inf
+        raise SolveError(f"the compression floor overflows a float at "
+                         f"sigma_n2={sigma_n2!r}, sigma_x2={model.sigma_x2!r}")
     if floor <= 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
         floor = 0.0
     return floor
@@ -191,17 +199,6 @@ def channel_privacy_floor(model: SourceModel, channel: ChannelSpec) -> float:
     if floor <= 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
         floor = 0.0
     return floor
-
-
-def _transmit_variance(model: SourceModel, alpha: float, n_eff: float) -> float:
-    """Normalized Var(X + alpha*theta + noise); refuses an encoder that sends nothing."""
-    var = mixing_gain(model, alpha) + n_eff
-    if not var > 0.0:
-        raise DegenerateModelError(model, f"the encoder alpha={alpha!r} sends nothing")
-    return var
-
-
-_NO_NOISELESS_ENCODER = "no encoder without noise meets the privacy target {!r}"
 
 
 def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
@@ -238,20 +235,21 @@ def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
         floor, floor_unit = gap, s2
         if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
             floor = 0.0
-    free_max = floor * (1.0 + ENDPOINT_RTOL)
+    free_max, dp_max = floor * (1.0 + ENDPOINT_RTOL), s2 * r
     d_max, d_end = r * (1.0 + ENDPOINT_RTOL), r * (1.0 - ENDPOINT_RTOL)
     # transmit the prediction error of X from theta; at r = 0 (so rho = 0)
     # every feasible target is free and this is never read
     alpha_end = -rho / r if r > 0.0 else 0.0
     r2, gap = r * r, gap + r * n_eff  # r - rho^2 + r*n_eff
     disc_min = -ENDPOINT_RTOL * (r if r > 1.0 else 1.0)  # max(1.0, r), without the call
-    rows = []
+    rows = []  # helpers and max/min are written inline below, the builtins bound once
+    append, isfinite, sqrt, inf = rows.append, math.isfinite, math.sqrt, math.inf
     for target in targets:
-        if not math.isfinite(target):
+        if not isfinite(target):
             raise SolveError(f"privacy target must be finite, got {target}")
         d = target / s2
         if d > d_max:
-            raise InfeasiblePrivacyTarget(f"d_p_target={target} exceeds dp_max={s2 * r}")
+            raise InfeasiblePrivacyTarget(f"d_p_target={target} exceeds dp_max={dp_max}")
         if rho == 0.0 or target / floor_unit <= free_max:
             alpha, branch = 0.0, FREE
         elif d >= d_end:
@@ -266,7 +264,7 @@ def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
             scale = r2 * d
             if not scale > 0.0:
                 raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d!r}")
-            if scale == math.inf:
+            if scale == inf:
                 raise SolveError(f"r^2 * d overflows a float at r={r!r}, d={d!r}")
             disc = (r - d) * gap / scale
             if disc < disc_min:  # d < r here, so rho^2 > r*(1 + n_eff)
@@ -274,23 +272,30 @@ def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
                     model, f"no encoder meets the privacy target {target!r} "
                            f"at test-channel noise sigma_n2/sigma_x2 = {n_eff!r}"
                 )
-            alpha = alpha_end + math.sqrt(max(disc, 0.0))
-            alpha, branch = min(alpha, 0.0), INTERIOR  # clip last-ulp drift above alpha = 0
+            alpha = alpha_end + sqrt(0.0 if 0.0 > disc else disc)  # max(disc, 0.0)
+            if alpha > 0.0:  # clip last-ulp drift above alpha = 0: min(alpha, 0.0)
+                alpha = 0.0
+            branch = INTERIOR
         if channel is not None:
             if branch is not FREE and degenerate:  # max privacy: X - (rho/r)*theta = 0
                 raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(target))
-            a = _transmit_variance(model, alpha, 0.0)
+            a = 1.0 + 2.0 * alpha * rho + alpha * alpha * r  # mixing_gain, inline
+            if not a > 0.0:
+                raise DegenerateModelError(model, _SENDS_NOTHING.format(alpha))
             var_u = s2 * a  # E{(X + alpha*theta)^2}
-            beta = math.sqrt(p_t / var_u) if var_u > 0.0 else math.inf
-            if beta == math.inf:
+            beta = sqrt(p_t / var_u) if var_u > 0.0 else inf
+            if beta == inf:
                 raise SolveError(
                     f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}"
                 )
-            _check_gain(alpha, beta)
+            if not isfinite(alpha):  # EncoderPolicy's tests, in its order
+                raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
+            if not 0.0 < beta < inf:
+                raise ValueError(f"beta must be positive and finite, got {beta}")
             kappa = beta * s2 * (1.0 + alpha * rho) / p_y
             if branch is ENDPOINT:
                 # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
-                d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / p_y), s2 * r
+                d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / p_y), dp_max
             else:
                 # the MMSE of X and of theta from Y, in units of sigma_x2
                 q = w / a
@@ -298,20 +303,29 @@ def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
                 d_p = s2 * (r - q * (rho + r * alpha) ** 2)
         elif branch is ENDPOINT and sigma_n2 is None:
             # exact: Y = X - (rho/r)*theta carries nothing of theta
-            beta, kappa, d_c, d_p = 1.0, 1.0, s2 * rho**2 / r, s2 * r
-            _check_gain(alpha, beta)
+            beta, kappa, d_c, d_p = 1.0, 1.0, s2 * rho**2 / r, dp_max
+            if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
+                raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
         else:  # compression, and the simple setting as compression at n_eff = 0
-            beta, kappa = 1.0, (1.0 + alpha * rho) / _transmit_variance(model, alpha, n_eff)
+            var = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff  # mixing_gain + n_eff
+            if not var > 0.0:
+                raise DegenerateModelError(model, _SENDS_NOTHING.format(alpha))
+            beta, kappa = 1.0, (1.0 + alpha * rho) / var
             d_c, d_p = second_order_dc_dp(model, alpha, n_eff)
-            _check_gain(alpha, beta)
+            if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
+                raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
         if branch is not FREE:  # refuse an active D_P that rounding left off its target
-            if abs(d_p - target) > SOLVE_TOL * min(s2, target) + ENDPOINT_RTOL * target:
+            # an endpoint row answers dp_max, the value its target was snapped to;
+            # min(s2, goal) and abs as comparisons, which a NaN D_P fails
+            goal = target if branch is INTERIOR else dp_max
+            tol = SOLVE_TOL * (goal if goal < s2 else s2) + ENDPOINT_RTOL * goal
+            if not -tol <= d_p - goal <= tol:
                 raise DegenerateModelError(
                     model, f"rounding misses the privacy target {target!r}: d_p = {d_p!r}"
                 )
         elif d_p <= 0.0:  # rounding at rho^2 >= r, clamped as the floor is; -0.0 too
             d_p = 0.0
-        rows.append((alpha, beta, kappa, d_c, d_p, branch is not FREE))
+        append((alpha, beta, kappa, d_c, d_p, branch is not FREE))
     return rows
 
 

@@ -34,6 +34,11 @@ GOLDENS = [
     ("solve_simple.json", ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"]),
     ("tradeoff_simple_grid2.csv",
      ["tradeoff", "--setting", "simple", *MODEL_FLAGS, "--grid", "2"]),
+    # the solve core's channel rows (free, interior and endpoint) and a compression row
+    ("tradeoff_channel_grid9.csv", ["tradeoff", "--setting", "channel", *MODEL_FLAGS,
+                                    "--pt", "1", "--sigma-z2", "1", "--grid", "9"]),
+    ("solve_compression.json", ["solve", "--setting", "compression", *MODEL_FLAGS,
+                                "--dp", "0.92", "--sigma-n2", "0.7"]),
     ("verify_channel.json", ["verify", "--setting", "channel", *MODEL_FLAGS,
                              "--dp", "0.92", "--pt", "1", "--sigma-z2", "1"]),
     ("scan_simple.csv", ["scan", *MODEL_FLAGS]),
@@ -218,6 +223,15 @@ class TestRejectedInputs:
         assert code == 1
         assert out == ""
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sigma_n2", ["1e8", "1e9"])  # r*n = inf, then n = inf
+    def test_compression_floor_overflow_exits_1(self, sigma_n2):
+        # the solve used to answer d_p = inf or nan here, which json then refused to print
+        code, out, err = run(["solve", "--setting", "compression", "--sigma-x2", "1e-300",
+                              "--rho", "1", "--r", "4", "--dp", "2e-300", "--sigma-n2", sigma_n2])
+        assert (code, out) == (1, "")
+        assert err == ("error: the compression floor overflows a float at "
+                       f"sigma_n2={float(sigma_n2)!r}, sigma_x2=1e-300\n")
 
     def test_json_refuses_nan(self):
         from privcomm.cli import _json
@@ -683,7 +697,8 @@ class TestOracleScaleRegressions:
          "compression search requires 0 < sigma_n2/sigma_x2 < inf"),
         (["--setting", "compression", "--sigma-x2", "2.366e-320", "--rho", "0.0794",
           "--r", "1.1832", "--dp", "2.366e-320", "--sigma-n2", "1.1832"],
-         "compression search requires 0 < sigma_n2/sigma_x2 < inf"),
+         # the solve refuses sigma_n2/sigma_x2 = inf before the oracle runs
+         "the compression floor overflows a float at sigma_n2=1.1832"),
         (["--setting", "channel", "--sigma-x2", "1", "--rho", "0.75", "--r", "1",
           "--dp", "0.99997", "--pt", "5.88e-89", "--sigma-z2", "8.68e246"],
          "the oracle cannot resolve a channel with sigma_z2/P_T = inf"),

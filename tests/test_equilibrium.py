@@ -18,7 +18,9 @@ from privcomm import (
     solve_setting3,
     validate_model,
 )
+from privcomm.curves import noise_for_rate, sweep_rate_distortion
 from privcomm.equilibrium import (
+    ENDPOINT_RTOL,
     channel_privacy_floor,
     compression_privacy_floor,
     mixing_gain,
@@ -580,3 +582,144 @@ def test_free_d_p_is_the_floor_bit_for_bit(setting):
             sol = solve_setting3(model, floor * float(rng.uniform(0.5, 1.0)), channel)
         assert not sol.constraint_active
         assert sol.d_p.hex() == floor.hex()
+
+
+class TestCompressionFloorOverflow:
+    """A sigma_n2/sigma_x2 or r*sigma_n2/sigma_x2 past the float range is refused once.
+
+    On this model n = 1e8/1e-300 = 1e308 is a float but r*n = 4e308 is not, and
+    at sigma_n2 = 1e9 n itself overflows; the solve used to answer d_p = inf and
+    d_p = nan there.
+    """
+
+    TINY = validate_model(1e-300, 1.0, 4.0)
+    MESSAGE = "the compression floor overflows a float at sigma_n2="
+
+    @pytest.mark.parametrize("sigma_n2", [1e8, 1e9])
+    def test_floor_refused(self, sigma_n2):
+        with pytest.raises(SolveError, match=self.MESSAGE):
+            compression_privacy_floor(self.TINY, sigma_n2)
+
+    @pytest.mark.parametrize("target", [0.0, 2e-300, 4e-300], ids=["free", "interior", "end"])
+    @pytest.mark.parametrize("sigma_n2", [1e8, 1e9])
+    def test_solve_refused(self, sigma_n2, target):
+        with pytest.raises(SolveError, match=self.MESSAGE) as info:
+            solve_setting2(self.TINY, target, sigma_n2)
+        assert type(info.value) is SolveError
+
+    def test_noise_below_the_edge_answers(self):
+        # r*n = 4e307: the floor is sigma_x2*(r - rho^2 + r*n)/(1 + n), about 4e-300
+        sol = solve_setting2(self.TINY, 2e-300, 1e7)
+        assert not sol.constraint_active
+        assert sol.d_p == compression_privacy_floor(self.TINY, 1e7)
+        assert math.isfinite(sol.d_p) and math.isfinite(sol.d_c)
+
+    def test_rate_sweep_refused(self):
+        with pytest.raises(SolveError, match=self.MESSAGE + "1000000000.0"):
+            sweep_rate_distortion(self.TINY, 2e-300, [1e-300, 1.0, 1e9])
+
+    def test_rate_inversion_refused(self):
+        # rate 1e-308 needs sigma_n2 = sigma_x2/expm1(2e-308) = 5e7, so r*n = 2e308
+        with pytest.raises(SolveError, match=self.MESSAGE):
+            noise_for_rate(self.TINY, 2e-300, 1e-308)
+
+
+@pytest.mark.parametrize("r", [1e3, 1e6, 1e9, 1e12])
+def test_endpoint_snap_answers_dp_max(r):
+    # a target up to ENDPOINT_RTOL above dp_max is snapped onto the max-privacy endpoint,
+    # whose D_P is checked against dp_max: against the target, its miss of ~1e-12*target
+    # sat on the residual bound, and most of these solves were refused as rounding misses
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        s2 = float(rng.uniform(0.1, 10.0))
+        model = validate_model(s2, float(rng.uniform(0.05, 0.99)) * math.sqrt(r), r)
+        sigma_n2 = float(rng.uniform(0.1, 2.0)) * s2
+        channel = ChannelSpec(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.1, 2.0)))
+        dp_max = s2 * r
+        for target in (dp_max * (1.0 + ENDPOINT_RTOL), dp_max * (1.0 + ENDPOINT_RTOL / 2),
+                       dp_max, dp_max * (1.0 - ENDPOINT_RTOL / 2)):
+            while target / s2 > r * (1.0 + ENDPOINT_RTOL):  # rounded past the snap
+                target = math.nextafter(target, 0.0)
+            simple = solve_setting1(model, target)
+            compression = solve_setting2(model, target, sigma_n2)
+            chan = solve_setting3(model, target, channel)
+            for sol in (simple, compression, chan):
+                assert sol.constraint_active and sol.policy.alpha == -model.rho / r
+            assert simple.d_p == chan.d_p == dp_max
+            assert compression.d_p == pytest.approx(dp_max, rel=ENDPOINT_RTOL, abs=0.0)
+
+
+def pinned_models():
+    """Benchmark-range models and extreme-scale ones, for the inline arithmetic pins."""
+    rng = np.random.default_rng(231)
+    models = []
+    for _ in range(30):
+        s2, r = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.05, 4.0))
+        models.append(validate_model(s2, float(rng.uniform(0.05, 0.99)) * math.sqrt(r), r))
+    for s2 in (1e-300, 1e-150, 1e150, 1e300):
+        for r in (1e-200, 1e-20, 1.0, 1e20, 1e200):
+            if math.isfinite(s2 * r):
+                models.append(validate_model(s2, 0.6 * math.sqrt(r), r))
+    return models
+
+
+def pinned_targets(model, floor):
+    """Free, interior and endpoint targets between the setting's floor and dp_max."""
+    dp_max = privacy_bounds(model).dp_max
+    return [floor * 0.5, floor] + [floor + f * (dp_max - floor)
+                                   for f in (0.05, 0.4, 0.9, 0.999)] + [dp_max]
+
+
+@pytest.mark.parametrize("setting", list(Setting))
+def test_inline_arithmetic_is_mixing_gain_bit_for_bit(setting):
+    # the solve core writes mixing_gain inline: kappa of every simple and compression row
+    # is (1 + alpha*rho)/(mixing_gain + n_eff), and beta of every channel row is
+    # sqrt(P_T/(sigma_x2*mixing_gain)), bit for bit; D_C and D_P of the simple and
+    # compression rows are second_order_dc_dp's
+    channel = ChannelSpec(2.0, 0.5)
+    seen = set()
+    for model in pinned_models():
+        rho, s2 = model.rho, model.sigma_x2
+        n_eff = 0.7 if setting is Setting.COMPRESSION else 0.0
+        floor = (compression_privacy_floor(model, n_eff * s2) if n_eff
+                 else channel_privacy_floor(model, channel) if setting is Setting.CHANNEL
+                 else privacy_bounds(model).dp_min)
+        for target in pinned_targets(model, floor):
+            try:
+                if setting is Setting.SIMPLE:
+                    sol = solve_setting1(model, target)
+                elif setting is Setting.COMPRESSION:
+                    sol = solve_setting2(model, target, n_eff * s2)
+                else:
+                    sol = solve_setting3(model, target, channel)
+            except SolveError:  # an extreme scale that the core refuses
+                continue
+            alpha = sol.policy.alpha
+            branch = ("free" if not sol.constraint_active
+                      else "endpoint" if alpha == -rho / model.r else "interior")
+            seen.add(branch)
+            if setting is Setting.CHANNEL:
+                beta = math.sqrt(channel.p_t / (s2 * mixing_gain(model, alpha)))
+                assert sol.policy.beta.hex() == beta.hex()
+                kappa = beta * s2 * (1.0 + alpha * rho) / (channel.p_t + channel.sigma_z2)
+                assert sol.kappa.hex() == kappa.hex()
+            elif setting is Setting.SIMPLE and branch == "endpoint":
+                assert (sol.kappa, sol.d_p) == (1.0, privacy_bounds(model).dp_max)
+            else:
+                kappa = (1.0 + alpha * rho) / (mixing_gain(model, alpha) + n_eff)
+                assert sol.kappa.hex() == kappa.hex()
+                d_c, d_p = second_order_dc_dp(model, alpha, n_eff)
+                assert sol.d_c.hex() == d_c.hex()
+                assert sol.d_p.hex() == (d_p if d_p > 0.0 else 0.0).hex()
+    assert seen == {"free", "interior", "endpoint"}
+
+
+def test_dc_dp_on_arrays_is_its_scalar_calls_elementwise():
+    alpha = np.linspace(-1.5, 0.25, 41)[:, None]
+    noise = np.array([0.0, 1e-12, 0.3, 1.0, 7.0, 1e6])[None, :]
+    for model in pinned_models():
+        a = alpha / math.sqrt(model.r)  # spans [-rho/r, 0] at every scale of r
+        d_c, d_p = second_order_dc_dp(model, a, noise)
+        for i, j in np.ndindex(d_c.shape):
+            c, p = second_order_dc_dp(model, float(a[i, 0]), float(noise[0, j]))
+            assert (float(d_c[i, j]).hex(), float(d_p[i, j]).hex()) == (c.hex(), p.hex())
