@@ -677,21 +677,22 @@ def test_inline_arithmetic_is_mixing_gain_bit_for_bit(setting):
     # sqrt(P_T/(sigma_x2*mixing_gain)), bit for bit; D_C and D_P of the simple and
     # compression rows are second_order_dc_dp's
     channel = ChannelSpec(2.0, 0.5)
+    n_eff = 0.7 if setting is Setting.COMPRESSION else 0.0
     seen = set()
     for model in pinned_models():
         rho, s2 = model.rho, model.sigma_x2
-        n_eff = 0.7 if setting is Setting.COMPRESSION else 0.0
-        floor = (compression_privacy_floor(model, n_eff * s2) if n_eff
-                 else channel_privacy_floor(model, channel) if setting is Setting.CHANNEL
-                 else privacy_bounds(model).dp_min)
+        if setting is Setting.SIMPLE:
+            floor = privacy_bounds(model).dp_min
+            solve = lambda t: solve_setting1(model, t)  # noqa: E731
+        elif setting is Setting.COMPRESSION:
+            floor = compression_privacy_floor(model, n_eff * s2)
+            solve = lambda t: solve_setting2(model, t, n_eff * s2)  # noqa: E731
+        else:
+            floor = channel_privacy_floor(model, channel)
+            solve = lambda t: solve_setting3(model, t, channel)  # noqa: E731
         for target in pinned_targets(model, floor):
             try:
-                if setting is Setting.SIMPLE:
-                    sol = solve_setting1(model, target)
-                elif setting is Setting.COMPRESSION:
-                    sol = solve_setting2(model, target, n_eff * s2)
-                else:
-                    sol = solve_setting3(model, target, channel)
+                sol = solve(target)
             except SolveError:  # an extreme scale that the core refuses
                 continue
             alpha = sol.policy.alpha
