@@ -226,7 +226,7 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("sigma_n2", ["1e8", "1e9"])  # r*n = inf, then n = inf
     def test_compression_floor_overflow_exits_1(self, sigma_n2):
-        # the solve used to answer d_p = inf or nan here, which json then refused to print
+        # an inf or NaN floor would reach the output, which json refuses to print
         code, out, err = run(["solve", "--setting", "compression", "--sigma-x2", "1e-300",
                               "--rho", "1", "--r", "4", "--dp", "2e-300", "--sigma-n2", sigma_n2])
         assert (code, out) == (1, "")

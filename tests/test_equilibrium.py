@@ -588,8 +588,8 @@ class TestCompressionFloorOverflow:
     """A sigma_n2/sigma_x2 or r*sigma_n2/sigma_x2 past the float range is refused once.
 
     On this model n = 1e8/1e-300 = 1e308 is a float but r*n = 4e308 is not, and
-    at sigma_n2 = 1e9 n itself overflows; the solve used to answer d_p = inf and
-    d_p = nan there.
+    at sigma_n2 = 1e9 n itself overflows: the floor is inf, then NaN, and so
+    would be the answer's D_P.
     """
 
     TINY = validate_model(1e-300, 1.0, 4.0)
@@ -627,8 +627,8 @@ class TestCompressionFloorOverflow:
 @pytest.mark.parametrize("r", [1e3, 1e6, 1e9, 1e12])
 def test_endpoint_snap_answers_dp_max(r):
     # a target up to ENDPOINT_RTOL above dp_max is snapped onto the max-privacy endpoint,
-    # whose D_P is checked against dp_max: against the target, its miss of ~1e-12*target
-    # sat on the residual bound, and most of these solves were refused as rounding misses
+    # whose D_P is checked against dp_max: against the target, a miss of ~1e-12*target
+    # would sit on the residual bound, and the last ulp would decide the refusal
     rng = np.random.default_rng(23)
     for _ in range(100):
         s2 = float(rng.uniform(0.1, 10.0))
