@@ -2,10 +2,11 @@
 
 Sweeps are parameterized directly by the privacy target (settings 1/3) or by
 the test-channel noise (setting 2); the Lagrange multiplier is the local
-slope of the privacy-distortion curve, not a sweep parameter.  A privacy
-sweep hands its whole target grid to the solve core that the public solvers
-wrap, which works out the model's constants once and returns plain floats, so
-a sweep builds no solution records; the rate sweep calls it once per noise.
+slope of the privacy-distortion curve, not a sweep parameter.  Each sweep
+is one call of the solve core that the public solvers wrap: a privacy sweep
+hands it its whole target grid, and the rate sweep its whole noise grid with
+its one target.  The core works out the model's constants once and returns
+plain floats, so a sweep builds no solution records.
 ``noise_for_rate`` runs setting 2 backwards: the test-channel noise that
 meets a privacy target at a given rate comes in closed form, checked by one
 solve at the noise it returns.
@@ -48,8 +49,11 @@ class TradeoffCurve(Record):
 
     def __init__(self, columns: tuple[str, ...],
                  points: tuple[tuple[float, ...], ...]) -> None:
-        # CSV output never holds nan or inf
-        if not all(map(math.isfinite, chain.from_iterable(points))):
+        # CSV output never holds nan or inf.  A float sum is finite only when
+        # every value is, unless finite values overflow it: only then, or on a
+        # bad value, does the per-value scan run
+        if (not math.isfinite(sum(chain.from_iterable(points)))
+                and not all(map(math.isfinite, chain.from_iterable(points)))):
             bad = next(p for p in points if not all(map(math.isfinite, p)))
             raise ValueError(f"non-finite curve point {bad}")
         set_columns, set_points = self._setters
@@ -96,9 +100,9 @@ def sweep_privacy_distortion(
             raise ValueError(f"grid={grid} repeats the privacy target {t1!r}: "
                              f"too few floats lie in [{lo!r}, {hi!r}]")
     rows = _solve(model, targets, channel=channel if setting is Setting.CHANNEL else None)
-    points = tuple((target, d_c, alpha, kappa)
-                   for target, (alpha, _, kappa, d_c, _, _) in zip(targets, rows))
-    return TradeoffCurve(columns=("d_p", "d_c", "alpha", "kappa"), points=points)
+    points = [(target, d_c, alpha, kappa)
+              for target, (alpha, _, kappa, d_c, _, _) in zip(targets, rows)]
+    return TradeoffCurve(columns=("d_p", "d_c", "alpha", "kappa"), points=tuple(points))
 
 
 def sweep_rate_distortion(
@@ -113,10 +117,9 @@ def sweep_rate_distortion(
     for n1, n2 in zip(noises, noises[1:]):
         if n1 == n2:
             raise ValueError(f"noise_grid lists sigma_n2={n1!r} more than once")
-    points = []
-    for sigma_n2 in noises:
-        ((alpha, _, _, d_c, d_p, _),) = _solve(model, (d_p_target,), sigma_n2)
-        points.append((sigma_n2, compression_rate(model, alpha, sigma_n2), d_c, d_p, alpha))
+    rows = _solve(model, (d_p_target,), noises)
+    points = [(sigma_n2, compression_rate(model, alpha, sigma_n2), d_c, d_p, alpha)
+              for sigma_n2, (alpha, _, _, d_c, d_p, _) in zip(noises, rows)]
     return TradeoffCurve(columns=("sigma_n2", "rate", "d_c", "d_p", "alpha"),
                          points=tuple(points))
 

@@ -8,20 +8,22 @@ privacy constraint, a quadratic in alpha:
 
 where d is the normalized privacy target D_P / sigma_x2 (or the setting's
 effective target) and n_eff the normalized effective noise variance seen at
-the decoder.  The core takes a sequence of targets: it works out the model's
-free floor, bounds and quadratic coefficients once, then tests each target,
-in order: a finite target, feasibility, the setting's free privacy floor, the
-max-privacy endpoint, the degenerate model rho^2 = r without noise, and
-otherwise takes the root alpha_plus, the constrained minimizer.  Near
-rho^2 = r rounding can defeat the closed form, so a solution is refused with
-:class:`DegenerateModelError` when its encoder sends nothing, its D_P misses
-an interior target, or the dp_max that an endpoint target was snapped to, by
-more than ``SOLVE_TOL``, or the quadratic has no real root (rho^2 >
-r*(1 + n_eff): a model admitted just above rho^2 = r at a test-channel noise
-below its excess).  The public solvers pass the core one target; the privacy
-sweeps pass it their whole grid.  Per target the core calls only
-``math.isfinite``, ``math.sqrt``, the list's ``append`` and, in the simple and
-compression settings, ``second_order_dc_dp``.
+the decoder.  The core takes a sequence of test-channel noises and one of
+targets: it works out the model's bounds and coefficients once, the free
+floor and the noise's terms once per noise, then tests each target, in order:
+a finite target, feasibility (at most dp_max * (1 + ENDPOINT_RTOL)), the
+setting's free privacy floor, the max-privacy endpoint, the degenerate model
+rho^2 = r without noise, and otherwise takes the root alpha_plus, the
+constrained minimizer.  Near rho^2 = r rounding can defeat the closed form,
+so a solution is refused with :class:`DegenerateModelError` when its encoder
+sends nothing, its D_P misses an interior target, or the dp_max that an
+endpoint target was snapped to, by more than ``SOLVE_TOL``, or the quadratic
+has no real root (rho^2 > r*(1 + n_eff): a model admitted just above
+rho^2 = r at a test-channel noise below its excess).  The public solvers pass
+the core one target; the privacy sweeps pass it their whole grid, and the
+rate sweep its whole noise grid.  Per target the core calls only
+``math.isfinite``, ``math.sqrt``, the list's ``append`` and, in the simple
+and compression settings, ``second_order_dc_dp``.
 
 Settings, each with one public solver:
   simple       Y = X + alpha*theta (noiseless, unit gain)
@@ -201,16 +203,18 @@ def channel_privacy_floor(model: SourceModel, channel: ChannelSpec) -> float:
     return floor
 
 
-def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
+def _solve(model: SourceModel, targets, noises=(None,),
            channel: ChannelSpec | None = None) -> list:
-    """One row (alpha, beta, kappa, d_c, d_p, active) per privacy target, as plain floats.
+    """One row (alpha, beta, kappa, d_c, d_p, active) per noise and target, as plain floats.
 
-    The setting is compression at test-channel noise ``sigma_n2`` when that
-    is given, the channel when ``channel`` is, and simple otherwise.  The
-    model's free floor, bounds and quadratic coefficients are worked out
-    once; each target then makes every check of the module docstring, in its
-    order, and the first target refused raises.  A list, not a generator:
-    a single solve pays for no generator frame.
+    The rows run over ``noises`` in the outer loop and ``targets`` in the
+    inner one.  A noise is the compression setting's test-channel noise
+    sigma_n2; a noise of None is the channel when ``channel`` is given, and
+    the simple setting otherwise.  The model's bounds and quadratic
+    coefficients are worked out once per call, and the free floor and the
+    noise's terms once per noise; each target then makes every check of the
+    module docstring, in its order, and the first row refused raises.  A
+    list, not a generator: a single solve pays for no generator frame.
 
     The floor is the setting's free privacy level in units of ``floor_unit``
     (sigma_x2 for the simple setting's normalized floor, the target's own
@@ -221,111 +225,117 @@ def _solve(model: SourceModel, targets, sigma_n2: float | None = None,
     alpha_minus lies below -rho/r.
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
-    gap, n_eff = r - rho**2, 0.0
+    gap = r - rho**2
     degenerate = gap <= 0.0  # model.degenerate, without a property call per solve
     if channel is not None:
         p_t, sigma_z2 = channel.p_t, channel.sigma_z2
         p_y = p_t + sigma_z2  # Var(Y): the power P_T plus the channel noise
         w = p_t / p_y  # the share of Var(Y) that the encoder sends
-        floor, floor_unit = channel_privacy_floor(model, channel), 1.0
-    elif sigma_n2 is not None:
-        floor, floor_unit = compression_privacy_floor(model, sigma_n2), 1.0
-        n_eff = sigma_n2 / s2
-    else:
-        floor, floor_unit = gap, s2
-        if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
-            floor = 0.0
-    free_max, dp_max = floor * (1.0 + ENDPOINT_RTOL), s2 * r
-    d_max, d_end = r * (1.0 + ENDPOINT_RTOL), r * (1.0 - ENDPOINT_RTOL)
+    dp_max = s2 * r
+    # a target up to ENDPOINT_RTOL above dp_max is snapped onto the endpoint
+    dp_snap, d_end = dp_max * (1.0 + ENDPOINT_RTOL), r * (1.0 - ENDPOINT_RTOL)
     # transmit the prediction error of X from theta; at r = 0 (so rho = 0)
     # every feasible target is free and this is never read
     alpha_end = -rho / r if r > 0.0 else 0.0
-    r2, gap = r * r, gap + r * n_eff  # r - rho^2 + r*n_eff
+    r2 = r * r
     disc_min = -ENDPOINT_RTOL * (r if r > 1.0 else 1.0)  # max(1.0, r), without the call
     rows = []  # helpers and max/min are written inline below, the builtins bound once
     append, isfinite, sqrt, inf = rows.append, math.isfinite, math.sqrt, math.inf
-    for target in targets:
-        if not isfinite(target):
-            raise SolveError(f"privacy target must be finite, got {target}")
-        d = target / s2
-        if d > d_max:
-            raise InfeasiblePrivacyTarget(f"d_p_target={target} exceeds dp_max={dp_max}")
-        if rho == 0.0 or target / floor_unit <= free_max:
-            alpha, branch = 0.0, FREE
-        elif d >= d_end:
-            alpha, branch = alpha_end, ENDPOINT
-        else:
-            if degenerate and n_eff == 0.0:
-                raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(target))
-            if channel is not None:
-                d = d - (r - d) * sigma_z2 / p_t  # the effective target d'
-            if d <= 0.0:
-                raise SolveError(f"normalized privacy target must be positive, got {d}")
-            scale = r2 * d
-            if not scale > 0.0:
-                raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d!r}")
-            if scale == inf:
-                raise SolveError(f"r^2 * d overflows a float at r={r!r}, d={d!r}")
-            disc = (r - d) * gap / scale
-            if disc < disc_min:  # d < r here, so rho^2 > r*(1 + n_eff)
-                raise DegenerateModelError(
-                    model, f"no encoder meets the privacy target {target!r} "
-                           f"at test-channel noise sigma_n2/sigma_x2 = {n_eff!r}"
-                )
-            alpha = alpha_end + sqrt(0.0 if 0.0 > disc else disc)  # max(disc, 0.0)
-            if alpha > 0.0:  # clip last-ulp drift above alpha = 0: min(alpha, 0.0)
-                alpha = 0.0
-            branch = INTERIOR
+    for sigma_n2 in noises:
+        n_eff = 0.0
         if channel is not None:
-            if branch is not FREE and degenerate:  # max privacy: X - (rho/r)*theta = 0
-                raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(target))
-            a = 1.0 + 2.0 * alpha * rho + alpha * alpha * r  # mixing_gain, inline
-            if not a > 0.0:
-                raise DegenerateModelError(model, _SENDS_NOTHING.format(alpha))
-            var_u = s2 * a  # E{(X + alpha*theta)^2}
-            beta = sqrt(p_t / var_u) if var_u > 0.0 else inf
-            if beta == inf:
-                raise SolveError(
-                    f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}"
-                )
-            if not isfinite(alpha):  # EncoderPolicy's tests, in its order
-                raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
-            if not 0.0 < beta < inf:
-                raise ValueError(f"beta must be positive and finite, got {beta}")
-            kappa = beta * s2 * (1.0 + alpha * rho) / p_y
-            if branch is ENDPOINT:
-                # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
-                d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / p_y), dp_max
+            floor, floor_unit = channel_privacy_floor(model, channel), 1.0
+        elif sigma_n2 is not None:
+            floor, floor_unit = compression_privacy_floor(model, sigma_n2), 1.0
+            n_eff = sigma_n2 / s2
+        else:
+            floor, floor_unit = gap, s2
+            if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
+                floor = 0.0
+        free_max, quad = floor * (1.0 + ENDPOINT_RTOL), gap + r * n_eff  # r - rho^2 + r*n_eff
+        for target in targets:
+            if not isfinite(target):
+                raise SolveError(f"privacy target must be finite, got {target}")
+            if target > dp_snap:
+                raise InfeasiblePrivacyTarget(f"d_p_target={target} exceeds dp_max={dp_max}")
+            d = target / s2
+            if rho == 0.0 or target / floor_unit <= free_max:
+                alpha, branch = 0.0, FREE
+            elif d >= d_end:
+                alpha, branch = alpha_end, ENDPOINT
             else:
-                # the MMSE of X and of theta from Y, in units of sigma_x2
-                q = w / a
-                d_c = s2 * (1.0 - q * (1.0 + alpha * rho) ** 2)
-                d_p = s2 * (r - q * (rho + r * alpha) ** 2)
-        elif branch is ENDPOINT and sigma_n2 is None:
-            # exact: Y = X - (rho/r)*theta carries nothing of theta
-            beta, kappa, d_c, d_p = 1.0, 1.0, s2 * rho**2 / r, dp_max
-            if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
-                raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
-        else:  # compression, and the simple setting as compression at n_eff = 0
-            var = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff  # mixing_gain + n_eff
-            if not var > 0.0:
-                raise DegenerateModelError(model, _SENDS_NOTHING.format(alpha))
-            beta, kappa = 1.0, (1.0 + alpha * rho) / var
-            d_c, d_p = second_order_dc_dp(model, alpha, n_eff)
-            if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
-                raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
-        if branch is not FREE:  # refuse an active D_P that rounding left off its target
-            # an endpoint row answers dp_max, the value its target was snapped to;
-            # min(s2, goal) and abs as comparisons, which a NaN D_P fails
-            goal = target if branch is INTERIOR else dp_max
-            tol = SOLVE_TOL * (goal if goal < s2 else s2) + ENDPOINT_RTOL * goal
-            if not -tol <= d_p - goal <= tol:
-                raise DegenerateModelError(
-                    model, f"rounding misses the privacy target {target!r}: d_p = {d_p!r}"
-                )
-        elif d_p <= 0.0:  # rounding at rho^2 >= r, clamped as the floor is; -0.0 too
-            d_p = 0.0
-        append((alpha, beta, kappa, d_c, d_p, branch is not FREE))
+                if degenerate and n_eff == 0.0:
+                    raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(target))
+                if channel is not None:
+                    d = d - (r - d) * sigma_z2 / p_t  # the effective target d'
+                if d <= 0.0:
+                    raise SolveError(f"normalized privacy target must be positive, got {d}")
+                scale = r2 * d
+                if not scale > 0.0:
+                    raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d!r}")
+                if scale == inf:
+                    raise SolveError(f"r^2 * d overflows a float at r={r!r}, d={d!r}")
+                disc = (r - d) * quad / scale
+                if disc < disc_min:  # d < r here, so rho^2 > r*(1 + n_eff)
+                    raise DegenerateModelError(
+                        model, f"no encoder meets the privacy target {target!r} "
+                               f"at test-channel noise sigma_n2/sigma_x2 = {n_eff!r}"
+                    )
+                alpha = alpha_end + sqrt(0.0 if 0.0 > disc else disc)  # max(disc, 0.0)
+                if alpha > 0.0:  # clip last-ulp drift above alpha = 0: min(alpha, 0.0)
+                    alpha = 0.0
+                branch = INTERIOR
+            if channel is not None:
+                if branch is not FREE and degenerate:  # max privacy: X - (rho/r)*theta = 0
+                    raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(target))
+                a = 1.0 + 2.0 * alpha * rho + alpha * alpha * r  # mixing_gain, inline
+                if not a > 0.0:
+                    raise DegenerateModelError(model, _SENDS_NOTHING.format(alpha))
+                var_u = s2 * a  # E{(X + alpha*theta)^2}
+                beta = sqrt(p_t / var_u) if var_u > 0.0 else inf
+                if beta == inf:
+                    raise SolveError(
+                        f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}"
+                    )
+                if not isfinite(alpha):  # EncoderPolicy's tests, in its order
+                    raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
+                if not 0.0 < beta < inf:
+                    raise ValueError(f"beta must be positive and finite, got {beta}")
+                u = 1.0 + alpha * rho  # Cov(X + alpha*theta, X) / sigma_x2
+                kappa = beta * s2 * u / p_y
+                if branch is ENDPOINT:
+                    # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
+                    d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / p_y), dp_max
+                else:
+                    # the MMSE of X and of theta from Y, in units of sigma_x2
+                    q = w / a
+                    d_c = s2 * (1.0 - q * u ** 2)
+                    d_p = s2 * (r - q * (rho + r * alpha) ** 2)
+            elif branch is ENDPOINT and sigma_n2 is None:
+                # exact: Y = X - (rho/r)*theta carries nothing of theta
+                beta, kappa, d_c, d_p = 1.0, 1.0, s2 * rho**2 / r, dp_max
+                if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
+                    raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
+            else:  # compression, and the simple setting as compression at n_eff = 0
+                var = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff  # mixing_gain + n_eff
+                if not var > 0.0:
+                    raise DegenerateModelError(model, _SENDS_NOTHING.format(alpha))
+                beta, kappa = 1.0, (1.0 + alpha * rho) / var
+                d_c, d_p = second_order_dc_dp(model, alpha, n_eff)
+                if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
+                    raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
+            if branch is not FREE:  # refuse an active D_P that rounding left off its target
+                # an endpoint row answers dp_max, the value its target was snapped to;
+                # min(s2, goal) and abs as comparisons, which a NaN D_P fails
+                goal = target if branch is INTERIOR else dp_max
+                tol = SOLVE_TOL * (goal if goal < s2 else s2) + ENDPOINT_RTOL * goal
+                if not -tol <= d_p - goal <= tol:
+                    raise DegenerateModelError(
+                        model, f"rounding misses the privacy target {target!r}: d_p = {d_p!r}"
+                    )
+            elif d_p <= 0.0:  # rounding at rho^2 >= r, clamped as the floor is; -0.0 too
+                d_p = 0.0
+            append((alpha, beta, kappa, d_c, d_p, branch is not FREE))
     return rows
 
 
@@ -356,7 +366,7 @@ def solve_setting2(
     inactive (alpha = 0) whenever the target sits at or below the floor
     sigma_x2 * (r - rho^2 + r*n) / (1 + n), with n = sigma_n2 / sigma_x2.
     """
-    return _solution(*_solve(model, (d_p_target,), sigma_n2)[0], sigma_n2)
+    return _solution(*_solve(model, (d_p_target,), (sigma_n2,))[0], sigma_n2)
 
 
 def solve_setting3(

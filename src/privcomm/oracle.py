@@ -199,15 +199,17 @@ def _boundary_alpha(dc_dp, c, noise_var, d_p_target):
 
 
 def _grid_stage(dc_dp, alpha_axis, noise_axis, target):
-    """(feasible, slack, best, cell) of the grid, one block of rows at a time.
+    """(feasible, best, cell) of the grid, one block of rows at a time.
 
-    ``feasible``: some cell meets the target within ``slack``, the largest
-    step of D_P between neighbouring cells.  ``best``: the least D_C of a
-    strictly feasible cell, and ``cell`` its first (row, column) in row-major
-    order; (inf, (0, 0)) when no cell is.  The slack and the largest D_P are
-    maxima, taken across block edges too, and a block's best replaces the
-    running one only when strictly smaller, so each fold equals its value
-    on the whole grid (D_P is finite on the canonical box).
+    ``feasible``: some cell meets the target within the slack, the largest
+    step of D_P between neighbouring cells.  A cell that meets the target
+    outright settles it, so the slack is measured only while none does.
+    ``best``: the least D_C of a strictly feasible cell, and ``cell`` its
+    first (row, column) in row-major order; (inf, (0, 0)) when no cell is.
+    The largest D_P and the slack are maxima, taken across block edges too,
+    and a block's best replaces the running one only when strictly smaller,
+    so ``feasible``, ``best`` and ``cell`` equal their values on the whole
+    grid (D_P is finite on the canonical box).
     """
     import numpy as np
 
@@ -215,18 +217,19 @@ def _grid_stage(dc_dp, alpha_axis, noise_axis, target):
     rows = max(1, BLOCK_CELLS // noise_axis.size)
     for i in range(0, alpha_axis.size, rows):
         d_c, d_p = dc_dp(alpha_axis[i:i + rows, None], noise_axis[None, :])
-        if prev is not None:
-            slack = max(slack, float(np.max(np.abs(d_p[0] - prev))))
-        for axis in (0, 1):
-            if d_p.shape[axis] > 1:
-                slack = max(slack, float(np.max(np.abs(np.diff(d_p, axis=axis)))))
-        d_p_max = max(d_p_max, float(np.max(d_p)))
+        d_p_max = max(d_p_max, float(d_p.max()))
+        if d_p_max < target:  # every earlier block was measured too
+            if prev is not None:
+                slack = max(slack, float(np.abs(d_p[0] - prev).max()))
+            for axis in (0, 1):
+                if d_p.shape[axis] > 1:
+                    slack = max(slack, float(np.abs(np.diff(d_p, axis=axis)).max()))
+            prev = d_p[-1].copy()
         strict = np.where(d_p >= target, d_c, np.inf)
-        k, l = divmod(int(np.argmin(strict)), noise_axis.size)
+        k, l = divmod(int(strict.argmin()), noise_axis.size)
         if strict[k, l] < best:
             best, cell = float(strict[k, l]), (i + k, l)
-        prev = d_p[-1].copy()
-    return d_p_max >= target - slack, slack, best, cell
+    return d_p_max >= target - slack, best, cell
 
 
 def grid_search(
@@ -273,7 +276,7 @@ def grid_search(
         noise_axis = np.linspace(0.0, NOISE_MAX, GRID)
 
     dc_dp = _evaluator(canon, setting, channel)
-    feasible, _, best, (k, l) = _grid_stage(dc_dp, alpha_axis, noise_axis, target)
+    feasible, best, (k, l) = _grid_stage(dc_dp, alpha_axis, noise_axis, target)
     if not feasible:
         raise InfeasiblePrivacyTarget(f"no feasible grid point for target {d_p_target}")
 

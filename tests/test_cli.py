@@ -39,6 +39,10 @@ GOLDENS = [
                                     "--pt", "1", "--sigma-z2", "1", "--grid", "9"]),
     ("solve_compression.json", ["solve", "--setting", "compression", *MODEL_FLAGS,
                                 "--dp", "0.92", "--sigma-n2", "0.7"]),
+    # the oracle's grid stage in each setting
+    ("verify_simple.json", ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"]),
+    ("verify_compression.json", ["verify", "--setting", "compression", *MODEL_FLAGS,
+                                 "--dp", "0.92", "--sigma-n2", "0.7"]),
     ("verify_channel.json", ["verify", "--setting", "channel", *MODEL_FLAGS,
                              "--dp", "0.92", "--pt", "1", "--sigma-z2", "1"]),
     ("scan_simple.csv", ["scan", *MODEL_FLAGS]),

@@ -325,6 +325,81 @@ class TestRateSweepRows:
         assert np.array_equal(bits(curve.points), bits(rows))
 
 
+    def test_one_solve_core_call_per_sweep(self, monkeypatch):
+        import privcomm.curves
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return equilibrium._solve(*args, **kwargs)
+
+        monkeypatch.setattr(privcomm.curves, "_solve", spy)
+        curve = sweep_rate_distortion(M, 0.9, np.geomspace(0.01, 100, 64))
+        assert len(curve.points) == 64
+        ((model, targets, noises),) = calls
+        assert (model, targets, noises) == (M, (0.9,), list(column(curve, "sigma_n2")))
+
+    @pytest.mark.parametrize("sigma_x2, r", [
+        (s2, r) for s2 in (1e-300, 1e-150, 1e150, 1e300)
+        for r in (1e-200, 1e-20, 1.0, 1e20, 1e200) if math.isfinite(s2 * r)])
+    def test_rows_are_solves_on_extreme_models(self, sigma_x2, r):
+        # free and active rows; where a noise is refused, the sweep raises the
+        # first refusal of the solves, and only after them any of the rates
+        model = validate_model(sigma_x2, 0.6 * math.sqrt(r), r)
+        target = sigma_x2 * (r - model.rho**2 / 2.0)
+        noises = [float(v) for v in np.geomspace(1e-3, 1e3, 12) * sigma_x2]
+        rows, solve_error, rate_error = [], None, None
+        for sigma_n2 in noises:
+            try:
+                sol = solve_setting2(model, target, sigma_n2)
+            except ValueError as exc:
+                solve_error = exc
+                break
+            try:
+                rate = compression_rate(model, sol.policy.alpha, sigma_n2)
+            except SolveError as exc:
+                rate_error = rate_error or exc
+            rows.append((sigma_n2, rate, sol.d_c, sol.d_p, sol.policy.alpha))
+        expected = solve_error or rate_error
+        if expected is not None:
+            with pytest.raises(ValueError) as info:
+                sweep_rate_distortion(model, target, noises)
+            assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+            return
+        curve = sweep_rate_distortion(model, target, noises)
+        assert np.array_equal(bits(curve.points), bits(rows))
+        if sigma_x2 * r >= sys.float_info.min:  # a dp_max that is normal, not rounded to 0
+            assert {alpha < 0.0 for *_, alpha in rows} == {False, True}
+
+    @pytest.mark.parametrize("model, target, noises", [
+        # rho^2 = r*(1 + 8e-13) has no real root below sigma_n2/sigma_x2 = 8e-13
+        (validate_model(1.0, 1.0000000000004, 1.0), 0.1, [1e-20, 1e-14, 1e-12, 1.0]),
+        # r*sigma_n2/sigma_x2 overflows the compression floor from 1e9 on
+        (validate_model(1e-300, 0.6, 1.0), 0.9e-300, [1e-301, 1e-300, 1e9, 1e10]),
+        (M, math.nan, [0.5, 1.0]),
+        (M, 1.5, [0.5, 1.0]),
+    ], ids=["no-real-root", "floor-overflows", "nan-target", "infeasible"])
+    def test_refused_noise_raises_the_solvers_refusal(self, model, target, noises):
+        expected = None
+        for sigma_n2 in noises:
+            try:
+                solve_setting2(model, target, sigma_n2)
+            except ValueError as exc:
+                expected = exc
+                break
+        assert expected is not None
+        with pytest.raises(ValueError) as info:
+            sweep_rate_distortion(model, target, noises)
+        assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+
+    def test_solve_refusal_before_rate_overflow(self):
+        # the rate at 1e-10 overflows, but the core refuses the infinite noise first
+        with pytest.raises(SolveError, match=r"^sigma_n2 must be finite, got inf$"):
+            sweep_rate_distortion(validate_model(1e300, 0.6, 1.0), 0.9e300,
+                                  [1e-10, 1.0, math.inf])
+
+
 class TestUncorrelatedModels:
     # rho = 0: every target up to dp_max is free.  At r = 0 dp_max is 0.
     @pytest.mark.parametrize("params", [(1.0, 0.0, 0.0), (2.0, 0.0, 3.0)], ids=["r0", "rho0"])

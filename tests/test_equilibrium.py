@@ -624,22 +624,27 @@ class TestCompressionFloorOverflow:
             noise_for_rate(self.TINY, 2e-300, 1e-308)
 
 
-@pytest.mark.parametrize("r", [1e3, 1e6, 1e9, 1e12])
-def test_endpoint_snap_answers_dp_max(r):
-    # a target up to ENDPOINT_RTOL above dp_max is snapped onto the max-privacy endpoint,
-    # whose D_P is checked against dp_max: against the target, a miss of ~1e-12*target
-    # would sit on the residual bound, and the last ulp would decide the refusal
+def endpoint_snap_cases(r):
+    """Models at r, each with a compression noise and a channel."""
     rng = np.random.default_rng(23)
     for _ in range(100):
         s2 = float(rng.uniform(0.1, 10.0))
         model = validate_model(s2, float(rng.uniform(0.05, 0.99)) * math.sqrt(r), r)
         sigma_n2 = float(rng.uniform(0.1, 2.0)) * s2
         channel = ChannelSpec(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.1, 2.0)))
-        dp_max = s2 * r
+        yield model, sigma_n2, channel
+
+
+@pytest.mark.parametrize("r", [1.0, 1e3, 1e6, 1e9, 1e12])
+def test_endpoint_snap_answers_dp_max(r):
+    # a target up to ENDPOINT_RTOL above dp_max, dp_max*(1 + ENDPOINT_RTOL) itself
+    # included, is snapped onto the max-privacy endpoint, whose D_P is checked against
+    # dp_max: against the target, a miss of ~1e-12*target would sit on the residual
+    # bound, and the last ulp would decide the refusal
+    for model, sigma_n2, channel in endpoint_snap_cases(r):
+        dp_max = model.sigma_x2 * r
         for target in (dp_max * (1.0 + ENDPOINT_RTOL), dp_max * (1.0 + ENDPOINT_RTOL / 2),
                        dp_max, dp_max * (1.0 - ENDPOINT_RTOL / 2)):
-            while target / s2 > r * (1.0 + ENDPOINT_RTOL):  # rounded past the snap
-                target = math.nextafter(target, 0.0)
             simple = solve_setting1(model, target)
             compression = solve_setting2(model, target, sigma_n2)
             chan = solve_setting3(model, target, channel)
@@ -647,6 +652,20 @@ def test_endpoint_snap_answers_dp_max(r):
                 assert sol.constraint_active and sol.policy.alpha == -model.rho / r
             assert simple.d_p == chan.d_p == dp_max
             assert compression.d_p == pytest.approx(dp_max, rel=ENDPOINT_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [1.0, 1e3, 1e6, 1e9, 1e12])
+def test_past_the_endpoint_snap_is_infeasible(r):
+    # the next float above dp_max*(1 + ENDPOINT_RTOL) is refused in every setting
+    for model, sigma_n2, channel in endpoint_snap_cases(r):
+        dp_max = model.sigma_x2 * r
+        target = math.nextafter(dp_max * (1.0 + ENDPOINT_RTOL), math.inf)
+        for solve in (lambda: solve_setting1(model, target),
+                      lambda: solve_setting2(model, target, sigma_n2),
+                      lambda: solve_setting3(model, target, channel)):
+            with pytest.raises(InfeasiblePrivacyTarget) as info:
+                solve()
+            assert str(info.value) == f"d_p_target={target} exceeds dp_max={dp_max}"
 
 
 def pinned_models():

@@ -121,15 +121,37 @@ class TestGridSearch:
         assert noisy.d_c > base.d_c + 1e-6
 
 
-def whole_grid_stage(dc_dp, alpha_axis, noise_axis, target):
-    """``oracle._grid_stage`` on the whole grid at once, as before its blocks."""
+def whole_grid(dc_dp, alpha_axis, noise_axis):
+    """D_C, D_P and the slack (the largest step of D_P between neighbouring
+    cells) of the whole grid at once."""
     d_c, d_p = dc_dp(alpha_axis[:, None], noise_axis[None, :])
     slack = max((float(np.max(np.abs(np.diff(d_p, axis=k)))) for k in (0, 1)
                  if d_p.shape[k] > 1), default=0.0)
+    return d_c, d_p, slack
+
+
+def whole_grid_stage(dc_dp, alpha_axis, noise_axis, target):
+    """``oracle._grid_stage`` on the whole grid at once, as before its blocks,
+    with the full slack in its feasibility test whatever the target."""
+    d_c, d_p, slack = whole_grid(dc_dp, alpha_axis, noise_axis)
     strict = np.where(d_p >= target, d_c, np.inf)
     k, l = np.unravel_index(int(np.argmin(strict)), strict.shape)
-    return (bool(np.any(d_p >= target - slack)), slack, float(strict[k, l]),
-            (int(k), int(l)))
+    return bool(np.any(d_p >= target - slack)), float(strict[k, l]), (int(k), int(l))
+
+
+def grid_stage_args(*args):
+    """The evaluator and axes that ``grid_search(*args)`` hands its grid stage."""
+    captured = []
+
+    def capture(*stage_args):
+        captured.append(stage_args[:3])
+        return False, math.inf, (0, 0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_grid_stage", capture)
+        with pytest.raises(InfeasiblePrivacyTarget):
+            grid_search(*args)
+    return captured[0]
 
 
 def blocked_and_whole(*args):
@@ -188,6 +210,30 @@ class TestBlockedGrid:
         assert blocked[0] == (InfeasiblePrivacyTarget,
                               "no feasible grid point for target 1.05")
 
+    @pytest.mark.parametrize("grid", [3, 21, 401])
+    @pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+    def test_feasible_only_through_the_slack(self, setting, grid):
+        # the slack is measured only while no cell meets the target: a target
+        # above every cell's D_P needs all of it, and one just beyond is refused
+        channel = ChannelSpec(1.0, 1.0) if setting is Setting.CHANNEL else None
+        sigma_n2 = 0.7 if setting is Setting.COMPRESSION else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "GRID", grid)
+            _, d_p, slack = whole_grid(*grid_stage_args(M, setting, channel, 0.5, sigma_n2))
+            d_p_max = float(d_p.max())
+            through = d_p_max + slack / 2.0
+            beyond = d_p_max + slack
+            while not beyond - slack > d_p_max:
+                beyond = math.nextafter(beyond, math.inf)
+            assert d_p_max < through and d_p_max >= through - slack
+            # M's canonical target is the target itself: sigma_x2 = r = 1
+            for target, feasible in ((through, True), (beyond, False)):
+                blocked, whole = blocked_and_whole(M, setting, channel, target, sigma_n2)
+                assert blocked == whole
+                assert blocked[1][0] is feasible
+        assert blocked[0] == (InfeasiblePrivacyTarget,
+                              f"no feasible grid point for target {beyond}")
+
     def test_argmin_tie_keeps_the_first_cell(self):
         # the grid's D_C rounded up to quarters ties cells in several blocks,
         # and the refinement's scalar calls lose, so the first best cell wins
@@ -205,7 +251,7 @@ class TestBlockedGrid:
             mp.setattr(oracle, "second_order_dc_dp", tied)
             blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 0.84)
         assert blocked == whole
-        assert blocked[1][3] == (rows[0], cols[0])
+        assert blocked[1][2] == (rows[0], cols[0])
         assert (blocked[0].alpha, blocked[0].noise_var) == (alpha_axis[rows[0]],
                                                             noise_axis[cols[0]])
 

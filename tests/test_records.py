@@ -156,6 +156,14 @@ VALIDATION = [
      "sigma_z2 must be finite and >= 0, got inf"),
     (lambda: TradeoffCurve(COLUMNS, ((0.64, math.nan, 0.0, 1.0),)), ValueError,
      "non-finite curve point (0.64, nan, 0.0, 1.0)"),
+    # the first bad point is named, after finite points whose values overflow a sum
+    (lambda: TradeoffCurve(COLUMNS, ((1e308,) * 4, (0.7, 0.1, math.inf, 1.0))),
+     ValueError, "non-finite curve point (0.7, 0.1, inf, 1.0)"),
+    (lambda: TradeoffCurve(COLUMNS, ((0.64, 0.1, 0.0, 1.0), (0.7, -math.inf, 0.0, 1.0))),
+     ValueError, "non-finite curve point (0.7, -inf, 0.0, 1.0)"),
+    # inf and -inf sum to nan
+    (lambda: TradeoffCurve(COLUMNS, ((0.64, 0.1, math.inf, 1.0), (0.7, -math.inf, 0.0, 1.0))),
+     ValueError, "non-finite curve point (0.64, 0.1, inf, 1.0)"),
     (lambda: SourceModel(1e300, 0.6, 1e10), ModelError,
      "Var(theta) = sigma_x2 * r overflows a float at sigma_x2=1e+300, r=10000000000.0"),
     (lambda: SimConfig(1, 0, Setting.SIMPLE), ValueError, "samples must be >= 2, got 1"),
@@ -167,6 +175,11 @@ def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def test_curve_of_finite_points_whose_sum_overflows():
+    points = ((1e308,) * 4, (-1e308, 1e308, 0.0, 1e308))
+    assert TradeoffCurve(COLUMNS, points).points == points
 
 
 def test_sim_config_refuses_samples_beyond_physical_memory(monkeypatch):
