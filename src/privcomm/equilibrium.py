@@ -16,14 +16,13 @@ setting's free privacy floor, the max-privacy endpoint, the degenerate model
 rho^2 = r without noise, and otherwise takes the root alpha_plus, the
 constrained minimizer.  Near rho^2 = r rounding can defeat the closed form,
 so a solution is refused with :class:`DegenerateModelError` when its encoder
-sends nothing, its D_P misses an interior target, or the dp_max that an
-endpoint target was snapped to, by more than ``SOLVE_TOL``, or the quadratic
-has no real root (rho^2 > r*(1 + n_eff): a model admitted just above
-rho^2 = r at a test-channel noise below its excess).  The public solvers pass
-the core one target; the privacy sweeps pass it their whole grid, and the
-rate sweep its whole noise grid.  Per target the core calls only
-``math.isfinite``, ``math.sqrt``, the list's ``append`` and, in the simple
-and compression settings, ``second_order_dc_dp``.
+sends nothing, its D_P misses an interior target by more than ``SOLVE_TOL``,
+or the quadratic has no real root (rho^2 > r*(1 + n_eff): a model admitted
+just above rho^2 = r at a test-channel noise below its excess).  The public
+solvers pass the core one target; the privacy sweeps pass it their whole
+grid, and the rate sweep its whole noise grid.  Per target the core calls only
+``math.isfinite``, ``math.sqrt`` and the list's ``append``, and per noise
+the compression or channel floor function.
 
 Settings, each with one public solver:
   simple       Y = X + alpha*theta (noiseless, unit gain)
@@ -32,9 +31,12 @@ Settings, each with one public solver:
   channel      Y = beta*(X + alpha*theta) + Z over a power-limited Gaussian channel
 
 Each quantity has one formula.  The simple setting is compression at zero
-noise: D_C and D_P come from ``second_order_dc_dp``, and only its exact
-max-privacy endpoint is its own.  The channel computes its D_C and D_P in
-units of sigma_x2.  A free answer's D_P is its setting's floor, bit for bit.
+noise, whose D_C and D_P the core computes with the arithmetic of
+``second_order_dc_dp`` and ``mixing_gain``, written inline in the same order;
+only the simple setting's exact max-privacy endpoint is its own.  The channel
+computes its D_C and D_P in units of sigma_x2.  Every max-privacy endpoint
+answers D_P = dp_max exactly, and a free answer's D_P is its setting's floor,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from .model import Record, SourceModel
 ENDPOINT_RTOL = 1e-12
 
 #: Back-substitution residual tolerance: an interior solution's D_P meets its
-#: target, and a max-privacy endpoint's D_P meets dp_max, to SOLVE_TOL relative
-#: and to SOLVE_TOL * sigma_x2 at most, plus ENDPOINT_RTOL relative.
+#: target to SOLVE_TOL relative and to SOLVE_TOL * sigma_x2 at most, plus
+#: ENDPOINT_RTOL relative.
 SOLVE_TOL = 1e-9
 
 #: Branches of the solve core: the setting's free privacy floor (constraint
@@ -142,9 +144,10 @@ def second_order_dc_dp(model: SourceModel, alpha, n_eff):
     """Distortion and privacy MMSE for Y = X + alpha*theta + noise.
 
     ``n_eff`` is the noise variance normalized by sigma_x2.  Accepts scalars
-    or numpy arrays; this is the single source of truth for the D_C / D_P
-    formulas, shared by solvers, sweeps and the brute-force oracle.  A NaN
-    output variance passes the guard, as it would under ``numpy.any``.
+    or numpy arrays; the brute-force oracle evaluates encoders with it, and
+    the solve core writes the same arithmetic inline, which tests pin to it
+    bit for bit.  A NaN output variance passes the guard, as it would under
+    ``numpy.any``.
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     den = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff  # mixing_gain + n_eff, inline
@@ -167,7 +170,8 @@ def compression_rate(model: SourceModel, alpha: float, sigma_n2: float) -> float
     """
     if sigma_n2 <= 0.0:
         raise SolveError(f"test-channel noise must be positive, got {sigma_n2}")
-    rate = 0.5 * math.log1p(mixing_gain(model, alpha) * model.sigma_x2 / sigma_n2)
+    a = 1.0 + 2.0 * alpha * model.rho + alpha * alpha * model.r  # mixing_gain, inline
+    rate = 0.5 * math.log1p(a * model.sigma_x2 / sigma_n2)
     if not math.isfinite(rate):
         raise SolveError(f"rate overflows at test-channel noise {sigma_n2!r}")
     return rate
@@ -303,9 +307,8 @@ def _solve(model: SourceModel, targets, noises=(None,),
                     raise ValueError(f"beta must be positive and finite, got {beta}")
                 u = 1.0 + alpha * rho  # Cov(X + alpha*theta, X) / sigma_x2
                 kappa = beta * s2 * u / p_y
-                if branch is ENDPOINT:
-                    # exact: Cov(Y, theta) = 0 at the max-privacy endpoint
-                    d_c, d_p = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / p_y), dp_max
+                if branch is ENDPOINT:  # D_P is dp_max, set below
+                    d_c = s2 * (1.0 - (1.0 - rho**2 / r) * p_t / p_y)
                 else:
                     # the MMSE of X and of theta from Y, in units of sigma_x2
                     q = w / a
@@ -313,26 +316,30 @@ def _solve(model: SourceModel, targets, noises=(None,),
                     d_p = s2 * (r - q * (rho + r * alpha) ** 2)
             elif branch is ENDPOINT and sigma_n2 is None:
                 # exact: Y = X - (rho/r)*theta carries nothing of theta
-                beta, kappa, d_c, d_p = 1.0, 1.0, s2 * rho**2 / r, dp_max
+                beta, kappa, d_c = 1.0, 1.0, s2 * rho**2 / r
                 if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
                     raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
             else:  # compression, and the simple setting as compression at n_eff = 0
-                var = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff  # mixing_gain + n_eff
+                # second_order_dc_dp and mixing_gain, inline: var is its den, quad its
+                # D_P numerator, and var > 0 leaves its den <= 0 refusal nothing to catch
+                var = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff
                 if not var > 0.0:
                     raise DegenerateModelError(model, _SENDS_NOTHING.format(alpha))
                 beta, kappa = 1.0, (1.0 + alpha * rho) / var
-                d_c, d_p = second_order_dc_dp(model, alpha, n_eff)
+                d_c, d_p = s2 * (alpha * alpha * gap + n_eff) / var, s2 * quad / var
                 if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
                     raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
-            if branch is not FREE:  # refuse an active D_P that rounding left off its target
-                # an endpoint row answers dp_max, the value its target was snapped to;
-                # min(s2, goal) and abs as comparisons, which a NaN D_P fails
-                goal = target if branch is INTERIOR else dp_max
-                tol = SOLVE_TOL * (goal if goal < s2 else s2) + ENDPOINT_RTOL * goal
-                if not -tol <= d_p - goal <= tol:
+            if branch is INTERIOR:  # refuse a D_P that rounding left off its target
+                # min(s2, target) and abs as comparisons, which a NaN D_P fails
+                tol = SOLVE_TOL * (target if target < s2 else s2) + ENDPOINT_RTOL * target
+                if not -tol <= d_p - target <= tol:
                     raise DegenerateModelError(
                         model, f"rounding misses the privacy target {target!r}: d_p = {d_p!r}"
                     )
+            elif branch is ENDPOINT:
+                # exact in every setting, with or without noise: at alpha = -rho/r,
+                # Cov(Y, theta) is proportional to rho + r*alpha = 0
+                d_p = dp_max
             elif d_p <= 0.0:  # rounding at rho^2 >= r, clamped as the floor is; -0.0 too
                 d_p = 0.0
             append((alpha, beta, kappa, d_c, d_p, branch is not FREE))

@@ -507,14 +507,22 @@ class TestNoiseForRate:
         assert not isinstance(info.value, SolveError)
 
     @pytest.mark.parametrize("d_p", [0.64, 0.9], ids=["inactive", "active"])
-    def test_one_dc_dp_evaluation_per_inversion(self, d_p, monkeypatch):
-        # the guard solve evaluates D_C and D_P; the rate needs neither
-        calls = []
-        monkeypatch.setattr(equilibrium, "second_order_dc_dp",
-                            lambda *args: calls.append(args) or second_order_dc_dp(*args))
+    def test_one_core_call_per_inversion(self, d_p, monkeypatch):
+        # the guard solve is one call of the solve core, at the returned noise; the
+        # rate needs no other
+        calls, solve = [], equilibrium._solve
+        monkeypatch.setattr(equilibrium, "_solve",
+                            lambda *args, **kw: calls.append((args, kw)) or solve(*args, **kw))
         sigma_n2 = noise_for_rate(M, d_p, 0.5)
-        (args,) = calls
-        assert args == (M, solve_setting2(M, d_p, sigma_n2).policy.alpha, sigma_n2 / M.sigma_x2)
+        ((args, kw),) = calls
+        assert (args, kw) == ((M, (d_p,), (sigma_n2,)), {})
+
+    def test_compression_endpoint_at_rho2_equal_r_answers(self):
+        # the guard solve's max-privacy endpoint answers dp_max exactly, so rounding
+        # alpha = -rho/r at r - rho^2 of a few ulps of r no longer misses it
+        m = validate_model(1.8951618226600415e200, 31622.776601683792, 1e9)
+        sigma_n2 = noise_for_rate(m, 1.895161822661937e209, 1e-308)
+        assert sigma_n2 == 2.2591033766361207e+196
 
     def test_nan_target_refused(self):
         with pytest.raises(SolveError, match="privacy target must be finite"):

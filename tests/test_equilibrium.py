@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from privcomm import (
     solve_setting3,
     validate_model,
 )
-from privcomm.curves import noise_for_rate, sweep_rate_distortion
+from privcomm import equilibrium
+from privcomm.curves import noise_for_rate, sweep_privacy_distortion, sweep_rate_distortion
 from privcomm.equilibrium import (
     ENDPOINT_RTOL,
     channel_privacy_floor,
@@ -691,21 +694,25 @@ def pinned_targets(model, floor):
 
 @pytest.mark.parametrize("setting", list(Setting))
 def test_inline_arithmetic_is_mixing_gain_bit_for_bit(setting):
-    # the solve core writes mixing_gain inline: kappa of every simple and compression row
-    # is (1 + alpha*rho)/(mixing_gain + n_eff), and beta of every channel row is
-    # sqrt(P_T/(sigma_x2*mixing_gain)), bit for bit; D_C and D_P of the simple and
-    # compression rows are second_order_dc_dp's
+    # the solve core writes mixing_gain and second_order_dc_dp inline: kappa of every
+    # simple and compression row is (1 + alpha*rho)/(mixing_gain + n_eff), and beta of
+    # every channel row is sqrt(P_T/(sigma_x2*mixing_gain)), bit for bit; D_C of the
+    # simple and compression rows, and D_P of their free and interior rows, are
+    # second_order_dc_dp's, and every endpoint row answers dp_max exactly
     channel = ChannelSpec(2.0, 0.5)
-    n_eff = 0.7 if setting is Setting.COMPRESSION else 0.0
+    noises = (1e-6, 0.7, 1e6) if setting is Setting.COMPRESSION else (0.0,)
     seen = set()
-    for model in pinned_models():
+    for model, n in ((model, n) for model in pinned_models() for n in noises):
         rho, s2 = model.rho, model.sigma_x2
+        sigma_n2 = n * s2
+        n_eff = sigma_n2 / s2  # as the core rounds it
+        dp_max = privacy_bounds(model).dp_max
         if setting is Setting.SIMPLE:
             floor = privacy_bounds(model).dp_min
             solve = lambda t: solve_setting1(model, t)  # noqa: E731
         elif setting is Setting.COMPRESSION:
-            floor = compression_privacy_floor(model, n_eff * s2)
-            solve = lambda t: solve_setting2(model, t, n_eff * s2)  # noqa: E731
+            floor = compression_privacy_floor(model, sigma_n2)
+            solve = lambda t: solve_setting2(model, t, sigma_n2)  # noqa: E731
         else:
             floor = channel_privacy_floor(model, channel)
             solve = lambda t: solve_setting3(model, t, channel)  # noqa: E731
@@ -717,21 +724,112 @@ def test_inline_arithmetic_is_mixing_gain_bit_for_bit(setting):
             alpha = sol.policy.alpha
             branch = ("free" if not sol.constraint_active
                       else "endpoint" if alpha == -rho / model.r else "interior")
-            seen.add(branch)
+            seen.add((n, branch))
+            if branch == "endpoint":
+                assert sol.d_p == dp_max
             if setting is Setting.CHANNEL:
                 beta = math.sqrt(channel.p_t / (s2 * mixing_gain(model, alpha)))
                 assert sol.policy.beta.hex() == beta.hex()
                 kappa = beta * s2 * (1.0 + alpha * rho) / (channel.p_t + channel.sigma_z2)
                 assert sol.kappa.hex() == kappa.hex()
             elif setting is Setting.SIMPLE and branch == "endpoint":
-                assert (sol.kappa, sol.d_p) == (1.0, privacy_bounds(model).dp_max)
+                assert sol.kappa == 1.0
             else:
                 kappa = (1.0 + alpha * rho) / (mixing_gain(model, alpha) + n_eff)
                 assert sol.kappa.hex() == kappa.hex()
                 d_c, d_p = second_order_dc_dp(model, alpha, n_eff)
                 assert sol.d_c.hex() == d_c.hex()
-                assert sol.d_p.hex() == (d_p if d_p > 0.0 else 0.0).hex()
-    assert seen == {"free", "interior", "endpoint"}
+                if branch != "endpoint":
+                    assert sol.d_p.hex() == (d_p if d_p > 0.0 else 0.0).hex()
+    assert seen == {(n, b) for n in noises for b in ("free", "interior", "endpoint")}
+
+
+def test_compression_rate_is_mixing_gain_bit_for_bit():
+    # compression_rate writes mixing_gain inline; a rate past the float range raises
+    for model in pinned_models():
+        s2, alpha_end = model.sigma_x2, -model.rho / model.r
+        for alpha in (0.0, 0.3 * alpha_end, alpha_end, 1.7 * alpha_end):
+            for sigma_n2 in (1e-6 * s2, 0.7 * s2, 1e6 * s2):
+                if not sigma_n2 > 0.0:
+                    continue
+                rate = 0.5 * math.log1p(mixing_gain(model, alpha) * s2 / sigma_n2)
+                if math.isfinite(rate):
+                    assert compression_rate(model, alpha, sigma_n2).hex() == rate.hex()
+                else:
+                    with pytest.raises(SolveError, match="rate overflows"):
+                        compression_rate(model, alpha, sigma_n2)
+
+
+def test_compression_endpoint_is_dp_max_at_rho2_equal_r():
+    # at alpha = -rho/r, Cov(Y, theta) = sigma_x2*(rho - rho) = 0 with test-channel
+    # noise too, so the endpoint answers dp_max even where r - rho^2 rounds to a few
+    # ulps of r and the rounded alpha alone would miss it
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        r, s2 = 10.0 ** rng.uniform(-6, 9), 10.0 ** rng.uniform(-100, 100)
+        model = validate_model(s2, math.sqrt(r), r)
+        dp_max = privacy_bounds(model).dp_max
+        sol = solve_setting2(model, dp_max, s2 * 10.0 ** rng.uniform(-3, 3))
+        assert sol.constraint_active and sol.d_p == dp_max
+        assert sol.policy.alpha == -model.rho / model.r
+
+
+def calls_from_solve(run):
+    """The Python functions and the builtins that ``_solve`` calls while ``run()`` runs.
+
+    The collector is off meanwhile: its callbacks run in whatever frame it
+    interrupts, and they are not calls of ``_solve``.
+    """
+    code = equilibrium._solve.__code__
+    python, builtin = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code is code:
+            python.append(frame.f_code.co_name)
+        elif event == "c_call" and frame.f_code is code:
+            builtin.append(arg.__name__)
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return python, builtin
+
+
+@pytest.mark.parametrize("setting", [Setting.SIMPLE, Setting.CHANNEL])
+def test_sweep_core_makes_no_python_call_per_target(setting):
+    channel = ChannelSpec(2.0, 0.5)
+    python_calls = []
+    for grid in (65, 4097):
+        python, builtin = calls_from_solve(
+            lambda: sweep_privacy_distortion(M, setting, channel, grid))
+        assert set(builtin) == {"isfinite", "sqrt", "append"}
+        python_calls.append(python)
+    floor = [] if setting is Setting.SIMPLE else ["channel_privacy_floor"]
+    assert python_calls == [floor, floor]
+
+
+def test_rate_sweep_core_calls_the_floor_once_per_noise():
+    noises = [0.05 * 1.1**k for k in range(64)]
+    python, builtin = calls_from_solve(lambda: sweep_rate_distortion(M, 0.95, noises))
+    assert python == ["compression_privacy_floor"] * 64
+    assert set(builtin) <= {"isfinite", "sqrt", "append"}
+
+
+@pytest.mark.parametrize("d_p", [0.5, 0.9, 1.0], ids=["free", "interior", "endpoint"])
+def test_single_solve_core_calls_only_the_floor(d_p):
+    channel = ChannelSpec(2.0, 0.5)
+    for solve, floor in ((lambda: solve_setting1(M, d_p), []),
+                         (lambda: solve_setting2(M, d_p, 0.7), ["compression_privacy_floor"]),
+                         (lambda: solve_setting3(M, d_p, channel), ["channel_privacy_floor"])):
+        python, builtin = calls_from_solve(solve)
+        assert python == floor
+        assert set(builtin) <= {"isfinite", "sqrt", "append"}
 
 
 def test_dc_dp_on_arrays_is_its_scalar_calls_elementwise():
