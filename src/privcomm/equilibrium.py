@@ -170,8 +170,7 @@ def compression_rate(model: SourceModel, alpha: float, sigma_n2: float) -> float
     """
     if sigma_n2 <= 0.0:
         raise SolveError(f"test-channel noise must be positive, got {sigma_n2}")
-    a = 1.0 + 2.0 * alpha * model.rho + alpha * alpha * model.r  # mixing_gain, inline
-    rate = 0.5 * math.log1p(a * model.sigma_x2 / sigma_n2)
+    rate = 0.5 * math.log1p(mixing_gain(model, alpha) * model.sigma_x2 / sigma_n2)
     if not math.isfinite(rate):
         raise SolveError(f"rate overflows at test-channel noise {sigma_n2!r}")
     return rate

@@ -745,7 +745,8 @@ def test_inline_arithmetic_is_mixing_gain_bit_for_bit(setting):
 
 
 def test_compression_rate_is_mixing_gain_bit_for_bit():
-    # compression_rate writes mixing_gain inline; a rate past the float range raises
+    # compression_rate is 0.5*log1p(A*sigma_x2/sigma_n2) with A = mixing_gain, bit for bit;
+    # a rate past the float range raises
     for model in pinned_models():
         s2, alpha_end = model.sigma_x2, -model.rho / model.r
         for alpha in (0.0, 0.3 * alpha_end, alpha_end, 1.7 * alpha_end):
@@ -760,19 +761,35 @@ def test_compression_rate_is_mixing_gain_bit_for_bit():
                         compression_rate(model, alpha, sigma_n2)
 
 
-def test_compression_endpoint_is_dp_max_at_rho2_equal_r():
+@pytest.mark.parametrize("ratio", [1.0, 1.0 + 4e-13], ids=["at", "above"])
+def test_compression_endpoint_is_dp_max_at_rho2_equal_r(ratio):
     # at alpha = -rho/r, Cov(Y, theta) = sigma_x2*(rho - rho) = 0 with test-channel
     # noise too, so the endpoint answers dp_max even where r - rho^2 rounds to a few
-    # ulps of r and the rounded alpha alone would miss it
+    # ulps of r and the rounded alpha alone would miss it.  D_C and kappa keep their
+    # formulas: at rho/sqrt(r) = 1 + 4e-13 (SourceModel admits up to ~1 + 5e-13),
+    # 1 + alpha*rho = 1 - rho^2/r is a few ulps below 0, so kappa is negative, as at
+    # every such endpoint the residual check let through; a var that rounds to <= 0
+    # sends nothing
     rng = np.random.default_rng(25)
+    refused = 0
     for _ in range(300):
         r, s2 = 10.0 ** rng.uniform(-6, 9), 10.0 ** rng.uniform(-100, 100)
-        model = validate_model(s2, math.sqrt(r), r)
-        dp_max = privacy_bounds(model).dp_max
-        sol = solve_setting2(model, dp_max, s2 * 10.0 ** rng.uniform(-3, 3))
-        assert sol.constraint_active and sol.d_p == dp_max
-        assert sol.policy.alpha == -model.rho / model.r
-
+        model = validate_model(s2, ratio * math.sqrt(r), r)
+        alpha, dp_max = -model.rho / model.r, privacy_bounds(model).dp_max
+        sigma_n2 = s2 * 10.0 ** rng.uniform(-13, 3)
+        n_eff = sigma_n2 / s2
+        var = mixing_gain(model, alpha) + n_eff
+        if not var > 0.0:
+            with pytest.raises(DegenerateModelError, match="sends nothing"):
+                solve_setting2(model, dp_max, sigma_n2)
+            refused += 1
+            continue
+        sol = solve_setting2(model, dp_max, sigma_n2)
+        assert sol.constraint_active and sol.d_p == dp_max and sol.policy.alpha == alpha
+        assert sol.kappa.hex() == ((1.0 + alpha * model.rho) / var).hex()
+        assert sol.d_c.hex() == second_order_dc_dp(model, alpha, n_eff)[0].hex()
+        assert sol.d_c >= 0.0 and (sol.kappa <= 0.0 or ratio == 1.0)
+    assert (refused > 0) == (ratio > 1.0)
 
 def calls_from_solve(run):
     """The Python functions and the builtins that ``_solve`` calls while ``run()`` runs.
