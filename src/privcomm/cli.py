@@ -114,7 +114,8 @@ def _read_config(path: str, subparser: _Parser) -> dict:
     """
     actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}")
     values = {}

@@ -14,11 +14,11 @@ floor and the noise's terms once per noise, then tests each target, in order:
 a finite target, feasibility (at most dp_max * (1 + ENDPOINT_RTOL)), the
 setting's free privacy floor, the max-privacy endpoint, the degenerate model
 rho^2 = r without noise, and otherwise takes the root alpha_plus, the
-constrained minimizer.  Near rho^2 = r rounding can defeat the closed form,
-so a solution is refused with :class:`DegenerateModelError` when its encoder
-sends nothing, its D_P misses an interior target by more than ``SOLVE_TOL``,
-or the quadratic has no real root (rho^2 > r*(1 + n_eff): a model admitted
-just above rho^2 = r at a test-channel noise below its excess).  The public
+constrained minimizer.  ``SourceModel`` admits no rho^2 above r, so the
+quadratic always has a real root.  Near rho^2 = r rounding can defeat the
+closed form, so a solution is refused with :class:`DegenerateModelError`
+when its encoder sends nothing or its D_P misses an interior target by more
+than ``SOLVE_TOL``.  The public
 solvers pass the core one target; the privacy sweeps pass it their whole
 grid, and the rate sweep its whole noise grid.  Per target the core calls only
 ``math.isfinite``, ``math.sqrt`` and the list's ``append``, and per noise
@@ -86,7 +86,6 @@ class DegenerateModelError(SolveError):
 
 _NO_NOISELESS_ENCODER = "no encoder without noise meets the privacy target {!r}"
 _SENDS_NOTHING = "the encoder alpha={!r} sends nothing"
-_ALPHA_NOT_FINITE = "alpha must be finite, got {}"
 
 
 class EncoderPolicy(Record):
@@ -96,7 +95,7 @@ class EncoderPolicy(Record):
 
     def __init__(self, alpha: float, beta: float = 1.0, noise_var: float = 0.0) -> None:
         if not math.isfinite(alpha):
-            raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
+            raise ValueError(f"alpha must be finite, got {alpha}")
         if not (0.0 < beta < math.inf):
             raise ValueError(f"beta must be positive and finite, got {beta}")
         if not (0.0 <= noise_var < math.inf):
@@ -192,18 +191,13 @@ def compression_privacy_floor(model: SourceModel, sigma_n2: float) -> float:
     if not math.isfinite(floor):  # n = inf makes it NaN, r*n = inf makes it inf
         raise SolveError(f"the compression floor overflows a float at "
                          f"sigma_n2={sigma_n2!r}, sigma_x2={model.sigma_x2!r}")
-    if floor <= 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
-        floor = 0.0
     return floor
 
 
 def channel_privacy_floor(model: SourceModel, channel: ChannelSpec) -> float:
     """Privacy MMSE at alpha = 0 under full-power transmission of X."""
     gamma = channel.p_t / (channel.p_t + channel.sigma_z2)
-    floor = model.sigma_x2 * (model.r - model.rho**2 * gamma)
-    if floor <= 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
-        floor = 0.0
-    return floor
+    return model.sigma_x2 * (model.r - model.rho**2 * gamma)
 
 
 def _solve(model: SourceModel, targets, noises=(None,),
@@ -241,7 +235,6 @@ def _solve(model: SourceModel, targets, noises=(None,),
     # every feasible target is free and this is never read
     alpha_end = -rho / r if r > 0.0 else 0.0
     r2 = r * r
-    disc_min = -ENDPOINT_RTOL * (r if r > 1.0 else 1.0)  # max(1.0, r), without the call
     rows = []  # helpers and max/min are written inline below, the builtins bound once
     append, isfinite, sqrt, inf = rows.append, math.isfinite, math.sqrt, math.inf
     for sigma_n2 in noises:
@@ -253,8 +246,6 @@ def _solve(model: SourceModel, targets, noises=(None,),
             n_eff = sigma_n2 / s2
         else:
             floor, floor_unit = gap, s2
-            if floor < 0.0:  # SourceModel admits rho^2 up to r*(1 + BOUNDARY_EPS)
-                floor = 0.0
         free_max, quad = floor * (1.0 + ENDPOINT_RTOL), gap + r * n_eff  # r - rho^2 + r*n_eff
         for target in targets:
             if not isfinite(target):
@@ -278,13 +269,12 @@ def _solve(model: SourceModel, targets, noises=(None,),
                     raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d!r}")
                 if scale == inf:
                     raise SolveError(f"r^2 * d overflows a float at r={r!r}, d={d!r}")
-                disc = (r - d) * quad / scale
-                if disc < disc_min:  # d < r here, so rho^2 > r*(1 + n_eff)
-                    raise DegenerateModelError(
-                        model, f"no encoder meets the privacy target {target!r} "
-                               f"at test-channel noise sigma_n2/sigma_x2 = {n_eff!r}"
-                    )
-                alpha = alpha_end + sqrt(0.0 if 0.0 > disc else disc)  # max(disc, 0.0)
+                # alpha is finite on every branch, so EncoderPolicy's alpha test is not
+                # repeated: 0, -rho/r (r > 0 once rho > 0), or this root, whose disc
+                # (r - d)*quad/scale lies in [0, inf] because d < r, SourceModel keeps
+                # quad = r - rho^2 + r*n_eff >= 0, and scale is finite; the clip below
+                # takes alpha = inf to 0
+                alpha = alpha_end + sqrt((r - d) * quad / scale)
                 if alpha > 0.0:  # clip last-ulp drift above alpha = 0: min(alpha, 0.0)
                     alpha = 0.0
                 branch = INTERIOR
@@ -300,9 +290,7 @@ def _solve(model: SourceModel, targets, noises=(None,),
                     raise SolveError(
                         f"the transmit gain overflows a float at sigma_x2={s2!r}, p_t={p_t!r}"
                     )
-                if not isfinite(alpha):  # EncoderPolicy's tests, in its order
-                    raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
-                if not 0.0 < beta < inf:
+                if not 0.0 < beta < inf:  # EncoderPolicy's test: p_t/var_u can underflow
                     raise ValueError(f"beta must be positive and finite, got {beta}")
                 u = 1.0 + alpha * rho  # Cov(X + alpha*theta, X) / sigma_x2
                 kappa = beta * s2 * u / p_y
@@ -316,18 +304,16 @@ def _solve(model: SourceModel, targets, noises=(None,),
             elif branch is ENDPOINT and sigma_n2 is None:
                 # exact: Y = X - (rho/r)*theta carries nothing of theta
                 beta, kappa, d_c = 1.0, 1.0, s2 * rho**2 / r
-                if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
-                    raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
             else:  # compression, and the simple setting as compression at n_eff = 0
                 # second_order_dc_dp and mixing_gain, inline: var is its den, quad its
                 # D_P numerator, and var > 0 leaves its den <= 0 refusal nothing to catch
                 var = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff
                 if not var > 0.0:
                     raise DegenerateModelError(model, _SENDS_NOTHING.format(alpha))
-                beta, kappa = 1.0, (1.0 + alpha * rho) / var
+                # kappa's numerator 1 + alpha*rho is (r - rho^2)/r at alpha = -rho/r, exactly
+                u = gap / r if branch is ENDPOINT else 1.0 + alpha * rho
+                beta, kappa = 1.0, u / var
                 d_c, d_p = s2 * (alpha * alpha * gap + n_eff) / var, s2 * quad / var
-                if not isfinite(alpha):  # EncoderPolicy's alpha test; beta = 1 passes its own
-                    raise ValueError(_ALPHA_NOT_FINITE.format(alpha))
             if branch is INTERIOR:  # refuse a D_P that rounding left off its target
                 # min(s2, target) and abs as comparisons, which a NaN D_P fails
                 tol = SOLVE_TOL * (target if target < s2 else s2) + ENDPOINT_RTOL * target
@@ -339,8 +325,6 @@ def _solve(model: SourceModel, targets, noises=(None,),
                 # exact in every setting, with or without noise: at alpha = -rho/r,
                 # Cov(Y, theta) is proportional to rho + r*alpha = 0
                 d_p = dp_max
-            elif d_p <= 0.0:  # rounding at rho^2 >= r, clamped as the floor is; -0.0 too
-                d_p = 0.0
             append((alpha, beta, kappa, d_c, d_p, branch is not FREE))
     return rows
 

@@ -78,9 +78,13 @@ class SourceModel(Record):
             raise ModelError(f"sigma_x2 must be positive, got {sigma_x2}")
         if not math.isfinite(rho) or rho < 0.0:
             raise ModelError(f"rho must be >= 0, got {rho}")
-        # rho * rho, not rho**2: a float ** raises OverflowError where * gives inf
-        if not math.isfinite(r) or rho * rho > r * (1.0 + BOUNDARY_EPS):
-            raise ModelError(f"need rho^2 <= r, got rho^2={rho * rho} > r={r}")
+        # rho * rho, not rho**2: a float ** raises OverflowError where * gives inf,
+        # and an r within BOUNDARY_EPS of the float range makes the bound inf too
+        rho2 = rho * rho
+        if not math.isfinite(r) or rho2 > r * (1.0 + BOUNDARY_EPS) or rho2 == math.inf:
+            raise ModelError(f"need rho^2 <= r, got rho^2={rho2} > r={r}")
+        if rho**2 > r:  # within the band: the degenerate model, so r - rho**2 >= 0 downstream
+            r = rho**2
         if rho > 0.0 and r == 0.0:  # rho * rho underflows to 0 below rho ~ 1.5e-162
             raise ModelError(f"need rho = 0 at r = 0, got rho={rho!r}")
         if not (math.isfinite(sigma_x2 * r) and math.isfinite(sigma_x2 * rho)):
@@ -93,7 +97,7 @@ class SourceModel(Record):
 
     @property
     def degenerate(self) -> bool:
-        """rho^2 = r (or just above it, within BOUNDARY_EPS): theta = rho*X."""
+        """rho^2 = r, a model typed within BOUNDARY_EPS above it included: theta = rho*X."""
         return self.r - self.rho**2 <= 0.0
 
 
@@ -117,16 +121,18 @@ def validate_model(sigma_x2: float, rho: float, r: float) -> SourceModel:
     """Validate raw parameters and return an immutable :class:`SourceModel`.
 
     Raises :class:`ModelError` for a nonpositive sigma_x2, a negative rho,
-    rho^2 > r (rho > 0 at r = 0 included) or a Var(theta) that overflows a
-    float; never clamps silently.
+    rho^2 > r * (1 + BOUNDARY_EPS) (rho > 0 at r = 0 included) or a Var(theta)
+    that overflows a float.  A rho^2 above r within BOUNDARY_EPS, as typed
+    (0.1, 0.01) rounds, is projected onto the degenerate model: r becomes
+    rho**2, and no other parameter is ever clamped.
     """
     return SourceModel(float(sigma_x2), float(rho), float(r))
 
 
 def privacy_bounds(model: SourceModel) -> PrivacyBounds:
     """Return (dp_min, dp_max) = (sigma_x2*(r - rho^2), sigma_x2*r)."""
-    dp_min = model.sigma_x2 * (model.r - model.rho**2)
-    return PrivacyBounds(dp_min=max(dp_min, 0.0), dp_max=model.sigma_x2 * model.r)
+    return PrivacyBounds(dp_min=model.sigma_x2 * (model.r - model.rho**2),
+                         dp_max=model.sigma_x2 * model.r)
 
 
 def gaussian_conditional_entropy(mmse: float) -> float:

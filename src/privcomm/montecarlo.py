@@ -80,7 +80,7 @@ def _draw_joint(model: SourceModel, rng, ws):
     z = ws[:2]
     rng.standard_normal(out=z)
     x, theta = z
-    theta *= math.sqrt(max(model.r - model.rho**2, 0.0))
+    theta *= math.sqrt(model.r - model.rho**2)
     theta += np.multiply(x, model.rho, out=ws[2])
     sigma_x = math.sqrt(model.sigma_x2)
     theta *= sigma_x

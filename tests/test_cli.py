@@ -643,13 +643,30 @@ class TestOracleScaleRegressions:
                            "--rho", "1", "--r", "1", "--dp", "0"])[1]
 
     def test_compression_free_floor_above_correlation_bound(self):
-        # the compression floor r - rho^2/(1 + n) is -8e-13 at sigma_n2 = 1e-20; it clamps to 0
-        code, out, err = run(["solve", "--setting", "compression", "--sigma-x2", "1",
-                              "--rho", "1.0000000000004", "--r", "1", "--dp", "0",
-                              "--sigma-n2", "1e-20"])
+        # rho^2 = r + 8e-13 is projected onto rho^2 = r: at sigma_n2 = 1e-20 the free
+        # floor is r*n/(1 + n) > 0, and the answer is the projected model's, typed
+        argv = ["solve", "--setting", "compression", "--sigma-x2", "1", "--rho",
+                "1.0000000000004", "--dp", "0", "--sigma-n2", "1e-20"]
+        code, out, err = run([*argv, "--r", "1"])
         assert (code, err) == (0, "")
-        sol = json.loads(out)
-        assert (sol["alpha"], sol["d_p"], sol["constraint_active"]) == (0.0, 0.0, False)
+        sol, r = json.loads(out), 1.0000000000004**2
+        assert (sol["alpha"], sol["d_p"], sol["constraint_active"]) == (
+            0.0, r * 1e-20 / (1.0 + 1e-20), False)
+        assert out == run([*argv, "--r", repr(r)])[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["--setting", "simple", "--dp", "0.01"],
+        ["--setting", "compression", "--dp", "0.008", "--sigma-n2", "1"],
+        ["--setting", "channel", "--dp", "0.005", "--pt", "1", "--sigma-z2", "1"],
+    ], ids=["simple", "compression", "channel"])
+    def test_typed_boundary_model_solves_as_its_projection(self, argv):
+        # 0.1*0.1 rounds above 0.01: the model is admitted as rho^2 = r = 0.1**2, and
+        # answers the simple endpoint, a compression interior target and the channel floor
+        code, out, err = run(["solve", *argv, "--sigma-x2", "1", "--rho", "0.1",
+                              "--r", "0.01"])
+        assert (code, err) == (0, "")
+        assert out == run(["solve", *argv, "--sigma-x2", "1", "--rho", "0.1",
+                           "--r", repr(0.1**2)])[1]
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--setting", "compression", "--sigma-n2", "1e-20"],
@@ -658,13 +675,15 @@ class TestOracleScaleRegressions:
         ["simulate", "--setting", "compression", "--sigma-n2", "1e-20"],
     ], ids=["solve", "rate", "verify", "simulate"])
     def test_compression_without_real_root_exits_1(self, argv):
-        # rho^2 = r*(1 + 8e-13) exceeds r*(1 + n) at n = 1e-20: the quadratic has no real root
+        # rho^2 = r*(1 + 8e-13) is projected onto rho^2 = r, whose quadratic has a real
+        # root at n = 1e-20; rounding near -rho/r makes D_P miss the target
         code, out, err = run([*argv, "--sigma-x2", "1", "--rho", "1.0000000000004",
                               "--r", "1", "--dp", "0.1"])
         assert code == 1 and out == ""
-        assert err == ("error: degenerate model rho^2 = r (1.0000000000007998 vs 1.0): no "
-                       "encoder meets the privacy target 0.1 at test-channel noise "
-                       "sigma_n2/sigma_x2 = 1e-20\n")
+        r = repr(1.0000000000004**2)
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: degenerate model rho^2 = r ({r} vs {r}): rounding "
+                               f"misses the privacy target 0.1: d_p = ")
 
     def test_model_at_correlation_bound(self):
         code, out, _ = run(["verify", "--setting", "compression", *self.AT_BOUND,

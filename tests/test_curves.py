@@ -27,6 +27,7 @@ from privcomm import equilibrium
 from privcomm.equilibrium import (
     SolveError,
     channel_privacy_floor,
+    compression_privacy_floor,
     compression_rate,
     second_order_dc_dp,
 )
@@ -432,11 +433,13 @@ class TestUncorrelatedModels:
 
 
 def test_rate_sweep_without_real_root_is_degenerate():
-    # rho^2 = r*(1 + 8e-13) exceeds r*(1 + n) at n = 1e-20, the grid's first noise
+    # rho^2 = r*(1 + 8e-13) is projected onto rho^2 = r, which has a real root at every
+    # noise; at n = 1, the grid's first noise, the target 0.1 lies below the free floor
+    # r*n/(1 + n), and at n = 1e-20, its second, rounding misses the target
     m = validate_model(1.0, 1.0000000000004, 1.0)
-    with pytest.raises(DegenerateModelError,
-                       match="target 0.1 at test-channel noise sigma_n2/sigma_x2 = 1e-20"):
+    with pytest.raises(DegenerateModelError, match="rounding misses the privacy target 0.1"):
         sweep_rate_distortion(m, 0.1, [1.0, 1e-20])
+    assert sweep_rate_distortion(m, 0.1, [1.0]).points[0][3] == compression_privacy_floor(m, 1.0)
 
 
 def test_channel_solve_is_compression_at_the_channel_capacity():

@@ -11,6 +11,7 @@ from privcomm import (
     DegenerateModelError,
     EncoderPolicy,
     InfeasiblePrivacyTarget,
+    ModelError,
     Setting,
     SolveError,
     compression_rate,
@@ -108,22 +109,32 @@ class TestAlphaPlus:
                 solve()
 
     def test_normalized_target_underflow_refused(self):
-        # just above rho^2 = r the floor is 0 at n = 1e-20, and d = 1e-300 / 1e300 underflows to 0
-        with pytest.raises(SolveError, match="normalized privacy target must be positive"):
-            solve_setting2(validate_model(1e300, 1.0000000000004, 1.0), 1e-300, 1e280)
         # at rho^2 = r the noise alone leaves D_P = sigma_x2 * r*n/(1 + n) = 1e280: free
         sol = solve_setting2(validate_model(1e300, 1.0, 1.0), 1e-300, 1e280)
         assert (sol.constraint_active, sol.policy.alpha, sol.d_p) == (False, 0.0, 1e280)
+        # a model typed just above rho^2 = r is projected onto it: free the same way
+        m = validate_model(1e300, 1.0000000000004, 1.0)
+        sol = solve_setting2(m, 1e-300, 1e280)
+        assert (sol.constraint_active, sol.policy.alpha, sol.d_p) == (
+            False, 0.0, compression_privacy_floor(m, 1e280))
+        assert sol.d_p == 1e300 * (m.r * 1e-20) / (1.0 + 1e-20)
+        # at rho^2 = r = 1e-30 and n = 1e-300, r*n underflows so the floor is 0,
+        # and d = 1e-300 / 1e300 underflows to 0
+        with pytest.raises(SolveError, match="normalized privacy target must be positive"):
+            solve_setting2(validate_model(1e300, 1e-15, 1e-30), 1e-300, 1.0)
 
     def test_no_real_root_is_degenerate(self):
-        # rho^2 = r*(1 + 8e-13) exceeds r*(1 + n) at n = 1e-20: the discriminant is negative
+        # rho^2 = r*(1 + 8e-13) is projected onto rho^2 = r, whose quadratic has real
+        # roots at every noise; at n = 1e-20 alpha_plus lies 3e-10 above -rho/r, where
+        # rounding of the transmit variance leaves D_P far off the target
         m = validate_model(1.0, 1.0000000000004, 1.0)
+        assert m.r == m.rho**2
         with pytest.raises(DegenerateModelError) as info:
             solve_setting2(m, 0.1, 1e-20)
-        assert str(info.value) == (
-            "degenerate model rho^2 = r (1.0000000000007998 vs 1.0): no encoder meets the "
-            "privacy target 0.1 at test-channel noise sigma_n2/sigma_x2 = 1e-20")
-        # at n = 1e-3 the roots are real and the answer stands
+        assert str(info.value).startswith(
+            f"degenerate model rho^2 = r ({m.r!r} vs {m.r!r}): rounding misses the "
+            f"privacy target 0.1: d_p = ")
+        # at n = 1e-3 the answer stands
         assert solve_setting2(m, 0.1, 1e-3).d_p == pytest.approx(0.1, rel=1e-12)
 
     @given(models_with_targets())
@@ -509,12 +520,14 @@ class TestDegenerateModel:
 
     @pytest.mark.parametrize("target", [0.0, -1e-12])
     def test_compression_free_floor_above_the_bound_is_zero(self, target):
-        # at sigma_n2 = 1e-20 the unclamped floor r - rho^2/(1 + n) is -8e-13
+        # the model is projected onto rho^2 = r, so at sigma_n2 = 1e-20 the floor is
+        # the noise's alone, r*n/(1 + n) > 0, not the -8e-13 of the unprojected model
         m = validate_model(1.0, 1.0000000000004, 1.0)
-        assert compression_privacy_floor(m, 1e-20) == 0.0
+        floor = compression_privacy_floor(m, 1e-20)
+        assert floor == m.r * 1e-20 / (1.0 + 1e-20) > 0.0
         sol = solve_setting2(m, target, 1e-20)
         assert (sol.policy.alpha, sol.d_c, sol.d_p, sol.constraint_active) == (
-            0.0, 1e-20, 0.0, False)
+            0.0, 1e-20, floor, False)
 
     @pytest.mark.parametrize("target", [0.0, -1e-12])
     def test_channel_free_floor_above_the_bound_is_zero(self, target):
@@ -695,7 +708,8 @@ def pinned_targets(model, floor):
 @pytest.mark.parametrize("setting", list(Setting))
 def test_inline_arithmetic_is_mixing_gain_bit_for_bit(setting):
     # the solve core writes mixing_gain and second_order_dc_dp inline: kappa of every
-    # simple and compression row is (1 + alpha*rho)/(mixing_gain + n_eff), and beta of
+    # simple and compression row is u/(mixing_gain + n_eff), with u = 1 + alpha*rho, or
+    # (r - rho^2)/r, its exact value at alpha = -rho/r, on the compression endpoint; beta of
     # every channel row is sqrt(P_T/(sigma_x2*mixing_gain)), bit for bit; D_C of the
     # simple and compression rows, and D_P of their free and interior rows, are
     # second_order_dc_dp's, and every endpoint row answers dp_max exactly
@@ -735,12 +749,14 @@ def test_inline_arithmetic_is_mixing_gain_bit_for_bit(setting):
             elif setting is Setting.SIMPLE and branch == "endpoint":
                 assert sol.kappa == 1.0
             else:
-                kappa = (1.0 + alpha * rho) / (mixing_gain(model, alpha) + n_eff)
+                u = ((model.r - rho**2) / model.r if branch == "endpoint"
+                     else 1.0 + alpha * rho)
+                kappa = u / (mixing_gain(model, alpha) + n_eff)
                 assert sol.kappa.hex() == kappa.hex()
                 d_c, d_p = second_order_dc_dp(model, alpha, n_eff)
                 assert sol.d_c.hex() == d_c.hex()
                 if branch != "endpoint":
-                    assert sol.d_p.hex() == (d_p if d_p > 0.0 else 0.0).hex()
+                    assert sol.d_p.hex() == d_p.hex()
     assert seen == {(n, b) for n in noises for b in ("free", "interior", "endpoint")}
 
 
@@ -765,13 +781,14 @@ def test_compression_rate_is_mixing_gain_bit_for_bit():
 def test_compression_endpoint_is_dp_max_at_rho2_equal_r(ratio):
     # at alpha = -rho/r, Cov(Y, theta) = sigma_x2*(rho - rho) = 0 with test-channel
     # noise too, so the endpoint answers dp_max even where r - rho^2 rounds to a few
-    # ulps of r and the rounded alpha alone would miss it.  D_C and kappa keep their
-    # formulas: at rho/sqrt(r) = 1 + 4e-13 (SourceModel admits up to ~1 + 5e-13),
-    # 1 + alpha*rho = 1 - rho^2/r is a few ulps below 0, so kappa is negative, as at
-    # every such endpoint the residual check let through; a var that rounds to <= 0
-    # sends nothing
+    # ulps of r and the rounded alpha alone would miss it.  D_C keeps its formula, and
+    # kappa's numerator 1 + alpha*rho is taken as (r - rho^2)/r, its exact value at
+    # -rho/r: kappa is never negative, and exactly 0 on a degenerate model.  A model
+    # typed at rho/sqrt(r) = 1 + 4e-13 is projected onto rho^2 = r, and one typed at
+    # rho/sqrt(r) = 1 often rounds onto it; on none of these models does the transmit
+    # variance round to <= 0, which would send nothing
     rng = np.random.default_rng(25)
-    refused = 0
+    degenerate = 0
     for _ in range(300):
         r, s2 = 10.0 ** rng.uniform(-6, 9), 10.0 ** rng.uniform(-100, 100)
         model = validate_model(s2, ratio * math.sqrt(r), r)
@@ -779,17 +796,17 @@ def test_compression_endpoint_is_dp_max_at_rho2_equal_r(ratio):
         sigma_n2 = s2 * 10.0 ** rng.uniform(-13, 3)
         n_eff = sigma_n2 / s2
         var = mixing_gain(model, alpha) + n_eff
-        if not var > 0.0:
-            with pytest.raises(DegenerateModelError, match="sends nothing"):
-                solve_setting2(model, dp_max, sigma_n2)
-            refused += 1
-            continue
+        assert var > 0.0
         sol = solve_setting2(model, dp_max, sigma_n2)
         assert sol.constraint_active and sol.d_p == dp_max and sol.policy.alpha == alpha
-        assert sol.kappa.hex() == ((1.0 + alpha * model.rho) / var).hex()
+        gap = model.r - model.rho**2
+        assert sol.kappa.hex() == (gap / model.r / var).hex()
         assert sol.d_c.hex() == second_order_dc_dp(model, alpha, n_eff)[0].hex()
-        assert sol.d_c >= 0.0 and (sol.kappa <= 0.0 or ratio == 1.0)
-    assert (refused > 0) == (ratio > 1.0)
+        assert sol.d_c >= 0.0 and sol.kappa >= 0.0
+        assert (sol.kappa == 0.0) == model.degenerate
+        degenerate += model.degenerate
+    assert degenerate == 300 if ratio > 1.0 else 0 < degenerate < 300
+
 
 def calls_from_solve(run):
     """The Python functions and the builtins that ``_solve`` calls while ``run()`` runs.
@@ -858,3 +875,39 @@ def test_dc_dp_on_arrays_is_its_scalar_calls_elementwise():
         for i, j in np.ndindex(d_c.shape):
             c, p = second_order_dc_dp(model, float(a[i, 0]), float(noise[0, j]))
             assert (float(d_c[i, j]).hex(), float(d_p[i, j]).hex()) == (c.hex(), p.hex())
+
+
+def test_boundary_fuzz_answers_no_negative_field():
+    # models typed at and just inside rho^2 = r, and near it below, at every scale:
+    # every answer of the three solvers has kappa >= 0, D_C and D_P >= +0.0 and a finite
+    # alpha, and every refusal is a SolveError; a model beyond the band is a ModelError
+    rng = np.random.default_rng(26)
+    answered = 0
+    for i in range(10000):
+        ratio = (1.0, 1.0 + 4e-13, 1.0 + 9e-13, 1.0 - 1e-13, rng.uniform(0.99, 1.0))[i % 5]
+        r, s2 = 10.0 ** rng.uniform(-6, 9), 10.0 ** rng.uniform(-100, 100)
+        noise = s2 * 10.0 ** rng.uniform(-13, 3)
+        if ratio == 1.0 + 9e-13:
+            with pytest.raises(ModelError):
+                validate_model(s2, ratio * math.sqrt(r), r)
+            continue
+        model = validate_model(s2, ratio * math.sqrt(r), r)
+        dp_max = privacy_bounds(model).dp_max
+        channel = ChannelSpec(s2, noise)
+        for solve, floor in (
+            (lambda t: solve_setting1(model, t), privacy_bounds(model).dp_min),
+            (lambda t: solve_setting2(model, t, noise), compression_privacy_floor(model, noise)),
+            (lambda t: solve_setting3(model, t, channel), channel_privacy_floor(model, channel)),
+        ):
+            interior = floor + rng.uniform(0.05, 0.95) * (dp_max - floor)
+            for target in (interior, dp_max * (1.0 - 1e-6), dp_max):
+                try:
+                    sol = solve(target)
+                except SolveError:
+                    continue
+                answered += 1
+                assert math.isfinite(sol.policy.alpha)
+                assert sol.kappa >= 0.0
+                for value in (sol.d_c, sol.d_p):
+                    assert math.copysign(1.0, value) == 1.0, sol
+    assert answered > 0

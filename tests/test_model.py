@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,19 +30,35 @@ def test_rejects_rho_squared_beyond_float_range():
     # rho^2 = 1e320 is inf, not an OverflowError
     with pytest.raises(ModelError, match=r"rho\^2=inf > r=1e\+300"):
         validate_model(1.0, 1e160, 1e300)
+    # within BOUNDARY_EPS of the float range r*(1 + BOUNDARY_EPS) is inf as well
+    with pytest.raises(ModelError, match=r"rho\^2=inf > r=1.7976931348623157e\+308"):
+        validate_model(1e-300, 1e155, 1.7976931348623157e308)
 
 
-@pytest.mark.parametrize("r", [1.0, 1e-300])
-@pytest.mark.parametrize("excess, admitted",
-                         [(1.0, True), (1.0 + 4e-13, True), (1.0 + 9e-13, False)])
+@pytest.mark.parametrize("r", [1.0, 1e-300, 0.01])
+@pytest.mark.parametrize("excess, admitted", [(1.0, True), (1.0 - 1e-13, True),
+                                              (1.0 + 1e-13, True), (1.0 + 4e-13, True),
+                                              (1.0 + 9e-13, False)])
 def test_rho_squared_boundary(r, excess, admitted):
-    # rho^2 up to r*(1 + BOUNDARY_EPS) is admitted; (1 + 9e-13)^2 = 1 + 1.8e-12 is beyond
+    # rho^2 up to r*(1 + BOUNDARY_EPS) is admitted; (1 + 9e-13)^2 = 1 + 1.8e-12 is beyond.
+    # At r = 0.01 and excess 1 the model is the typed (0.1, 0.01): 0.1*0.1 rounds above r.
+    # A rho^2 above r within the band is projected onto the degenerate model r = rho**2,
+    # the form of every gap r - rho**2 downstream, which is then +0.0 exactly
     rho = excess * math.sqrt(r)
-    if admitted:
-        assert validate_model(1.0, rho, r).rho == rho
-    else:
+    if not admitted:
         with pytest.raises(ModelError, match=r"need rho\^2 <= r"):
             validate_model(1.0, rho, r)
+        return
+    m = validate_model(1.0, rho, r)
+    assert m.rho == rho
+    if rho * rho > r:
+        assert m.r == rho**2 and m.degenerate
+        assert math.copysign(1.0, privacy_bounds(m).dp_min) == 1.0
+        assert privacy_bounds(m).dp_min == 0.0
+        assert copy.copy(m) == m and pickle.loads(pickle.dumps(m)) == m
+    else:
+        assert m.r == r
+
 
 
 def test_rejects_nonpositive_variance():
@@ -65,12 +83,13 @@ def test_boundary_model_allowed():
     st.floats(-2, 5, allow_nan=False),
 )
 def test_validation_is_total(sigma_x2, rho, r):
-    # every triple either validates or raises exactly one model error; no clamping
+    # every triple either validates or raises exactly one model error; no clamping but
+    # the projection of a rho^2 just above r onto r = rho**2
     try:
         m = validate_model(sigma_x2, rho, r)
     except ModelError:
         return
-    assert m.sigma_x2 == sigma_x2 and m.rho == rho and m.r == r
+    assert m.sigma_x2 == sigma_x2 and m.rho == rho and m.r == max(r, rho**2)
 
 
 def test_privacy_bounds_examples():

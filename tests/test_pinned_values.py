@@ -15,10 +15,14 @@ setting and one rate inversion, also with ``==``.  The channel's free and
 interior D_C and D_P were re-recorded when the channel solve came to compute
 them in units of sigma_x2 (six solve rows and six points of the channel
 sweep moved by 1-2 ulp); each pinned channel value lies within 3 ulp of exact
-rational evaluation at its alpha.
+rational evaluation at its alpha.  The compression endpoint's kappa was
+re-recorded when its numerator 1 + alpha*rho came to be taken as
+(r - rho^2)/r (the (2.5, 0.3, 0.4) row moved by 1 ulp); each pinned one lies
+within 1 ulp of exact rational evaluation at alpha = -rho/r.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -121,7 +125,7 @@ SOLVE = [
     ((2.5, 0.3, 0.4), Setting.COMPRESSION, 1.5, 0.4296875,
      (0.0, 1.0, 1.5, 0.625, 0.9375, 0.859375, False)),
     ((2.5, 0.3, 0.4), Setting.COMPRESSION, 1.5, 1.0,
-     (-0.7499999999999999, 1.0, 1.5, 0.5636363636363636, 1.4079545454545455, 1.0, True)),
+     (-0.7499999999999999, 1.0, 1.5, 0.5636363636363637, 1.4079545454545455, 1.0, True)),
     ((2.5, 0.3, 0.4), Setting.COMPRESSION, 1.5, 0.94375,
      (-0.2973587447434059, 1.0, 1.5, 0.6251347675596532, 1.0765800484336165, 0.9437500000000001, True)),
     ((2.5, 0.3, 0.4), Setting.CHANNEL, None, 0.4232954545454546,
@@ -242,6 +246,20 @@ def test_pinned_channel_values_against_exact_evaluation():
     for _, d_c, alpha, _ in SWEEP_CHANNEL:  # its d_p column holds the targets
         exact_dc, _ = exact_channel_dc_dp(model, alpha, CHANNEL)
         assert abs(d_c - exact_dc) <= 3 * math.ulp(exact_dc)
+
+
+def test_pinned_compression_endpoints_against_exact_evaluation():
+    # each pinned compression endpoint's kappa lies within 1 ulp of exact evaluation of
+    # (1 + alpha*rho)/(1 + 2*alpha*rho + alpha^2*r + n) at alpha = -rho/r
+    endpoints = [(model, sigma_n2, kappa)
+                 for model, setting, sigma_n2, target, (_, _, _, kappa, _, d_p, _) in SOLVE
+                 if setting is Setting.COMPRESSION and d_p == target == model[0] * model[2]]
+    assert len(endpoints) == 3
+    for (s2, rho, r), sigma_n2, kappa in endpoints:
+        rho, r, n = Fraction(rho), Fraction(r), Fraction(sigma_n2 / s2)  # n as the core rounds it
+        alpha = -rho / r
+        exact = (1 + alpha * rho) / (1 + 2 * alpha * rho + alpha * alpha * r + n)
+        assert abs(Fraction(kappa) - exact) <= math.ulp(kappa)
 
 
 def test_sweeps_and_rate_inversion_pinned():
