@@ -9,7 +9,7 @@ its one target.  The core works out the model's constants once and returns
 plain floats, so a sweep builds no solution records.
 ``noise_for_rate`` runs setting 2 backwards: the test-channel noise that
 meets a privacy target at a given rate comes in closed form, checked by one
-solve at the noise it returns.
+call of the solve core at the noise it returns, which builds no records.
 
 The module needs only the standard library, so the ``tradeoff`` and ``rate``
 commands run without loading numpy.
@@ -28,7 +28,6 @@ from .equilibrium import (
     _solve,
     channel_privacy_floor,
     compression_rate,
-    solve_setting2,
 )
 from .model import Record, SourceModel, privacy_bounds
 
@@ -133,8 +132,8 @@ def noise_for_rate(model: SourceModel, d_p_target: float, rate_target: float) ->
     >= d), alpha = 0 and sigma_n2 = sigma_x2 / g.  Otherwise the active
     constraint gives A = (r - rho^2)*g / (d*(g+1) - r), so
     sigma_n2 = sigma_x2 * (r - rho^2) / (d*g - (r - d)), the same denominator
-    written so that rounding g + 1 cannot lose a small g.  One solve at the
-    returned noise guards the answer: a rate off R by more than
+    written so that rounding g + 1 cannot lose a small g.  One call of the
+    solve core at the returned noise guards the answer: a rate off R by more than
     1e-10*max(1, R), which rounding causes near rho^2 = r, raises
     :class:`DegenerateModelError`.  A rate that is not positive and finite, or
     whose noise under- or overflows a float, raises ``ValueError``.
@@ -152,7 +151,7 @@ def noise_for_rate(model: SourceModel, d_p_target: float, rate_target: float) ->
     # a NaN target takes the inactive branch; the guard solve refuses it
     if not d > r - rho**2 * g / (g + 1.0):
         sigma_n2 = s2 / g
-    elif model.degenerate:
+    elif r - rho**2 <= 0.0:  # model.degenerate, without a property call
         raise DegenerateModelError(
             model, f"the rate is ln(r/d)/2 at every noise once D_P={d_p_target!r} binds"
         )
@@ -161,8 +160,8 @@ def noise_for_rate(model: SourceModel, d_p_target: float, rate_target: float) ->
     if not sys.float_info.min <= sigma_n2 < math.inf:
         raise ValueError(f"rate_target={rate_target} needs sigma_n2={sigma_n2}, "
                          "outside the normal floats")
-    sol = solve_setting2(model, d_p_target, sigma_n2)
-    rate = compression_rate(model, sol.policy.alpha, sigma_n2)
+    # alpha off the core's one row: records would add checks a finite alpha passes
+    rate = compression_rate(model, _solve(model, (d_p_target,), (sigma_n2,))[0][0], sigma_n2)
     if abs(rate - rate_target) > RATE_TOL * max(1.0, rate_target):
         raise DegenerateModelError(
             model, f"rounding misses the rate {rate_target!r}: rate = {rate!r}"

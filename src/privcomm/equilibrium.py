@@ -17,10 +17,11 @@ rho^2 = r without noise, and otherwise takes the root alpha_plus, the
 constrained minimizer.  ``SourceModel`` admits no rho^2 above r, so the
 quadratic always has a real root.  Near rho^2 = r rounding can defeat the
 closed form, so a solution is refused with :class:`DegenerateModelError`
-when its encoder sends nothing or its D_P misses an interior target by more
-than ``SOLVE_TOL``.  The public
-solvers pass the core one target; the privacy sweeps pass it their whole
-grid, and the rate sweep its whole noise grid.  Per target the core calls only
+when its normalized target rounds to 0 or below, its encoder sends nothing or
+its D_P misses an interior target by more than ``SOLVE_TOL``.  The public
+solvers pass the core one target, and ``noise_for_rate``'s check one target
+at one noise; the privacy sweeps pass it their whole grid, and the rate sweep
+its whole noise grid.  Per target the core calls only
 ``math.isfinite``, ``math.sqrt`` and the list's ``append``, and per noise
 the compression or channel floor function.
 
@@ -262,8 +263,10 @@ def _solve(model: SourceModel, targets, noises=(None,),
                     raise DegenerateModelError(model, _NO_NOISELESS_ENCODER.format(target))
                 if channel is not None:
                     d = d - (r - d) * sigma_z2 / p_t  # the effective target d'
-                if d <= 0.0:
-                    raise SolveError(f"normalized privacy target must be positive, got {d}")
+                if d <= 0.0:  # only r - rho^2 of 0 or a few ulps lets d round this far
+                    raise DegenerateModelError(
+                        model, f"the privacy target {target!r} at sigma_x2={s2!r} "
+                        f"rounds to a normalized target {d!r}")
                 scale = r2 * d
                 if not scale > 0.0:
                     raise SolveError(f"r^2 * d underflows a float at r={r!r}, d={d!r}")

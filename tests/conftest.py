@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,33 @@ def models_with_targets(draw, min_rho=0.05):
     dp_min = model.sigma_x2 * (model.r - model.rho**2)
     dp_max = model.sigma_x2 * model.r
     return model, dp_min + frac * (dp_max - dp_min)
+
+
+def calls_from(func, run):
+    """The Python functions and the builtins that ``func`` calls while ``run()`` runs.
+
+    The collector is off meanwhile: its callbacks run in whatever frame it
+    interrupts, and they are not calls of ``func``.
+    """
+    code = func.__code__
+    python, builtin = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code is code:
+            python.append(frame.f_code.co_name)
+        elif event == "c_call" and frame.f_code is code:
+            builtin.append(arg.__name__)
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return python, builtin
 
 
 def column(curve, name):

@@ -276,14 +276,17 @@ class TestRejectedInputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--setting", "simple", "--dp", "0.03561611617484084"],
-            ["--setting", "channel", "--dp", "0.10215629034473414",
+            [*NEAR_DEGENERATE, "--setting", "simple", "--dp", "0.03561611617484084"],
+            [*NEAR_DEGENERATE, "--setting", "channel", "--dp", "0.10215629034473414",
              "--pt", "2.6229552193297145", "--sigma-z2", "1.4039560157226145"],
+            # rho^2 = r, where r*n and d_p / sigma_x2 both underflow to 0
+            ["--setting", "compression", "--sigma-x2", "1e300", "--rho", "1e-15",
+             "--r", "1e-30", "--dp", "1e-300", "--sigma-n2", "1"],
         ],
-        ids=["simple-interior", "channel-endpoint"],
+        ids=["simple-interior", "channel-endpoint", "compression-target-underflow"],
     )
     def test_near_degenerate_solve_exits_1(self, argv):
-        code, out, err = run(["solve", *self.NEAR_DEGENERATE, *argv])
+        code, out, err = run(["solve", *argv])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "rho^2 = r" in err
 

@@ -32,7 +32,7 @@ from privcomm.equilibrium import (
     second_order_dc_dp,
 )
 
-from conftest import column, exact_channel_dc_dp, source_models
+from conftest import calls_from, column, exact_channel_dc_dp, source_models
 
 M = validate_model(1.0, 0.6, 1.0)
 
@@ -513,12 +513,29 @@ class TestNoiseForRate:
     def test_one_core_call_per_inversion(self, d_p, monkeypatch):
         # the guard solve is one call of the solve core, at the returned noise; the
         # rate needs no other
+        import privcomm.curves
+
         calls, solve = [], equilibrium._solve
-        monkeypatch.setattr(equilibrium, "_solve",
+        monkeypatch.setattr(privcomm.curves, "_solve",
                             lambda *args, **kw: calls.append((args, kw)) or solve(*args, **kw))
         sigma_n2 = noise_for_rate(M, d_p, 0.5)
         ((args, kw),) = calls
         assert (args, kw) == ((M, (d_p,), (sigma_n2,)), {})
+
+    @pytest.mark.parametrize("d_p", [0.64, 0.9], ids=["inactive", "active"])
+    def test_guard_builds_no_records(self, d_p):
+        # noise_for_rate's own frame calls the core and the rate, and no solver or record
+        python, _ = calls_from(noise_for_rate, lambda: noise_for_rate(M, d_p, 0.5))
+        assert python == ["_solve", "compression_rate"]
+
+    def test_rate_check_refusal(self):
+        # rounding near rho^2 = r leaves the guard's rate 3.8e-10 off R = 1
+        m = validate_model(1.1586243658324173, 0.4332913319353504, 0.1877413922389551)
+        with pytest.raises(DegenerateModelError) as info:
+            noise_for_rate(m, 0.14644991916507416, 1.0)
+        assert str(info.value) == (
+            "degenerate model rho^2 = r (0.18774137833031002 vs 0.1877413922389551): "
+            "rounding misses the rate 1.0: rate = 1.0000000003799059")
 
     def test_compression_endpoint_at_rho2_equal_r_answers(self):
         # the guard solve's max-privacy endpoint answers dp_max exactly, so rounding

@@ -1,6 +1,4 @@
-import gc
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -32,7 +30,7 @@ from privcomm.equilibrium import (
 )
 from privcomm.oracle import covariance_evaluate
 
-from conftest import exact_channel_dc_dp, models_with_targets, source_models
+from conftest import calls_from, exact_channel_dc_dp, models_with_targets, source_models
 
 M = validate_model(1.0, 0.6, 1.0)
 
@@ -120,8 +118,11 @@ class TestAlphaPlus:
         assert sol.d_p == 1e300 * (m.r * 1e-20) / (1.0 + 1e-20)
         # at rho^2 = r = 1e-30 and n = 1e-300, r*n underflows so the floor is 0,
         # and d = 1e-300 / 1e300 underflows to 0
-        with pytest.raises(SolveError, match="normalized privacy target must be positive"):
+        with pytest.raises(DegenerateModelError) as info:
             solve_setting2(validate_model(1e300, 1e-15, 1e-30), 1e-300, 1.0)
+        assert str(info.value) == (
+            "degenerate model rho^2 = r (1e-30 vs 1e-30): the privacy target 1e-300 at "
+            "sigma_x2=1e+300 rounds to a normalized target 0.0")
 
     def test_no_real_root_is_degenerate(self):
         # rho^2 = r*(1 + 8e-13) is projected onto rho^2 = r, whose quadratic has real
@@ -808,40 +809,13 @@ def test_compression_endpoint_is_dp_max_at_rho2_equal_r(ratio):
     assert degenerate == 300 if ratio > 1.0 else 0 < degenerate < 300
 
 
-def calls_from_solve(run):
-    """The Python functions and the builtins that ``_solve`` calls while ``run()`` runs.
-
-    The collector is off meanwhile: its callbacks run in whatever frame it
-    interrupts, and they are not calls of ``_solve``.
-    """
-    code = equilibrium._solve.__code__
-    python, builtin = [], []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_back is not None and frame.f_back.f_code is code:
-            python.append(frame.f_code.co_name)
-        elif event == "c_call" and frame.f_code is code:
-            builtin.append(arg.__name__)
-
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return python, builtin
-
-
 @pytest.mark.parametrize("setting", [Setting.SIMPLE, Setting.CHANNEL])
 def test_sweep_core_makes_no_python_call_per_target(setting):
     channel = ChannelSpec(2.0, 0.5)
     python_calls = []
     for grid in (65, 4097):
-        python, builtin = calls_from_solve(
-            lambda: sweep_privacy_distortion(M, setting, channel, grid))
+        python, builtin = calls_from(
+            equilibrium._solve, lambda: sweep_privacy_distortion(M, setting, channel, grid))
         assert set(builtin) == {"isfinite", "sqrt", "append"}
         python_calls.append(python)
     floor = [] if setting is Setting.SIMPLE else ["channel_privacy_floor"]
@@ -850,7 +824,8 @@ def test_sweep_core_makes_no_python_call_per_target(setting):
 
 def test_rate_sweep_core_calls_the_floor_once_per_noise():
     noises = [0.05 * 1.1**k for k in range(64)]
-    python, builtin = calls_from_solve(lambda: sweep_rate_distortion(M, 0.95, noises))
+    python, builtin = calls_from(equilibrium._solve,
+                                 lambda: sweep_rate_distortion(M, 0.95, noises))
     assert python == ["compression_privacy_floor"] * 64
     assert set(builtin) <= {"isfinite", "sqrt", "append"}
 
@@ -861,7 +836,7 @@ def test_single_solve_core_calls_only_the_floor(d_p):
     for solve, floor in ((lambda: solve_setting1(M, d_p), []),
                          (lambda: solve_setting2(M, d_p, 0.7), ["compression_privacy_floor"]),
                          (lambda: solve_setting3(M, d_p, channel), ["channel_privacy_floor"])):
-        python, builtin = calls_from_solve(solve)
+        python, builtin = calls_from(equilibrium._solve, solve)
         assert python == floor
         assert set(builtin) <= {"isfinite", "sqrt", "append"}
 
