@@ -2,9 +2,10 @@
 
 The package binds the public names of ``model`` and ``equilibrium``; those of
 ``curves``, ``oracle`` and ``montecarlo`` are imported from their modules.
-Only ``montecarlo`` and the oracle's grid search import numpy, so solving an
-equilibrium, sweeping a curve, inverting the rate map and scanning the
-multipliers never load it.
+Only ``montecarlo`` and the oracle's grid search, which the simple and
+channel settings use, import numpy, so solving an equilibrium, sweeping a
+curve, inverting the rate map, scanning the multipliers and verifying a
+compression equilibrium never load it.
 """
 
 from .equilibrium import (

@@ -9,8 +9,9 @@ Relative ``--output`` paths are resolved against the ``PRIVCOMM_OUTPUT_DIR``
 environment variable when it is set.
 
 Each subcommand imports the modules it uses.  ``solve``, ``tradeoff``,
-``rate`` and ``scan`` run without loading numpy; ``verify`` loads it for
-the oracle's grid search, and ``simulate`` through ``montecarlo``.
+``rate``, ``scan`` and the compression ``verify`` run without loading numpy;
+the simple and channel ``verify`` load it for the oracle's grid search, and
+``simulate`` through ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -170,6 +171,17 @@ def _inputs(args):
     return model, setting, ChannelSpec(p_t=args.pt, sigma_z2=args.sigma_z2)
 
 
+def _floats(text: str, flag: str, item: str) -> list:
+    """The values of a comma-separated flag; a bad value or an empty list is refused."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise CliError(f"bad {flag} value: {text!r}")
+    if not values:
+        raise CliError(f"{flag} lists no {item}: {text!r}")
+    return values
+
+
 def _resolve_output(path: str) -> str:
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -249,11 +261,8 @@ def _cmd_rate(args) -> int:
     from .curves import sweep_rate_distortion
 
     model, _, _ = _inputs(args)
-    try:
-        noise_grid = [float(v) for v in args.noise_grid.split(",") if v.strip()]
-    except ValueError:
-        raise CliError(f"bad --noise-grid value: {args.noise_grid!r}")
-    curve = sweep_rate_distortion(model, args.dp, noise_grid)
+    curve = sweep_rate_distortion(model, args.dp, _floats(args.noise_grid, "--noise-grid",
+                                                          "noise level"))
     rows = [
         (n, rate / NATS_PER_BIT if args.bits else rate, d_c, d_p, alpha)
         for (n, rate, d_c, d_p, alpha) in curve.points
@@ -314,12 +323,7 @@ def _cmd_scan(args) -> int:
 
     model, _, _ = _inputs(args)
     if args.lambdas is not None:
-        try:
-            lams = [float(v) for v in args.lambdas.split(",") if v.strip()]
-        except ValueError:
-            raise CliError(f"bad --lambdas value: {args.lambdas!r}")
-        if not lams:
-            raise CliError(f"--lambdas lists no multiplier: {args.lambdas!r}")
+        lams = _floats(args.lambdas, "--lambdas", "multiplier")
     else:
         rho2 = model.rho * model.rho
         lam_max = 1.0 / rho2 if rho2 else math.inf

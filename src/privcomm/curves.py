@@ -31,8 +31,9 @@ from .equilibrium import (
 )
 from .model import Record, SourceModel, privacy_bounds
 
-#: Largest rate error that ``noise_for_rate`` accepts, relative to max(1, R):
-#: the stopping width of the bisection the closed form replaced.
+#: Largest rate error, relative to max(1, R), between the target rate R and the
+#: rate of the encoder solved at the noise ``noise_for_rate`` returns; a larger
+#: one means rounding defeated the closed-form noise, and is refused.
 RATE_TOL = 1e-10
 
 

@@ -1,10 +1,12 @@
 """Brute-force verification of the closed-form equilibria.
 
 Independence is layered: (a) a from-first-principles covariance evaluator
-cross-checks the printed distortion/privacy formulas, and (b) a feasibility
-filtered grid search with local refinement over the encoder parameters
-confirms that the closed-form solutions are true constrained minimizers and
-that encoder noise buys nothing.
+cross-checks the printed distortion/privacy formulas, and (b) a grid search
+with local refinement over the encoder parameters confirms that the
+closed-form solutions are true constrained minimizers and that encoder
+noise buys nothing.  A target is feasible by the solvers' own rule, at most
+dp_max * (1 + ENDPOINT_RTOL); compression holds its noise, so its search is
+one bisection over the encoder weight, without a grid or numpy.
 Both search the canonical model (1, c, 1) that every model rescales to, so
 one search box and one tolerance serve every scale (see ``_canonical``).
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 
 from .equilibrium import (
+    ENDPOINT_RTOL,
     ChannelSpec,
     DegenerateModelError,
     EquilibriumSolution,
@@ -29,8 +32,7 @@ from .model import Record, SourceModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Points on each axis of the oracle grid: encoder weights, and noise levels
-#: outside compression.
+#: Points on each axis of the oracle grid: encoder weights and noise levels.
 GRID = 401
 
 #: Most grid cells evaluated at once (a block holds at least one row): each
@@ -182,13 +184,15 @@ def _boundary_alpha(dc_dp, c, noise_var, d_p_target):
     D_P decreases monotonically from dp_max at alpha = -c to the noise floor
     at alpha = 0, while D_C decreases toward alpha = 0; the constrained
     minimizer is therefore the boundary root of D_P = target, found by
-    bisection, or alpha = 0 when the noise alone satisfies the target.
+    bisection, or alpha = 0 when the noise alone satisfies the target, or
+    alpha = -c when even max privacy misses it, which after ``grid_search``'s
+    feasibility test only a target within rounding of dp_max does.
     """
     if dc_dp(0.0, noise_var)[1] >= d_p_target:
         return 0.0
     lo, hi = -c, 0.0
     if dc_dp(lo, noise_var)[1] < d_p_target:
-        raise InfeasiblePrivacyTarget(f"target {d_p_target} unreachable at noise {noise_var}")
+        return lo
     while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
         if dc_dp(mid, noise_var)[1] >= d_p_target:
@@ -199,37 +203,24 @@ def _boundary_alpha(dc_dp, c, noise_var, d_p_target):
 
 
 def _grid_stage(dc_dp, alpha_axis, noise_axis, target):
-    """(feasible, best, cell) of the grid, one block of rows at a time.
+    """(best, cell) of the grid, evaluated one block of rows at a time.
 
-    ``feasible``: some cell meets the target within the slack, the largest
-    step of D_P between neighbouring cells.  A cell that meets the target
-    outright settles it, so the slack is measured only while none does.
-    ``best``: the least D_C of a strictly feasible cell, and ``cell`` its
+    ``best`` is the least D_C of a strictly feasible cell, and ``cell`` its
     first (row, column) in row-major order; (inf, (0, 0)) when no cell is.
-    The largest D_P and the slack are maxima, taken across block edges too,
-    and a block's best replaces the running one only when strictly smaller,
-    so ``feasible``, ``best`` and ``cell`` equal their values on the whole
-    grid (D_P is finite on the canonical box).
+    A block's best replaces the running one only when strictly smaller, so
+    both equal their values on the whole grid.
     """
     import numpy as np
 
-    slack, d_p_max, best, cell, prev = 0.0, -math.inf, math.inf, (0, 0), None
+    best, cell = math.inf, (0, 0)
     rows = max(1, BLOCK_CELLS // noise_axis.size)
     for i in range(0, alpha_axis.size, rows):
         d_c, d_p = dc_dp(alpha_axis[i:i + rows, None], noise_axis[None, :])
-        d_p_max = max(d_p_max, float(d_p.max()))
-        if d_p_max < target:  # every earlier block was measured too
-            if prev is not None:
-                slack = max(slack, float(np.abs(d_p[0] - prev).max()))
-            for axis in (0, 1):
-                if d_p.shape[axis] > 1:
-                    slack = max(slack, float(np.abs(np.diff(d_p, axis=axis)).max()))
-            prev = d_p[-1].copy()
         strict = np.where(d_p >= target, d_c, np.inf)
         k, l = divmod(int(strict.argmin()), noise_axis.size)
         if strict[k, l] < best:
             best, cell = float(strict[k, l]), (i + k, l)
-    return d_p_max >= target - slack, best, cell
+    return best, cell
 
 
 def grid_search(
@@ -241,14 +232,15 @@ def grid_search(
 ) -> OracleOptimum:
     """Constrained brute-force minimizer of D_C subject to D_P >= d_p_target.
 
-    Searches the canonical model on ``GRID`` encoder weights by ``GRID``
-    noise levels in [0, NOISE_MAX * sigma_x2] (one level, sigma_n2, for
-    compression), evaluated in blocks of rows of ``BLOCK_CELLS`` cells at
-    most, so it never holds the whole grid.  Grid stage: rejects the target
-    when no grid point meets it within one-grid-cell slack.  Refinement
-    stage: bisection onto the constraint boundary in alpha, plus a
-    golden-section pass over the encoder noise (settings 1/3), which must
-    not lose to the best strictly feasible grid point.
+    A target above dp_max * (1 + ENDPOINT_RTOL), the solvers' bound, or NaN
+    raises ``InfeasiblePrivacyTarget``.  Compression holds the noise at
+    sigma_n2, so its search is one bisection onto the constraint boundary in
+    alpha.  The other settings search the canonical model on ``GRID``
+    encoder weights by ``GRID`` noise levels in [0, NOISE_MAX * sigma_x2],
+    evaluated in blocks of rows of ``BLOCK_CELLS`` cells at most, so the
+    search never holds the whole grid; then a golden-section pass over the
+    encoder noise, with that bisection at each noise, refines the optimum,
+    which must not lose to the best strictly feasible grid point.
     """
     if setting is Setting.CHANNEL:
         if channel is None:
@@ -257,52 +249,45 @@ def grid_search(
         if not math.isfinite(channel.sigma_z2 * (2.25 + NOISE_MAX) / channel.p_t):
             raise ValueError(f"the oracle cannot resolve a channel with sigma_z2/P_T = "
                              f"{channel.sigma_z2 / channel.p_t!r}")
-    import numpy as np  # only the grid search builds arrays
-
     canon, alpha_lo, back = _canonical(model)
-    alpha_axis = np.linspace(alpha_lo, 0.5, GRID)
-    # with r = 0, D_P = 0 for every encoder
-    target = (d_p_target / model.sigma_x2 / model.r if model.r
-              else -math.inf if d_p_target <= 0.0 else math.inf)
     if setting is Setting.COMPRESSION:
         noise = math.nan if sigma_n2 is None else sigma_n2 / model.sigma_x2
         if not 0.0 < noise < math.inf:
             raise ValueError(f"compression search requires 0 < sigma_n2/sigma_x2 < inf, "
                              f"got sigma_n2={sigma_n2!r}")
-        noise_axis = np.array([noise])
-    else:
-        if canon.degenerate:
-            raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle grid"))
-        noise_axis = np.linspace(0.0, NOISE_MAX, GRID)
-
+    elif canon.degenerate:
+        raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle grid"))
+    dp_max = model.sigma_x2 * model.r
+    if not d_p_target <= dp_max * (1.0 + ENDPOINT_RTOL):  # NaN fails too
+        raise InfeasiblePrivacyTarget(f"target {d_p_target} exceeds dp_max={dp_max}")
+    # with r = 0, D_P = 0 for every encoder, and only a target <= 0 is left
+    target = d_p_target / model.sigma_x2 / model.r if model.r else -math.inf
     dc_dp = _evaluator(canon, setting, channel)
-    feasible, best, (k, l) = _grid_stage(dc_dp, alpha_axis, noise_axis, target)
-    if not feasible:
-        raise InfeasiblePrivacyTarget(f"no feasible grid point for target {d_p_target}")
 
     if setting is Setting.COMPRESSION:
         alpha = _boundary_alpha(dc_dp, canon.rho, noise, target)
-    else:
-        def constrained_dc(noise_var: float) -> float:
-            try:
-                a = _boundary_alpha(dc_dp, canon.rho, noise_var, target)
-            except InfeasiblePrivacyTarget:
-                return math.inf
-            return float(dc_dp(a, noise_var)[0])
+        alpha, _, d_c_opt, d_p_opt = back(alpha, noise, *dc_dp(alpha, noise))
+        return OracleOptimum(alpha, sigma_n2, d_c_opt, d_p_opt)  # the noise is held
 
-        noise = _golden_min(constrained_dc, 0.0, NOISE_MAX)
-        # the minimum typically sits on the lower edge of the noise range
-        if constrained_dc(0.0) <= constrained_dc(noise):
-            noise = 0.0
-        alpha = _boundary_alpha(dc_dp, canon.rho, noise, target)
-        # refinement must never lose to a strictly feasible grid point (with
-        # none, the minimum is inf, which no distortion exceeds)
-        if dc_dp(alpha, noise)[0] > best:
-            alpha, noise = float(alpha_axis[k]), float(noise_axis[l])
-    alpha, noise_var, d_c_opt, d_p_opt = back(alpha, noise, *dc_dp(alpha, noise))
-    if setting is Setting.COMPRESSION:
-        noise_var = sigma_n2  # held fixed, not searched
-    return OracleOptimum(alpha, noise_var, d_c_opt, d_p_opt)
+    import numpy as np  # only the grid search builds arrays
+
+    alpha_axis = np.linspace(alpha_lo, 0.5, GRID)
+    noise_axis = np.linspace(0.0, NOISE_MAX, GRID)
+    best, (k, l) = _grid_stage(dc_dp, alpha_axis, noise_axis, target)
+
+    def constrained_dc(noise_var: float) -> float:
+        return float(dc_dp(_boundary_alpha(dc_dp, canon.rho, noise_var, target), noise_var)[0])
+
+    noise = _golden_min(constrained_dc, 0.0, NOISE_MAX)
+    # the minimum typically sits on the lower edge of the noise range
+    if constrained_dc(0.0) <= constrained_dc(noise):
+        noise = 0.0
+    alpha = _boundary_alpha(dc_dp, canon.rho, noise, target)
+    # refinement must never lose to a strictly feasible grid point (with
+    # none, the minimum is inf, which no distortion exceeds)
+    if dc_dp(alpha, noise)[0] > best:
+        alpha, noise = float(alpha_axis[k]), float(noise_axis[l])
+    return OracleOptimum(*back(alpha, noise, *dc_dp(alpha, noise)))
 
 
 def verify_equilibrium(

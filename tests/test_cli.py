@@ -39,7 +39,8 @@ GOLDENS = [
                                     "--pt", "1", "--sigma-z2", "1", "--grid", "9"]),
     ("solve_compression.json", ["solve", "--setting", "compression", *MODEL_FLAGS,
                                 "--dp", "0.92", "--sigma-n2", "0.7"]),
-    # the oracle's grid stage in each setting
+    # the oracle in each setting: the grid stage for simple and channel, and the
+    # one bisection of compression, which builds no grid
     ("verify_simple.json", ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"]),
     ("verify_compression.json", ["verify", "--setting", "compression", *MODEL_FLAGS,
                                  "--dp", "0.92", "--sigma-n2", "0.7"]),
@@ -60,8 +61,11 @@ GOLDENS = [
       "--pt", "1", "--sigma-z2", "1", "--samples", "200000", "--seed", "2"]),
 ]
 
-#: The commands that run with numpy unavailable.
-NUMPY_FREE = ("solve", "tradeoff", "rate", "scan")
+#: The argvs of ``GOLDENS`` that run with numpy unavailable: every command but
+#: verify and simulate, and verify in the compression setting, whose oracle
+#: builds no grid.
+NUMPY_FREE = [argv for _, argv in GOLDENS if argv[0] in ("solve", "tradeoff", "rate", "scan")
+              or argv[:3] == ["verify", "--setting", "compression"]]
 
 # The console script's entry point, with numpy blocked when the first argument
 # says so; the remaining arguments are the command's argv.
@@ -91,7 +95,7 @@ class TestGolden:
         assert out == (GOLDEN / golden).read_text()
 
     def test_console_entry_in_fresh_interpreter(self, golden, argv):
-        numpy = "no-numpy" if argv[0] in NUMPY_FREE else "numpy"
+        numpy = "no-numpy" if argv in NUMPY_FREE else "numpy"
         proc = run_process(argv, entry=("-c", CONSOLE, numpy))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == (GOLDEN / golden).read_text()
@@ -410,6 +414,13 @@ class TestRejectedInputs:
         code, out, err = run([*argv, *MODEL_FLAGS, "--dp", "0.9"])
         assert code == 1 and out == ""
         assert "error: rate overflows at test-channel noise 1e-320" in err
+
+    @pytest.mark.parametrize("noise_grid", ["", ","])
+    def test_rate_empty_noise_grid_exits_1(self, noise_grid):
+        # the refusal names the flag, as --lambdas' does, not the library's parameter
+        code, out, err = run(["rate", *MODEL_FLAGS, "--dp", "0.9", "--noise-grid", noise_grid])
+        assert code == 1 and out == ""
+        assert err == f"error: --noise-grid lists no noise level: {noise_grid!r}\n"
 
     def test_rate_repeated_noise_exits_1(self):
         code, out, err = run(["rate", *MODEL_FLAGS, "--dp", "0.9", "--noise-grid", "0.5,0.5"])
@@ -859,6 +870,24 @@ def test_theta_scaling_maps_alpha_dp_and_lambda(argv, k):
 
 
 class TestVerifyExitCodes:
+    SETTING_FLAGS = {"simple": [], "compression": ["--sigma-n2", "0.7"],
+                     "channel": ["--pt", "1", "--sigma-z2", "1"]}
+
+    @pytest.mark.parametrize("setting", SETTING_FLAGS)
+    def test_target_within_endpoint_tolerance_passes(self, setting):
+        # 1 + 1e-12 is dp_max * (1 + ENDPOINT_RTOL): the solvers snap it onto max privacy
+        code, out, err = run(["verify", "--setting", setting, *MODEL_FLAGS,
+                              "--dp", "1.000000000001", *self.SETTING_FLAGS[setting]])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("setting", SETTING_FLAGS)
+    def test_target_beyond_max_privacy_exits_1(self, setting):
+        code, out, err = run(["verify", "--setting", setting, *MODEL_FLAGS,
+                              "--dp", "1.01", *self.SETTING_FLAGS[setting]])
+        assert code == 1 and out == ""
+        assert err == "error: d_p_target=1.01 exceeds dp_max=1.0\n"
+
     def test_coarse_oracle_fails_with_2(self, monkeypatch):
         import privcomm.oracle
 

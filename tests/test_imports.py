@@ -1,4 +1,4 @@
-"""solve, tradeoff, rate and scan stay numpy-free and load neither ``dataclasses`` nor
+"""solve, tradeoff, rate, scan and the compression verify stay numpy-free and load neither ``dataclasses`` nor
 ``inspect``, and tradeoff and rate do not load ``json``; ``import privcomm`` loads
 neither numpy nor the curves, oracle and Monte Carlo modules; the package binds
 exactly the names listed here, and removed names stay gone."""
@@ -82,6 +82,8 @@ def test_scalar_commands_never_import_numpy(tmp_path):
         ["solve", "--setting", "simple", *MODEL_FLAGS, "--dp", "1.5"],
         ["scan", *MODEL_FLAGS, "--lambdas", "1"],
         ["scan", *MODEL_FLAGS],
+        ["verify", "--setting", "compression", *MODEL_FLAGS, "--dp", "0.92",
+         "--sigma-n2", "0.7"],
         ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"],
     ]
     report = json.loads(run_child("-c", CHILD, repr(argvs)).stdout)
@@ -96,6 +98,7 @@ def test_scalar_commands_never_import_numpy(tmp_path):
         ["solve", 1, False, ["json"]],
         ["scan", 0, False, ["json"]],
         ["scan", 0, False, ["json"]],
+        ["verify", 0, False, ["json"]],
     ]
     assert report[-1][:3] == ["verify", 0, True]
     assert (tmp_path / "tradeoff.csv").read_text().startswith("d_p,d_c,alpha,kappa\n")

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from privcomm import (
     validate_model,
 )
 from privcomm import oracle
-from privcomm.equilibrium import second_order_dc_dp
+from privcomm.equilibrium import ENDPOINT_RTOL, second_order_dc_dp
 from privcomm.oracle import (
     _canonical,
     _evaluator,
@@ -107,6 +108,14 @@ class TestGridSearch:
                 M, Setting.COMPRESSION, None, 1.05, sigma_n2=0.01
             )
 
+    @pytest.mark.parametrize("target", [0.5, 0.9, 1.0, 1.0 + ENDPOINT_RTOL])
+    def test_compression_builds_no_grid(self, target, monkeypatch):
+        # the noise is held, so the search is one bisection over alpha, without numpy
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.setattr(oracle, "_grid_stage", None)
+        opt = grid_search(M, Setting.COMPRESSION, None, target, sigma_n2=0.5)
+        assert opt.d_c == pytest.approx(solve_setting2(M, target, 0.5).d_c, abs=1e-6)
+
     def test_compression_requires_noise(self):
         with pytest.raises(ValueError):
             grid_search(M, Setting.COMPRESSION, None, 0.9)
@@ -121,42 +130,18 @@ class TestGridSearch:
         assert noisy.d_c > base.d_c + 1e-6
 
 
-def whole_grid(dc_dp, alpha_axis, noise_axis):
-    """D_C, D_P and the slack (the largest step of D_P between neighbouring
-    cells) of the whole grid at once."""
-    d_c, d_p = dc_dp(alpha_axis[:, None], noise_axis[None, :])
-    slack = max((float(np.max(np.abs(np.diff(d_p, axis=k)))) for k in (0, 1)
-                 if d_p.shape[k] > 1), default=0.0)
-    return d_c, d_p, slack
-
-
 def whole_grid_stage(dc_dp, alpha_axis, noise_axis, target):
-    """``oracle._grid_stage`` on the whole grid at once, as before its blocks,
-    with the full slack in its feasibility test whatever the target."""
-    d_c, d_p, slack = whole_grid(dc_dp, alpha_axis, noise_axis)
+    """``oracle._grid_stage`` on the whole grid at once, as before its blocks."""
+    d_c, d_p = dc_dp(alpha_axis[:, None], noise_axis[None, :])
     strict = np.where(d_p >= target, d_c, np.inf)
     k, l = np.unravel_index(int(np.argmin(strict)), strict.shape)
-    return bool(np.any(d_p >= target - slack)), float(strict[k, l]), (int(k), int(l))
-
-
-def grid_stage_args(*args):
-    """The evaluator and axes that ``grid_search(*args)`` hands its grid stage."""
-    captured = []
-
-    def capture(*stage_args):
-        captured.append(stage_args[:3])
-        return False, math.inf, (0, 0)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_grid_stage", capture)
-        with pytest.raises(InfeasiblePrivacyTarget):
-            grid_search(*args)
-    return captured[0]
+    return float(strict[k, l]), (int(k), int(l))
 
 
 def blocked_and_whole(*args):
     """``grid_search(*args)`` as (result or (exception type, message), grid stage)
-    for the blocked grid, then for the whole-grid reference."""
+    for the blocked grid, then for the whole-grid reference; both stages are
+    None when the target is refused before the grid."""
     stages = []
     blocked_stage = oracle._grid_stage
 
@@ -174,65 +159,40 @@ def blocked_and_whole(*args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_grid_stage", spy)
         whole = outcome()
-    ((blocked_stage_out, whole_stage_out),) = stages
+    (blocked_stage_out, whole_stage_out), = stages or [(None, None)]
     return (blocked, blocked_stage_out), (whole, whole_stage_out)
 
 
 @st.composite
 def grid_cases(draw):
-    """A model, a target up to 5 % beyond max privacy, a channel and a noise."""
+    """A model, a target up to 5 % beyond max privacy and a channel."""
     model = draw(source_models(min_rho=0.05))
     target = draw(st.floats(0.0, 1.05)) * model.sigma_x2 * model.r
-    channel = ChannelSpec(draw(st.floats(0.5, 4.0)), draw(st.floats(0.1, 2.0)))
-    return model, target, channel, draw(st.floats(0.1, 2.0)) * model.sigma_x2
+    return model, target, ChannelSpec(draw(st.floats(0.5, 4.0)), draw(st.floats(0.1, 2.0)))
 
 
 class TestBlockedGrid:
-    """The grid is evaluated in blocks of rows; every answer, refusal and grid
-    stage must equal the whole-grid evaluation's."""
+    """The grid of the simple and channel settings is evaluated in blocks of
+    rows; every answer, refusal and grid stage must equal the whole-grid
+    evaluation's."""
 
     @pytest.mark.parametrize("grid", [3, 4, 21, 401, 1001])
-    @pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+    @pytest.mark.parametrize("setting", [Setting.SIMPLE, Setting.CHANNEL],
+                             ids=lambda s: s.value)
     @settings(derandomize=True, max_examples=16, deadline=None)
     @given(case=grid_cases())
     def test_equals_whole_grid(self, setting, grid, case):
-        model, target, channel, sigma_n2 = case
+        model, target, channel = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "GRID", grid)
             blocked, whole = blocked_and_whole(
-                model, setting, channel if setting is Setting.CHANNEL else None, target,
-                sigma_n2 if setting is Setting.COMPRESSION else None)
+                model, setting, channel if setting is Setting.CHANNEL else None, target)
         assert blocked == whole
 
     def test_infeasible_target_refused_alike(self):
         blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 1.05)
         assert blocked == whole
-        assert blocked[0] == (InfeasiblePrivacyTarget,
-                              "no feasible grid point for target 1.05")
-
-    @pytest.mark.parametrize("grid", [3, 21, 401])
-    @pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
-    def test_feasible_only_through_the_slack(self, setting, grid):
-        # the slack is measured only while no cell meets the target: a target
-        # above every cell's D_P needs all of it, and one just beyond is refused
-        channel = ChannelSpec(1.0, 1.0) if setting is Setting.CHANNEL else None
-        sigma_n2 = 0.7 if setting is Setting.COMPRESSION else None
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "GRID", grid)
-            _, d_p, slack = whole_grid(*grid_stage_args(M, setting, channel, 0.5, sigma_n2))
-            d_p_max = float(d_p.max())
-            through = d_p_max + slack / 2.0
-            beyond = d_p_max + slack
-            while not beyond - slack > d_p_max:
-                beyond = math.nextafter(beyond, math.inf)
-            assert d_p_max < through and d_p_max >= through - slack
-            # M's canonical target is the target itself: sigma_x2 = r = 1
-            for target, feasible in ((through, True), (beyond, False)):
-                blocked, whole = blocked_and_whole(M, setting, channel, target, sigma_n2)
-                assert blocked == whole
-                assert blocked[1][0] is feasible
-        assert blocked[0] == (InfeasiblePrivacyTarget,
-                              f"no feasible grid point for target {beyond}")
+        assert blocked == ((InfeasiblePrivacyTarget, "target 1.05 exceeds dp_max=1.0"), None)
 
     def test_argmin_tie_keeps_the_first_cell(self):
         # the grid's D_C rounded up to quarters ties cells in several blocks,
@@ -251,7 +211,7 @@ class TestBlockedGrid:
             mp.setattr(oracle, "second_order_dc_dp", tied)
             blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 0.84)
         assert blocked == whole
-        assert blocked[1][2] == (rows[0], cols[0])
+        assert blocked[1][1] == (rows[0], cols[0])
         assert (blocked[0].alpha, blocked[0].noise_var) == (alpha_axis[rows[0]],
                                                             noise_axis[cols[0]])
 
@@ -314,6 +274,27 @@ def test_wide_range_models_pass():
         )
         if not report.passed:
             failed.append((model, setting.value, report.dc_gap / s2))
+    assert failed == []
+
+
+@pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+def test_max_privacy_targets_pass(setting):
+    # the solvers answer every target up to dp_max * (1 + ENDPOINT_RTOL), and the
+    # oracle must confirm them: 40 models over the ranges above
+    rng = np.random.default_rng(28)
+    failed = []
+    for _ in range(40):
+        s2, r = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-6.0, 6.0)
+        model = validate_model(s2, rng.uniform(0.05, 0.99) * math.sqrt(r), r)
+        channel = ChannelSpec(rng.uniform(0.5, 4.0) * s2, rng.uniform(0.1, 2.0) * s2)
+        sigma_n2 = rng.uniform(0.1, 2.0) * s2
+        for target in (s2 * r, s2 * r * (1.0 + ENDPOINT_RTOL)):
+            report = verify_equilibrium(
+                model, setting, channel if setting is Setting.CHANNEL else None, target,
+                sigma_n2=sigma_n2 if setting is Setting.COMPRESSION else None,
+            )
+            if not report.passed:
+                failed.append((model, target, report.dc_gap / s2))
     assert failed == []
 
 
@@ -431,9 +412,9 @@ class TestScanFixedPoint:
 
 class TestGridMemory:
     """The blocked search holds a few blocks and a few grid-side arrays, never
-    the grid: traced peaks at grid 401 are 0.47 MB (simple), 0.53 MB (channel)
-    and 0.02 MB (compression), about 8 arrays of one block's 64 KiB, and the
-    compression search at grid 1001 about 5 arrays of the grid's side."""
+    the grid: traced peaks at grid 401 are 0.46 MB (simple) and 0.52 MB
+    (channel), about 8 arrays of one block's 64 KiB; the compression search
+    builds no grid, and its peak is under 1 KB."""
 
     #: Float64 arrays of one block's size, and of the grid's side, that the
     #: bound allows at once.
