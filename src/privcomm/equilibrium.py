@@ -144,10 +144,10 @@ def second_order_dc_dp(model: SourceModel, alpha, n_eff):
     """Distortion and privacy MMSE for Y = X + alpha*theta + noise.
 
     ``n_eff`` is the noise variance normalized by sigma_x2.  Accepts scalars
-    or numpy arrays; the brute-force oracle evaluates encoders with it, and
-    the solve core writes the same arithmetic inline, which tests pin to it
-    bit for bit.  A NaN output variance passes the guard, as it would under
-    ``numpy.any``.
+    or numpy arrays; the brute-force oracle's grid and refinement evaluate
+    encoders with it, and the solve core and the multiplier scan's costs
+    write the same arithmetic inline, which tests pin to it bit for bit.  A
+    NaN output variance passes the guard, as it would under ``numpy.any``.
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     den = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff  # mixing_gain + n_eff, inline

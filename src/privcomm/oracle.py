@@ -159,6 +159,9 @@ def _evaluator(canon, setting, channel):
 #: Why a search from zero noise fails on a degenerate model: Y = 0 there.
 _SENDS_NOTHING = "{} holds alpha = -rho/r without noise, which sends nothing"
 
+#: Why the scan refuses a multiplier, with the multiplier and the cause.
+_TOO_LARGE = "lam={} is too large to resolve its frontier point in floating point: {}"
+
 
 def _golden_min(f, lo: float, hi: float) -> float:
     """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
@@ -334,6 +337,10 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     noise n, so the noise pass returns the same value from any start.  A
     pass depends only on where it starts, so the rounds stop at their fixed
     point: the first round whose noise pass returns the noise it began from.
+    The passes' costs write ``second_order_dc_dp``'s arithmetic inline, in
+    its order, with what a pass holds fixed worked out once per pass, so an
+    evaluation is one Python frame; the grid and the refinement still call
+    the evaluator, as does the scan for each point it returns.
     The optimum must sit at zero encoder noise; a noisy minimizer, or a
     lam*r beyond the float range, means that lam is too large for floating
     point to resolve the frontier point, and raises ``ValueError``.
@@ -342,33 +349,46 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     if canon.degenerate:
         raise DegenerateModelError(model, _SENDS_NOTHING.format("the scan's alpha range"))
     dc_dp = _evaluator(canon, Setting.SIMPLE, None)
+    rho, r, s2 = canon.rho, canon.r, canon.sigma_x2
+    gap = r - rho**2
 
     out = []
     for lam in lambda_grid:
         lam = float(lam)
         if not 0.0 <= lam < math.inf:  # NaN fails too
             raise ValueError(f"lam={lam} outside [0, inf)")
-        refusal = f"lam={lam} is too large to resolve its frontier point in floating point"
         lam_c = lam * model.r
         if lam_c == math.inf:
-            raise ValueError(f"{refusal}: lam*r overflows")
-
-        def cost(a, s):
-            d_c, d_p = dc_dp(a, s)
-            return d_c - lam_c * d_p
+            raise ValueError(_TOO_LARGE.format(lam, "lam*r overflows"))
 
         # the cost's slope in the noise has one sign at fixed alpha: any start will do
         noise = 0.0
         for _ in range(4):
             start = noise
-            alpha = _golden_min(lambda a: cost(a, noise), lo_a, 0.5)
-            noise = _golden_min(lambda s: cost(alpha, s), 0.0, NOISE_MAX)
+            dp_num = s2 * (gap + r * noise)
+
+            def alpha_cost(a):
+                den = 1.0 + 2.0 * a * rho + a * a * r + noise
+                if den <= 0.0:
+                    raise RuntimeError("nonpositive output variance; invalid policy")
+                return s2 * (a * a * gap + noise) / den - lam_c * (dp_num / den)
+
+            alpha = _golden_min(alpha_cost, lo_a, 0.5)
+            mix = 1.0 + 2.0 * alpha * rho + alpha * alpha * r
+            dc_num = alpha * alpha * gap
+
+            def noise_cost(s):
+                den = mix + s
+                if den <= 0.0:
+                    raise RuntimeError("nonpositive output variance; invalid policy")
+                return s2 * (dc_num + s) / den - lam_c * (s2 * (gap + r * s) / den)
+
+            noise = _golden_min(noise_cost, 0.0, NOISE_MAX)
             if noise == start:
                 break
         alpha, noise_var, d_c, d_p = back(alpha, noise, *dc_dp(alpha, noise))
         if noise > 1e-4:
-            raise ValueError(
-                f"{refusal}: the scan's minimizer has encoder noise {noise_var}"
-            )
+            raise ValueError(_TOO_LARGE.format(
+                lam, f"the scan's minimizer has encoder noise {noise_var}"))
         out.append(ScanPoint(lam=lam, alpha=alpha, noise_var=noise_var, d_c=d_c, d_p=d_p))
     return out

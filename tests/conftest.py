@@ -29,10 +29,12 @@ def models_with_targets(draw, min_rho=0.05):
 def calls_from(func, run):
     """The Python functions and the builtins that ``func`` calls while ``run()`` runs.
 
+    ``func`` may be a code object, such as that of a closure, instead.
+
     The collector is off meanwhile: its callbacks run in whatever frame it
     interrupts, and they are not calls of ``func``.
     """
-    code = func.__code__
+    code = getattr(func, "__code__", func)
     python, builtin = [], []
 
     def profile(frame, event, arg):

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -26,9 +27,12 @@ from privcomm.oracle import (
     verify_equilibrium,
 )
 
-from conftest import source_models
+from conftest import calls_from, source_models
 
 M = validate_model(1.0, 0.6, 1.0)
+
+#: The multipliers of ``privcomm scan`` on M.
+DEFAULT_SCAN = [1.0 / 0.6**2 * i / 8 for i in range(9)]
 
 
 class TestCovarianceEvaluate:
@@ -372,10 +376,11 @@ def four_round_scan(model, lam, grid):
 
 @st.composite
 def scan_cases(draw):
-    """A model with r in [1e-6, 1e6] and lam in {0} or [1e-3, 1e12]/r."""
+    """A model with r in [1e-6, 1e6], rho/sqrt(r) in [0, 0.99] or in the flat-cost
+    band [0.99, 1), and lam in {0} or [1e-3, 1e12]/r."""
     r = 10.0 ** draw(st.floats(-6.0, 6.0))
-    model = validate_model(10.0 ** draw(st.floats(-3.0, 3.0)),
-                           draw(st.floats(0.0, 0.99)) * math.sqrt(r), r)
+    c = draw(st.floats(0.0, 0.99) | st.floats(0.99, 1.0, exclude_max=True))
+    model = validate_model(10.0 ** draw(st.floats(-3.0, 3.0)), c * math.sqrt(r), r)
     lam = draw(st.just(0.0) | st.floats(-3.0, 12.0).map(lambda e: 10.0**e / r))
     return model, lam
 
@@ -398,16 +403,64 @@ class TestScanFixedPoint:
         (pt,) = lagrangian_scan(model, [lam])
         assert (pt.lam, pt.alpha, pt.noise_var, pt.d_c, pt.d_p) == expected
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=scan_cases())
+    def test_objectives_are_the_evaluators_cost(self, case):
+        # every cost a pass evaluates equals D_C - lam'*D_P of second_order_dc_dp, bit
+        # for bit, at the alpha and noise the scan has reached
+        model, lam = case
+        canon, lam_c = _canonical(model)[0], lam * model.r
+        golden_min, at = oracle._golden_min, {"noise": 0.0}
+
+        def checked(f, lo, hi):
+            alpha_pass = f.__name__ == "alpha_cost"
+
+            def g(x):
+                if alpha_pass:
+                    d_c, d_p = second_order_dc_dp(canon, x, at["noise"])
+                else:
+                    d_c, d_p = second_order_dc_dp(canon, at["alpha"], x)
+                cost = f(x)
+                assert cost.hex() == (d_c - lam_c * d_p).hex()
+                return cost
+
+            at["alpha" if alpha_pass else "noise"] = x = golden_min(g, lo, hi)
+            return x
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_golden_min", checked)
+            try:
+                lagrangian_scan(model, [lam])
+            except ValueError:  # a refusal follows the passes, which were checked
+                pass
+
     def test_default_scan_halves_the_calls(self, monkeypatch):
-        calls = []
+        # the objective is inline, so count its evaluations through _golden_min
+        evaluations = []
+        golden_min = oracle._golden_min
 
-        def counted(*args):
-            calls.append(None)
-            return second_order_dc_dp(*args)
+        def counted(f, lo, hi):
+            def g(x):
+                evaluations.append(None)
+                return f(x)
+            return golden_min(g, lo, hi)
 
-        monkeypatch.setattr(oracle, "second_order_dc_dp", counted)
-        lagrangian_scan(M, [1.0 / 0.6**2 * i / 8 for i in range(9)])  # `privcomm scan`
-        assert len(calls) == 1395  # 2782 with four rounds at every multiplier
+        monkeypatch.setattr(oracle, "_golden_min", counted)
+        lagrangian_scan(M, DEFAULT_SCAN)
+        assert len(evaluations) == 1386
+        evaluations.clear()
+        for lam in DEFAULT_SCAN:
+            four_round_scan(M, lam, 41)
+        assert len(evaluations) == 2772  # four rounds at every multiplier
+
+
+def test_scan_objective_makes_no_python_call():
+    objectives = [c for c in lagrangian_scan.__code__.co_consts if isinstance(c, types.CodeType)]
+    assert sorted(c.co_name for c in objectives) == ["alpha_cost", "noise_cost"]
+    python, builtin = calls_from(oracle._golden_min, lambda: lagrangian_scan(M, DEFAULT_SCAN))
+    assert sorted(set(python)) == ["alpha_cost", "noise_cost"] and builtin == []
+    for code in objectives:
+        assert calls_from(code, lambda: lagrangian_scan(M, DEFAULT_SCAN)) == ([], [])
 
 
 class TestGridMemory:
