@@ -2,10 +2,9 @@
 
 The package binds the public names of ``model`` and ``equilibrium``; those of
 ``curves``, ``oracle`` and ``montecarlo`` are imported from their modules.
-Only ``montecarlo`` and the oracle's grid search, which the simple and
-channel settings use, import numpy, so solving an equilibrium, sweeping a
-curve, inverting the rate map, scanning the multipliers and verifying a
-compression equilibrium never load it.
+Only ``montecarlo`` imports numpy, so solving an equilibrium, sweeping a
+curve, inverting the rate map, scanning the multipliers and verifying an
+equilibrium never load it.
 """
 
 from .equilibrium import (

@@ -8,10 +8,8 @@ infeasible input, 2 verification failure (verify command only).
 Relative ``--output`` paths are resolved against the ``PRIVCOMM_OUTPUT_DIR``
 environment variable when it is set.
 
-Each subcommand imports the modules it uses.  ``solve``, ``tradeoff``,
-``rate``, ``scan`` and the compression ``verify`` run without loading numpy;
-the simple and channel ``verify`` load it for the oracle's grid search, and
-``simulate`` through ``montecarlo``.
+Each subcommand imports the modules it uses.  Every subcommand but
+``simulate``, which loads numpy through ``montecarlo``, runs without it.
 """
 
 from __future__ import annotations

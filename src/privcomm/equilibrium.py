@@ -140,19 +140,17 @@ def mixing_gain(model: SourceModel, alpha):
     return 1.0 + 2.0 * alpha * model.rho + alpha * alpha * model.r
 
 
-def second_order_dc_dp(model: SourceModel, alpha, n_eff):
+def second_order_dc_dp(model: SourceModel, alpha: float, n_eff: float):
     """Distortion and privacy MMSE for Y = X + alpha*theta + noise.
 
-    ``n_eff`` is the noise variance normalized by sigma_x2.  Accepts scalars
-    or numpy arrays; the brute-force oracle's grid and refinement evaluate
-    encoders with it, and the solve core and the multiplier scan's costs
-    write the same arithmetic inline, which tests pin to it bit for bit.  A
-    NaN output variance passes the guard, as it would under ``numpy.any``.
+    ``n_eff`` is the noise variance normalized by sigma_x2.  The brute-force
+    oracle's search evaluates encoders with it, and the solve core and the
+    multiplier scan's costs write the same arithmetic inline, which tests pin
+    to it bit for bit.  A NaN output variance passes the guard.
     """
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     den = 1.0 + 2.0 * alpha * rho + alpha * alpha * r + n_eff  # mixing_gain + n_eff, inline
-    # a float (numpy's float64 is one) compares directly; numpy arrays need .any()
-    if den <= 0.0 if isinstance(den, float) else (den <= 0.0).any():
+    if den <= 0.0:
         raise RuntimeError("nonpositive output variance; invalid policy")
     # cancellation-free rewrites of 1 - (1+a*rho)^2/den and r - (rho+r*a)^2/den
     gap = r - rho**2

@@ -1,14 +1,18 @@
-"""Brute-force verification of the closed-form equilibria.
+"""Brute-force verification of the closed-form equilibria, without numpy.
 
 Independence is layered: (a) a from-first-principles covariance evaluator
-cross-checks the printed distortion/privacy formulas, and (b) a grid search
-with local refinement over the encoder parameters confirms that the
-closed-form solutions are true constrained minimizers and that encoder
-noise buys nothing.  A target is feasible by the solvers' own rule, at most
-dp_max * (1 + ENDPOINT_RTOL); compression holds its noise, so its search is
-one bisection over the encoder weight, without a grid or numpy.
-Both search the canonical model (1, c, 1) that every model rescales to, so
-one search box and one tolerance serve every scale (see ``_canonical``).
+cross-checks the printed distortion/privacy formulas; (b) a search over the
+linear-plus-noise encoders, a golden-section pass over the encoder noise with
+a bisection onto the constraint boundary at each noise, confirms that the
+closed-form solutions are true constrained minimizers in that family and that
+encoder noise buys nothing; and (c) in the simple and channel settings, a
+converse bound that holds for every encoder, nonlinear and randomized ones
+included, confirms that no encoder does better (see ``converse_dc``).  A
+target is feasible by the solvers' own rule, at most dp_max * (1 +
+ENDPOINT_RTOL); compression holds its noise, so its search is the bisection
+alone.  The searches and the multiplier scan work on the canonical model
+(1, c, 1) that every model rescales to, so one search box and one tolerance
+serve every scale (see ``_canonical``).
 """
 
 from __future__ import annotations
@@ -32,16 +36,9 @@ from .model import Record, SourceModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Points on each axis of the oracle grid: encoder weights and noise levels.
-GRID = 401
-
-#: Most grid cells evaluated at once (a block holds at least one row): each
-#: float64 temporary of a block is 64 KiB, half glibc's default mmap
-#: threshold, so the heap recycles it.
-BLOCK_CELLS = 8192
-
-#: Largest |D_C gap| and encoder noise at the oracle optimum that
-#: ``verify_equilibrium`` passes, in units of sigma_x2.
+#: Largest |D_C gap| to the oracle optimum and to the converse bound, and
+#: encoder noise at the optimum, that ``verify_equilibrium`` passes, in units
+#: of sigma_x2.
 VERIFY_TOL = 1e-5
 
 #: Bracket width at which the refinement's golden-section and bisection
@@ -59,16 +56,15 @@ def _canonical(model: SourceModel):
     sigma_N^2 = sigma_x2*n', D_C = sigma_x2*D_C', D_P = sigma_x2*r*D_P' and
     lam' = lam*r, which ``back`` applies; a channel enters only through
     sigma_z2/P_T.  c is clipped to 1 against rounding, and sqrt(r) taken as 1
-    when r = 0.  The searched alpha range [alpha_lo, 0.5] spans twice the
-    frontier's [-c, 0], padded.
+    when r = 0.  ``alpha_lo`` is the lower end of the multiplier scan's alpha
+    range [alpha_lo, 0.5], which spans twice the frontier's [-c, 0], padded.
     """
     s2, r = model.sigma_x2, model.r
     sqrt_r = math.sqrt(r) or 1.0
     canon = SourceModel(1.0, min(model.rho / sqrt_r, 1.0), 1.0)
 
     def back(alpha, noise_var, d_c, d_p):
-        return (float(alpha) / sqrt_r, s2 * float(noise_var), s2 * float(d_c),
-                s2 * (r * float(d_p)))
+        return alpha / sqrt_r, s2 * noise_var, s2 * d_c, s2 * (r * d_p)
 
     return canon, -2.0 * canon.rho - 0.5, back
 
@@ -143,7 +139,7 @@ def covariance_evaluate(
 
 
 def _evaluator(canon, setting, channel):
-    """(alpha, noise) -> canonical (d_c, d_p) of one setting; array friendly.
+    """(alpha, noise) -> canonical (d_c, d_p) of one setting.
 
     For the channel setting the transmit gain is pinned by the power
     constraint, so channel noise referred to the source scale depends on the
@@ -205,27 +201,6 @@ def _boundary_alpha(dc_dp, c, noise_var, d_p_target):
     return lo  # feasible side of the boundary
 
 
-def _grid_stage(dc_dp, alpha_axis, noise_axis, target):
-    """(best, cell) of the grid, evaluated one block of rows at a time.
-
-    ``best`` is the least D_C of a strictly feasible cell, and ``cell`` its
-    first (row, column) in row-major order; (inf, (0, 0)) when no cell is.
-    A block's best replaces the running one only when strictly smaller, so
-    both equal their values on the whole grid.
-    """
-    import numpy as np
-
-    best, cell = math.inf, (0, 0)
-    rows = max(1, BLOCK_CELLS // noise_axis.size)
-    for i in range(0, alpha_axis.size, rows):
-        d_c, d_p = dc_dp(alpha_axis[i:i + rows, None], noise_axis[None, :])
-        strict = np.where(d_p >= target, d_c, np.inf)
-        k, l = divmod(int(strict.argmin()), noise_axis.size)
-        if strict[k, l] < best:
-            best, cell = float(strict[k, l]), (i + k, l)
-    return best, cell
-
-
 def grid_search(
     model: SourceModel,
     setting: Setting,
@@ -238,28 +213,26 @@ def grid_search(
     A target above dp_max * (1 + ENDPOINT_RTOL), the solvers' bound, or NaN
     raises ``InfeasiblePrivacyTarget``.  Compression holds the noise at
     sigma_n2, so its search is one bisection onto the constraint boundary in
-    alpha.  The other settings search the canonical model on ``GRID``
-    encoder weights by ``GRID`` noise levels in [0, NOISE_MAX * sigma_x2],
-    evaluated in blocks of rows of ``BLOCK_CELLS`` cells at most, so the
-    search never holds the whole grid; then a golden-section pass over the
-    encoder noise, with that bisection at each noise, refines the optimum,
-    which must not lose to the best strictly feasible grid point.
+    alpha.  The other settings search the canonical model by a golden-section
+    pass over the encoder noise in [0, NOISE_MAX * sigma_x2], with that
+    bisection at each noise, and keep zero noise unless it loses.
     """
     if setting is Setting.CHANNEL:
         if channel is None:
             raise ValueError("channel setting requires a ChannelSpec")
-        # A <= 2.25 on the alpha axis and n' <= NOISE_MAX bound the channel's noise
+        # A <= 2.25 for every canonical alpha in [alpha_lo, 0.5], which holds the
+        # searched [-c, 0], and n' <= NOISE_MAX bound the channel's noise
         if not math.isfinite(channel.sigma_z2 * (2.25 + NOISE_MAX) / channel.p_t):
             raise ValueError(f"the oracle cannot resolve a channel with sigma_z2/P_T = "
                              f"{channel.sigma_z2 / channel.p_t!r}")
-    canon, alpha_lo, back = _canonical(model)
+    canon, _, back = _canonical(model)
     if setting is Setting.COMPRESSION:
         noise = math.nan if sigma_n2 is None else sigma_n2 / model.sigma_x2
         if not 0.0 < noise < math.inf:
             raise ValueError(f"compression search requires 0 < sigma_n2/sigma_x2 < inf, "
                              f"got sigma_n2={sigma_n2!r}")
     elif canon.degenerate:
-        raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle grid"))
+        raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle's search"))
     dp_max = model.sigma_x2 * model.r
     if not d_p_target <= dp_max * (1.0 + ENDPOINT_RTOL):  # NaN fails too
         raise InfeasiblePrivacyTarget(f"target {d_p_target} exceeds dp_max={dp_max}")
@@ -272,25 +245,43 @@ def grid_search(
         alpha, _, d_c_opt, d_p_opt = back(alpha, noise, *dc_dp(alpha, noise))
         return OracleOptimum(alpha, sigma_n2, d_c_opt, d_p_opt)  # the noise is held
 
-    import numpy as np  # only the grid search builds arrays
-
-    alpha_axis = np.linspace(alpha_lo, 0.5, GRID)
-    noise_axis = np.linspace(0.0, NOISE_MAX, GRID)
-    best, (k, l) = _grid_stage(dc_dp, alpha_axis, noise_axis, target)
-
     def constrained_dc(noise_var: float) -> float:
-        return float(dc_dp(_boundary_alpha(dc_dp, canon.rho, noise_var, target), noise_var)[0])
+        return dc_dp(_boundary_alpha(dc_dp, canon.rho, noise_var, target), noise_var)[0]
 
     noise = _golden_min(constrained_dc, 0.0, NOISE_MAX)
     # the minimum typically sits on the lower edge of the noise range
     if constrained_dc(0.0) <= constrained_dc(noise):
         noise = 0.0
     alpha = _boundary_alpha(dc_dp, canon.rho, noise, target)
-    # refinement must never lose to a strictly feasible grid point (with
-    # none, the minimum is inf, which no distortion exceeds)
-    if dc_dp(alpha, noise)[0] > best:
-        alpha, noise = float(alpha_axis[k]), float(noise_axis[l])
     return OracleOptimum(*back(alpha, noise, *dc_dp(alpha, noise)))
+
+
+def converse_dc(model: SourceModel, d_p: float, w: float) -> float:
+    """Least D_C / sigma_x2 of any encoder whose D_P is at least d_p <= dp_max.
+
+    ``w`` is the share of Var(Y) that the encoder sends over the channel,
+    P_T / (P_T + sigma_z2), and 1 in the simple setting.  The bound holds for
+    nonlinear and randomized encoders too; ``tests/test_converse.py`` derives
+    it.  In units of sigma_x2, with d0 = (r - rho^2)*(1 - w) and d the target
+    d_p / sigma_x2 raised to r - rho^2*w, below which the least D_C is 1 - w,
+    it is the least x on which f(x) = sqrt(x*d - d0) + sqrt((1 - x)*(r - d))
+    >= rho.  f is concave and peaks at x = d/r + (r - d)*d0/(r*d), so the
+    least x is bisected below the peak, to adjacent floats.  With rho = 0
+    the bound is 1 - w at every target.
+    """
+    rho, r = model.rho, model.r
+    if rho == 0.0:
+        return 1.0 - w
+    d = min(max(d_p / model.sigma_x2, r - rho * rho * w), r)
+    rd, d0 = r - d, (r - rho * rho) * (1.0 - w)
+    lo, hi = (d0 / d, d / r + rd * d0 / (r * d)) if d0 else (0.0, d / r)
+    sqrt = math.sqrt
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if sqrt(max(mid * d - d0, 0.0)) + sqrt((1.0 - mid) * rd) >= rho:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def verify_equilibrium(
@@ -300,7 +291,15 @@ def verify_equilibrium(
     d_p_target: float,
     sigma_n2: float | None = None,
 ) -> VerificationReport:
-    """Compare the closed-form equilibrium against the brute-force optimum."""
+    """Compare the closed-form equilibrium against the brute-force optimum.
+
+    It passes when the closed form's D_C lies within ``VERIFY_TOL`` * sigma_x2
+    of the oracle's.  In the simple and channel settings the oracle's optimum
+    must also use no more encoder noise than that, and the closed form's D_C
+    must lie that close to sigma_x2 * ``converse_dc`` at max(d_p_target, its
+    D_P), the least D_C of any encoder.  Compression at a fixed noise limits
+    no rate, so the bound does not cover it.
+    """
     if setting is Setting.SIMPLE:
         closed = solve_setting1(model, d_p_target)
     elif setting is Setting.COMPRESSION:
@@ -314,12 +313,15 @@ def verify_equilibrium(
     optimum = grid_search(model, setting, channel, d_p_target, sigma_n2)
     dc_gap = optimum.d_c - closed.d_c
     tol = VERIFY_TOL * model.sigma_x2
-    noise_ok = setting is Setting.COMPRESSION or optimum.noise_var <= tol
-    passed = abs(dc_gap) <= tol and noise_ok
+    passed = abs(dc_gap) <= tol
+    if setting is not Setting.COMPRESSION:
+        w = 1.0 if setting is Setting.SIMPLE else channel.p_t / (channel.p_t + channel.sigma_z2)
+        bound = model.sigma_x2 * converse_dc(model, max(d_p_target, closed.d_p), w)
+        passed = passed and optimum.noise_var <= tol and abs(closed.d_c - bound) <= tol
     return VerificationReport(
         oracle_optimum=optimum,
         closed_form=closed,
-        dc_gap=float(dc_gap),
+        dc_gap=dc_gap,
         passed=passed,
     )
 
@@ -339,8 +341,8 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     point: the first round whose noise pass returns the noise it began from.
     The passes' costs write ``second_order_dc_dp``'s arithmetic inline, in
     its order, with what a pass holds fixed worked out once per pass, so an
-    evaluation is one Python frame; the grid and the refinement still call
-    the evaluator, as does the scan for each point it returns.
+    evaluation is one Python frame; ``grid_search`` still calls the
+    evaluator, as does the scan for each point it returns.
     The optimum must sit at zero encoder noise; a noisy minimizer, or a
     lam*r beyond the float range, means that lam is too large for floating
     point to resolve the frontier point, and raises ``ValueError``.

@@ -39,8 +39,8 @@ GOLDENS = [
                                     "--pt", "1", "--sigma-z2", "1", "--grid", "9"]),
     ("solve_compression.json", ["solve", "--setting", "compression", *MODEL_FLAGS,
                                 "--dp", "0.92", "--sigma-n2", "0.7"]),
-    # the oracle in each setting: the grid stage for simple and channel, and the
-    # one bisection of compression, which builds no grid
+    # the oracle in each setting: the noise search and the converse bound for simple
+    # and channel, and the one bisection of compression
     ("verify_simple.json", ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"]),
     ("verify_compression.json", ["verify", "--setting", "compression", *MODEL_FLAGS,
                                  "--dp", "0.92", "--sigma-n2", "0.7"]),
@@ -62,10 +62,8 @@ GOLDENS = [
 ]
 
 #: The argvs of ``GOLDENS`` that run with numpy unavailable: every command but
-#: verify and simulate, and verify in the compression setting, whose oracle
-#: builds no grid.
-NUMPY_FREE = [argv for _, argv in GOLDENS if argv[0] in ("solve", "tradeoff", "rate", "scan")
-              or argv[:3] == ["verify", "--setting", "compression"]]
+#: simulate.
+NUMPY_FREE = [argv for _, argv in GOLDENS if argv[0] != "simulate"]
 
 # The console script's entry point, with numpy blocked when the first argument
 # says so; the remaining arguments are the command's argv.

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -428,7 +429,7 @@ class TestXiSign:
 
 
 class TestOutputVarianceGuard:
-    """The guard raises exactly where ``numpy.any(den <= 0)`` is true."""
+    """The guard raises exactly where den <= 0 is true."""
 
     # alpha = -rho/r on the model rho^2 = r gives den = 0 exactly
     DEG = validate_model(1.0, 1.0, 1.0)
@@ -443,20 +444,11 @@ class TestOutputVarianceGuard:
         with pytest.raises(RuntimeError, match="nonpositive"):
             second_order_dc_dp(self.DEG, np.float64(-1.0), np.float64(0.0))
 
-    def test_array_with_one_bad_cell(self):
-        alpha = np.array([-0.5, -1.0, 0.0])
-        with pytest.raises(RuntimeError, match="nonpositive"):
-            second_order_dc_dp(self.DEG, alpha, np.zeros(3))
-        d_c, d_p = second_order_dc_dp(self.DEG, alpha, np.full(3, 0.5))
-        assert np.all(np.isfinite(d_c)) and np.all(np.isfinite(d_p))
-
     def test_nan_does_not_raise(self):
         d_c, d_p = second_order_dc_dp(M, math.nan, 0.0)
         assert math.isnan(d_c) and math.isnan(d_p)
         d_c, _ = second_order_dc_dp(M, np.float64(math.nan), 0.0)
         assert math.isnan(d_c)
-        d_c, _ = second_order_dc_dp(M, np.array([math.nan, -0.3]), 0.0)
-        assert math.isnan(d_c[0]) and math.isfinite(d_c[1])
 
     def test_float_result_stays_float(self):
         d_c, d_p = second_order_dc_dp(M, -0.3, 0.1)
@@ -841,17 +833,6 @@ def test_single_solve_core_calls_only_the_floor(d_p):
         assert set(builtin) <= {"isfinite", "sqrt", "append"}
 
 
-def test_dc_dp_on_arrays_is_its_scalar_calls_elementwise():
-    alpha = np.linspace(-1.5, 0.25, 41)[:, None]
-    noise = np.array([0.0, 1e-12, 0.3, 1.0, 7.0, 1e6])[None, :]
-    for model in pinned_models():
-        a = alpha / math.sqrt(model.r)  # spans [-rho/r, 0] at every scale of r
-        d_c, d_p = second_order_dc_dp(model, a, noise)
-        for i, j in np.ndindex(d_c.shape):
-            c, p = second_order_dc_dp(model, float(a[i, 0]), float(noise[0, j]))
-            assert (float(d_c[i, j]).hex(), float(d_p[i, j]).hex()) == (c.hex(), p.hex())
-
-
 def test_boundary_fuzz_answers_no_negative_field():
     # models typed at and just inside rho^2 = r, and near it below, at every scale:
     # every answer of the three solvers has kappa >= 0, D_C and D_P >= +0.0 and a finite
@@ -886,3 +867,37 @@ def test_boundary_fuzz_answers_no_negative_field():
                 for value in (sol.d_c, sol.d_p):
                     assert math.copysign(1.0, value) == 1.0, sol
     assert answered > 0
+
+
+@pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+def test_decoder_gain_is_the_mmse_coefficient(setting):
+    # Y = beta*(X + alpha*theta + N) + Z, with the reported policy: Cov(X, Y) and
+    # Var(Y) by bilinearity, in exact rationals.  kappa must be Cov(X, Y)/Var(Y),
+    # and E(X - kappa*Y)^2 = sigma_x2 - 2*kappa*Cov(X, Y) + kappa^2*Var(Y) the
+    # reported D_C, at free, interior and endpoint targets
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        s2, r = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-2.0, 1.0)
+        model = validate_model(s2, rng.uniform(0.0, 0.99) * math.sqrt(r), r)
+        channel = ChannelSpec(10.0 ** rng.uniform(-2.0, 2.0) * s2,
+                              10.0 ** rng.uniform(-2.0, 2.0) * s2)
+        sigma_n2 = 10.0 ** rng.uniform(-2.0, 2.0) * s2
+        solve, floor, z = {
+            Setting.SIMPLE: (lambda t: solve_setting1(model, t),
+                             privacy_bounds(model).dp_min, 0.0),
+            Setting.COMPRESSION: (lambda t: solve_setting2(model, t, sigma_n2),
+                                  compression_privacy_floor(model, sigma_n2), 0.0),
+            Setting.CHANNEL: (lambda t: solve_setting3(model, t, channel),
+                              channel_privacy_floor(model, channel), channel.sigma_z2),
+        }[setting]
+        for frac in (0.0, 0.3, 0.9, 1.0):
+            sol = solve(floor + frac * (s2 * r - floor))
+            pol = sol.policy
+            x2, rho, rr, a, b, n = map(Fraction, (s2, model.rho, r, pol.alpha, pol.beta,
+                                                  pol.noise_var))
+            cov_xy = b * (x2 + a * x2 * rho)
+            var_y = b * b * (x2 + 2 * a * x2 * rho + a * a * x2 * rr + n) + Fraction(z)
+            assert sol.kappa == pytest.approx(float(cov_xy / var_y), rel=1e-12)
+            kappa = Fraction(sol.kappa)
+            d_c = x2 - 2 * kappa * cov_xy + kappa * kappa * var_y
+            assert sol.d_c == pytest.approx(float(d_c), rel=1e-12, abs=1e-12 * s2)

@@ -1,6 +1,6 @@
 import math
+import pathlib
 import sys
-import tracemalloc
 import types
 
 import numpy as np
@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from privcomm import (
     ChannelSpec,
+    EncoderPolicy,
+    EquilibriumSolution,
     InfeasiblePrivacyTarget,
     Setting,
     solve_setting1,
@@ -27,7 +29,7 @@ from privcomm.oracle import (
     verify_equilibrium,
 )
 
-from conftest import calls_from, source_models
+from conftest import calls_from, exact_channel_dc_dp, source_models
 
 M = validate_model(1.0, 0.6, 1.0)
 
@@ -116,7 +118,6 @@ class TestGridSearch:
     def test_compression_builds_no_grid(self, target, monkeypatch):
         # the noise is held, so the search is one bisection over alpha, without numpy
         monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.setattr(oracle, "_grid_stage", None)
         opt = grid_search(M, Setting.COMPRESSION, None, target, sigma_n2=0.5)
         assert opt.d_c == pytest.approx(solve_setting2(M, target, 0.5).d_c, abs=1e-6)
 
@@ -132,92 +133,6 @@ class TestGridSearch:
         noisy = grid_search(M, Setting.COMPRESSION, None, target, sigma_n2=forced_noise)
         assert noisy.noise_var == forced_noise
         assert noisy.d_c > base.d_c + 1e-6
-
-
-def whole_grid_stage(dc_dp, alpha_axis, noise_axis, target):
-    """``oracle._grid_stage`` on the whole grid at once, as before its blocks."""
-    d_c, d_p = dc_dp(alpha_axis[:, None], noise_axis[None, :])
-    strict = np.where(d_p >= target, d_c, np.inf)
-    k, l = np.unravel_index(int(np.argmin(strict)), strict.shape)
-    return float(strict[k, l]), (int(k), int(l))
-
-
-def blocked_and_whole(*args):
-    """``grid_search(*args)`` as (result or (exception type, message), grid stage)
-    for the blocked grid, then for the whole-grid reference; both stages are
-    None when the target is refused before the grid."""
-    stages = []
-    blocked_stage = oracle._grid_stage
-
-    def outcome():
-        try:
-            return grid_search(*args)
-        except InfeasiblePrivacyTarget as exc:
-            return type(exc), str(exc)
-
-    def spy(*stage_args):
-        stages.append((blocked_stage(*stage_args), whole_grid_stage(*stage_args)))
-        return stages[-1][1]
-
-    blocked = outcome()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_grid_stage", spy)
-        whole = outcome()
-    (blocked_stage_out, whole_stage_out), = stages or [(None, None)]
-    return (blocked, blocked_stage_out), (whole, whole_stage_out)
-
-
-@st.composite
-def grid_cases(draw):
-    """A model, a target up to 5 % beyond max privacy and a channel."""
-    model = draw(source_models(min_rho=0.05))
-    target = draw(st.floats(0.0, 1.05)) * model.sigma_x2 * model.r
-    return model, target, ChannelSpec(draw(st.floats(0.5, 4.0)), draw(st.floats(0.1, 2.0)))
-
-
-class TestBlockedGrid:
-    """The grid of the simple and channel settings is evaluated in blocks of
-    rows; every answer, refusal and grid stage must equal the whole-grid
-    evaluation's."""
-
-    @pytest.mark.parametrize("grid", [3, 4, 21, 401, 1001])
-    @pytest.mark.parametrize("setting", [Setting.SIMPLE, Setting.CHANNEL],
-                             ids=lambda s: s.value)
-    @settings(derandomize=True, max_examples=16, deadline=None)
-    @given(case=grid_cases())
-    def test_equals_whole_grid(self, setting, grid, case):
-        model, target, channel = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "GRID", grid)
-            blocked, whole = blocked_and_whole(
-                model, setting, channel if setting is Setting.CHANNEL else None, target)
-        assert blocked == whole
-
-    def test_infeasible_target_refused_alike(self):
-        blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 1.05)
-        assert blocked == whole
-        assert blocked == ((InfeasiblePrivacyTarget, "target 1.05 exceeds dp_max=1.0"), None)
-
-    def test_argmin_tie_keeps_the_first_cell(self):
-        # the grid's D_C rounded up to quarters ties cells in several blocks,
-        # and the refinement's scalar calls lose, so the first best cell wins
-        def tied(model, alpha, noise):
-            d_c, d_p = second_order_dc_dp(model, alpha, noise)
-            return (np.ceil(d_c * 4.0) / 4.0 if np.ndim(alpha) else d_c + 1.0), d_p
-
-        alpha_axis = np.linspace(_canonical(M)[1], 0.5, oracle.GRID)
-        noise_axis = np.linspace(0.0, oracle.NOISE_MAX, oracle.GRID)
-        d_c, d_p = tied(M, alpha_axis[:, None], noise_axis[None, :])
-        strict = np.where(d_p >= 0.84, d_c, np.inf)
-        rows, cols = np.nonzero(strict == strict.min())
-        assert len(set(rows // (oracle.BLOCK_CELLS // oracle.GRID))) > 1
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "second_order_dc_dp", tied)
-            blocked, whole = blocked_and_whole(M, Setting.SIMPLE, None, 0.84)
-        assert blocked == whole
-        assert blocked[1][1] == (rows[0], cols[0])
-        assert (blocked[0].alpha, blocked[0].noise_var) == (alpha_axis[rows[0]],
-                                                            noise_axis[cols[0]])
 
 
 class TestVerifyEquilibrium:
@@ -256,6 +171,37 @@ class TestVerifyEquilibrium:
         assert d_p_far == pytest.approx(0.84, rel=1e-9)
         opt = grid_search(M, Setting.SIMPLE, None, 0.84)
         assert d_c_far - opt.d_c > 0.01  # a wrong-root solver would be flagged
+
+    @pytest.mark.parametrize("oracle_agrees", [False, True])
+    def test_planted_wrong_root_fails(self, oracle_agrees, monkeypatch):
+        # alpha_minus in place of alpha_plus fails verify, and the converse bound
+        # fails it alone, with a search planted to agree with the closed form
+        sol = solve_setting1(M, 0.84)
+        far_alpha = 2.0 * (-M.rho / M.r) - sol.policy.alpha
+        d_c, d_p = covariance_evaluate(M, far_alpha, 0.0)
+        wrong = EquilibriumSolution(EncoderPolicy(far_alpha), sol.kappa, d_c, d_p, True)
+        monkeypatch.setattr(oracle, "solve_setting1", lambda model, target: wrong)
+        if oracle_agrees:
+            optimum = oracle.OracleOptimum(far_alpha, 0.0, d_c, d_p)
+            monkeypatch.setattr(oracle, "grid_search", lambda *args: optimum)
+        report = verify_equilibrium(M, Setting.SIMPLE, None, 0.84)
+        assert report.dc_gap == 0.0 if oracle_agrees else report.dc_gap < -0.01
+        assert not report.passed
+
+    def test_planted_wrong_channel_target_fails(self, monkeypatch):
+        # the effective target d' = d - (r - d)*sigma_z2/P_T taken over P_T + sigma_z2:
+        # a frontier point, but at more privacy than the target asks
+        ch = ChannelSpec(p_t=1.0, sigma_z2=1.0)
+        d = 0.92
+        d_eff = d - (M.r - d) * ch.sigma_z2 / (ch.p_t + ch.sigma_z2)
+        alpha = -M.rho / M.r + math.sqrt((M.r - d_eff) * (M.r - M.rho**2) / (M.r**2 * d_eff))
+        d_c, d_p = exact_channel_dc_dp(M, alpha, ch)
+        assert d_p > d + 0.01
+        beta = math.sqrt(ch.p_t / (1.0 + 2.0 * alpha * M.rho + alpha**2 * M.r))
+        wrong = EquilibriumSolution(EncoderPolicy(alpha, beta), 0.0, d_c, d_p, True)
+        monkeypatch.setattr(oracle, "solve_setting3", lambda model, target, channel: wrong)
+        report = verify_equilibrium(M, Setting.CHANNEL, ch, d)
+        assert report.dc_gap < -0.01 and not report.passed
 
 
 def test_wide_range_models_pass():
@@ -356,7 +302,11 @@ def four_round_scan(model, lam, grid):
     canon, lo_a, back = _canonical(model)
     alpha_axis = np.linspace(lo_a, 0.5, grid)
     noise_axis = np.linspace(0.0, oracle.NOISE_MAX, grid)
-    d_c_g, d_p_g = second_order_dc_dp(canon, alpha_axis[:, None], noise_axis[None, :])
+    a, n = alpha_axis[:, None], noise_axis[None, :]
+    # second_order_dc_dp's arithmetic, elementwise on the grid
+    den = 1.0 + 2.0 * a * canon.rho + a * a * canon.r + n
+    gap = canon.r - canon.rho**2
+    d_c_g, d_p_g = (a * a * gap + n) / den, (gap + canon.r * n) / den
     lam_c = lam * model.r
     _, j = np.unravel_index(int(np.argmin(d_c_g - d_p_g * lam_c)), d_c_g.shape)
     noise = float(noise_axis[j])
@@ -454,6 +404,47 @@ class TestScanFixedPoint:
         assert len(evaluations) == 2772  # four rounds at every multiplier
 
 
+def multiplier_map(model, lam):
+    """The frontier's alpha at multiplier lam, in closed form: at zero noise
+    d/d alpha (D_C - lam*D_P) = 0 is rho*alpha^2 + (1 + lam*r)*alpha + lam*rho = 0,
+    whose root in [-rho/r, 0], written without cancellation, is this one."""
+    rho, r = model.rho, model.r
+    return -2.0 * lam * rho / ((1.0 + lam * r)
+                               + math.sqrt((1.0 - lam * r) ** 2 + 4.0 * lam * (r - rho**2)))
+
+
+def assert_on_the_multiplier_map(model, lam, alpha, d_c, d_p):
+    """alpha (on the canonical scale), D_C and D_P within VERIFY_TOL of the map's point."""
+    tol = oracle.VERIFY_TOL * model.sigma_x2
+    alpha_ref = multiplier_map(model, lam)
+    d_c_ref, d_p_ref = covariance_evaluate(model, alpha_ref, 0.0)
+    assert abs(alpha - alpha_ref) * math.sqrt(model.r) <= oracle.VERIFY_TOL, lam
+    assert abs(d_c - d_c_ref) <= tol and abs(d_p - d_p_ref) <= tol, lam
+
+
+@pytest.mark.parametrize("golden, model", [
+    ("scan_simple.csv", M),
+    ("scan_lambdas.csv", validate_model(2.5, 0.3, 0.4)),
+])
+def test_scan_goldens_lie_on_the_multiplier_map(golden, model):
+    lines = (pathlib.Path(__file__).parent / "golden" / golden).read_text().splitlines()
+    assert lines[0] == "lambda,alpha,noise_var,d_p,d_c"
+    for line in lines[1:]:
+        lam, alpha, _, d_p, d_c = map(float, line.split(","))
+        assert_on_the_multiplier_map(model, lam, alpha, d_c, d_p)
+
+
+def test_scans_lie_on_the_multiplier_map():
+    # 9 multipliers on [0, 1/rho^2], the default scan, over the verify workload's
+    # models: sigma_x2 in U(0.1, 10), r in U(0.05, 4), rho/sqrt(r) in U(0.05, 0.99)
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        r = rng.uniform(0.05, 4.0)
+        model = validate_model(rng.uniform(0.1, 10.0), rng.uniform(0.05, 0.99) * math.sqrt(r), r)
+        for pt in lagrangian_scan(model, np.linspace(0.0, 1.0 / model.rho**2, 9)):
+            assert_on_the_multiplier_map(model, pt.lam, pt.alpha, pt.d_c, pt.d_p)
+
+
 def test_scan_objective_makes_no_python_call():
     objectives = [c for c in lagrangian_scan.__code__.co_consts if isinstance(c, types.CodeType)]
     assert sorted(c.co_name for c in objectives) == ["alpha_cost", "noise_cost"]
@@ -461,38 +452,6 @@ def test_scan_objective_makes_no_python_call():
     assert sorted(set(python)) == ["alpha_cost", "noise_cost"] and builtin == []
     for code in objectives:
         assert calls_from(code, lambda: lagrangian_scan(M, DEFAULT_SCAN)) == ([], [])
-
-
-class TestGridMemory:
-    """The blocked search holds a few blocks and a few grid-side arrays, never
-    the grid: traced peaks at grid 401 are 0.46 MB (simple) and 0.52 MB
-    (channel), about 8 arrays of one block's 64 KiB; the compression search
-    builds no grid, and its peak is under 1 KB."""
-
-    #: Float64 arrays of one block's size, and of the grid's side, that the
-    #: bound allows at once.
-    BLOCK_ARRAYS, SIDE_ARRAYS = 10, 8
-
-    @pytest.mark.parametrize("grid", [401, 1001])
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda: grid_search(M, Setting.SIMPLE, None, 0.84),
-            lambda: grid_search(M, Setting.CHANNEL, ChannelSpec(1.0, 1.0), 0.92),
-            lambda: grid_search(M, Setting.COMPRESSION, None, 0.9, sigma_n2=0.5),
-        ],
-        ids=["simple", "channel", "compression"],
-    )
-    def test_peak_within_blocks(self, run, grid, monkeypatch):
-        monkeypatch.setattr(oracle, "GRID", grid)
-        block = max(oracle.BLOCK_CELLS, grid)  # a block holds at least one row
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * (self.BLOCK_ARRAYS * block + self.SIDE_ARRAYS * grid)
 
 
 def test_alpha_range_without_theta():

@@ -2,9 +2,9 @@
 
 The oracle and Monte Carlo values were recorded from the straightforward
 implementation: fresh arrays per step, ``np.mean``/``np.std`` for the
-estimates, a ``meshgrid`` oracle grid.  The in-place kernel and the broadcast
-grid do the same arithmetic in the same order, so every pinned field must
-match with ``==``.  ``d_p_hat_regression`` is not pinned: it now sums with
+estimates, a ``meshgrid`` oracle grid ahead of the refinement.  The in-place
+kernel does the same arithmetic in the same order, and the grid decided none
+of the pinned optima, so every pinned field must match with ``==``.  ``d_p_hat_regression`` is not pinned: it now sums with
 pairwise reduction instead of a BLAS dot product, which moves its last digits.
 
 The solver and sweep values were recorded from the solve core that tested
@@ -35,7 +35,6 @@ from privcomm import (
     solve_setting3,
     validate_model,
 )
-from privcomm import oracle
 from privcomm.curves import (
     noise_for_rate,
     sweep_privacy_distortion,
@@ -47,7 +46,6 @@ from privcomm.oracle import grid_search, lagrangian_scan
 from conftest import exact_channel_dc_dp
 
 CHANNEL = ChannelSpec(1.5, 0.7)
-GRID_SIZE = 201
 
 GRID = [
     ((1.0, 0.6, 1.0), Setting.SIMPLE, 0.856, None,
@@ -195,8 +193,7 @@ NOISE_FOR_RATE = 2.6504321675226534
 
 
 @pytest.mark.parametrize("model, setting, target, sigma_n2, expected", GRID)
-def test_grid_search_pinned(model, setting, target, sigma_n2, expected, monkeypatch):
-    monkeypatch.setattr(oracle, "GRID", GRID_SIZE)
+def test_grid_search_pinned(model, setting, target, sigma_n2, expected):
     channel = CHANNEL if setting is Setting.CHANNEL else None
     opt = grid_search(validate_model(*model), setting, channel, target, sigma_n2)
     assert (opt.alpha, opt.noise_var, opt.d_c, opt.d_p) == expected
