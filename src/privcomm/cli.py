@@ -94,7 +94,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="Monte Carlo check of a solved equilibrium (JSON)")
     p.add_argument("--setting", choices=settings)
     add_common(p, "dp", "sigma_n2", "channel", "bits")
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=1_000_000,
+                   help="number of Monte Carlo samples; the signal chain holds 24 bytes each")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scan", help="Lagrange-multiplier frontier scan (CSV)")

@@ -19,12 +19,17 @@ from .model import Record, SourceModel, gaussian_conditional_entropy, require_me
 #: Identifier of the normal-variate stream, which ``privcomm simulate`` reports.
 GENERATOR = "numpy-pcg64"
 
-#: Bytes the signal chain holds per sample: four float64 arrays.
-BYTES_PER_SAMPLE = 4 * 8
+#: Bytes the signal chain holds per sample: three float64 rows.
+BYTES_PER_SAMPLE = 3 * 8
+
+#: Samples per block of the noise draws, of kappa*y and of the channel-power
+#: sum; each thread keeps one float64 buffer of this length (128 KiB).
+BLOCK = 2**14
 
 _SENDS_NOTHING = "the policy sends nothing (Var(Y) = 0); privacy MMSE undefined"
 
-#: Each thread's signal-chain workspace, kept between calls of one size.
+#: Each thread's signal-chain workspace, kept between calls of one size, and
+#: its block buffer.
 _local = threading.local()
 
 
@@ -62,13 +67,82 @@ class SimResult(Record):
 
 
 def _workspace(samples: int):
-    """The calling thread's (4, samples) float64 workspace, reused while
-    ``samples`` is unchanged; a new size drops the old one before allocating."""
+    """The calling thread's (3, samples) float64 workspace and ``BLOCK`` buffer.
+
+    The workspace is reused while ``samples`` is unchanged; a new size drops
+    the old one before allocating.  The buffer is allocated once per thread.
+    """
     ws = getattr(_local, "ws", None)
     if ws is None or ws.shape[1] != samples:
         _local.ws = ws = None
-        _local.ws = ws = np.empty((4, samples))
-    return ws
+        _local.ws = ws = np.empty((3, samples))
+    buf = getattr(_local, "buf", None)
+    if buf is None:
+        _local.buf = buf = np.empty(BLOCK)
+    return ws, buf
+
+
+def _blocks(n: int, buf):
+    """(slice, buffer view) pairs that cover ``range(n)`` in order, a block at a time."""
+    for start in range(0, n, BLOCK):
+        yield slice(start, start + BLOCK), buf[:min(BLOCK, n - start)]
+
+
+def _add_noise(y, variance: float, rng, buf) -> None:
+    """``y += sqrt(variance) * z`` for standard normals z, drawn a block at a time.
+
+    Generator's ziggurat keeps no state between calls, so the blocks take the
+    same stream as one ``standard_normal(out=row)`` draw.
+    """
+    scale = math.sqrt(variance)
+    for rows, b in _blocks(y.size, buf):
+        rng.standard_normal(out=b)
+        b *= scale
+        np.add(y[rows], b, out=y[rows])
+
+
+def _sum_of_squares(a, buf):
+    """``np.add.reduce(np.square(a))`` of a contiguous float64 row, bit for bit,
+    with no row of squares.
+
+    numpy sums such a row on one pairwise tree, whose nodes of n > 128 elements
+    split at n//2 - (n//2) % 8.  That split is walked down to nodes of at most
+    ``BLOCK`` elements, which are squared into the buffer and summed by numpy.
+    Node sums are added by ``np.add.reduce`` too, so an overflow raises
+    "overflow encountered in reduce", as the whole-row sum does.
+    """
+    n = a.size
+    if n <= BLOCK:
+        return np.add.reduce(np.square(a, out=buf[:n]))
+    half = n // 2
+    half -= half % 8
+    return np.add.reduce((_sum_of_squares(a[:half], buf), _sum_of_squares(a[half:], buf)))
+
+
+def _mean_square(y, buf) -> float:
+    """``_mean(np.square(y))`` through ``_sum_of_squares``, bit for bit, and with
+    the error that the whole-row square and sum would raise."""
+    try:
+        total = _sum_of_squares(y, buf)
+    except FloatingPointError:
+        # the whole-row square runs before the sum: its overflow, anywhere, comes first
+        for rows, b in _blocks(y.size, buf):
+            np.square(y[rows], out=b)
+        raise
+    return float(total / y.size)
+
+
+def _subtract_scaled(x, gain: float, y, buf):
+    """``x -= gain*y`` in place, with gain*y taken a block at a time; returns ``x``.
+
+    A sampled x is a standard normal times sigma_x < 2^512, hundreds of binary
+    orders below half an ulp of the largest float (2^970), so the difference
+    overflows only where the product does: the first error is the product's,
+    as in the whole-row order.
+    """
+    for rows, b in _blocks(y.size, buf):
+        np.subtract(x[rows], np.multiply(y[rows], gain, out=b), out=x[rows])
+    return x
 
 
 def _draw_joint(model: SourceModel, rng, ws):
@@ -94,14 +168,15 @@ def _signal_chain(
     channel: ChannelSpec | None,
     config: SimConfig,
 ):
-    """Return (x, theta, y, scratch, power_hat) for the configured setting.
+    """Return (x, theta, y, buf, power_hat) for the configured setting.
 
-    The chain lives in the thread's workspace, four rows of ``samples``
-    float64 values (``BYTES_PER_SAMPLE``): x and theta share one draw, y is
-    built in place, and the scratch row takes the encoder noise, then the
-    channel noise, and is free for the caller.  The rows are overwritten by
-    the thread's next call.  ``power_hat`` is the mean of u^2 before the
-    channel noise (``None`` outside the channel setting).
+    The chain lives in the thread's workspace, three rows of ``samples``
+    float64 values (``BYTES_PER_SAMPLE``): x and theta share one draw and y is
+    built in place.  The encoder and channel noise are drawn into the
+    ``BLOCK`` buffer a block at a time and added to y; the buffer is free for
+    the caller.  The rows are overwritten by the thread's next call.
+    ``power_hat`` is the mean of u^2 before the channel noise (``None``
+    outside the channel setting).
     """
     if config.setting is Setting.CHANNEL:
         if channel is None:
@@ -111,23 +186,18 @@ def _signal_chain(
     elif policy.beta != 1.0:
         raise ValueError("settings 1/2 use a unit transmit gain")
     rng = np.random.default_rng(config.seed)
-    ws = _workspace(config.samples)
+    ws, buf = _workspace(config.samples)
     x, theta = _draw_joint(model, rng, ws)
     y = np.multiply(theta, policy.alpha, out=ws[2])
     y += x
-    scratch = ws[3]
     if policy.noise_var > 0.0:
-        rng.standard_normal(out=scratch)
-        scratch *= math.sqrt(policy.noise_var)
-        y += scratch
+        _add_noise(y, policy.noise_var, rng, buf)
     power_hat = None
     if config.setting is Setting.CHANNEL:
         y *= policy.beta
-        power_hat = _mean(np.square(y, out=scratch))
-        rng.standard_normal(out=scratch)
-        scratch *= math.sqrt(channel.sigma_z2)
-        y += scratch
-    return x, theta, y, scratch, power_hat
+        power_hat = _mean_square(y, buf)
+        _add_noise(y, channel.sigma_z2, rng, buf)
+    return x, theta, y, buf, power_hat
 
 
 def _mean(a) -> float:
@@ -180,8 +250,10 @@ def simulate_policy(
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            x, theta, y, e, power_hat = _signal_chain(model, policy, channel, config)
-            d_c_hat, stderr_dc = _mean_stderr(_squared_error(x, decoder_gain, y, e))
+            x, theta, y, buf, power_hat = _signal_chain(model, policy, channel, config)
+            # x is spent on x - kappa*y; that row is the scratch row from then on
+            e = _subtract_scaled(x, decoder_gain, y, buf)
+            d_c_hat, stderr_dc = _mean_stderr(np.square(e, out=e))
 
             c = _analytic_theta_coefficient(model, policy, channel)
             d_p_hat, stderr_dp = _mean_stderr(_squared_error(theta, c, y, e))

@@ -59,6 +59,9 @@ GOLDENS = [
     ("simulate_channel.json",
      ["simulate", "--setting", "channel", *MODEL_FLAGS, "--dp", "0.92",
       "--pt", "1", "--sigma-z2", "1", "--samples", "200000", "--seed", "2"]),
+    ("simulate_simple.json",
+     ["simulate", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84",
+      "--samples", "200000", "--seed", "2"]),
 ]
 
 #: The argvs of ``GOLDENS`` that run with numpy unavailable: every command but
@@ -483,6 +486,16 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert err == ("error: the Monte Carlo moments overflow a float "
                        "(overflow encountered in square)\n")
+
+    def test_simulate_power_sum_overflow_exits_1(self):
+        # each u^2 is near 1e304 and finite; their sum over more than one
+        # block of samples overflows a float
+        code, out, err = run(["simulate", "--setting", "channel", *MODEL_FLAGS, "--dp", "0.92",
+                              "--pt", "1e304", "--sigma-z2", "1", "--samples", "40000",
+                              "--seed", "1"])
+        assert code == 1 and out == ""
+        assert err == ("error: the Monte Carlo moments overflow a float "
+                       "(overflow encountered in reduce)\n")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--samples", "1", "samples must be >= 2, got 1"),

@@ -19,7 +19,18 @@ from privcomm import (
     solve_setting3,
     validate_model,
 )
-from privcomm.montecarlo import SimConfig, _draw_joint, simulate_policy
+from privcomm.montecarlo import (
+    BLOCK,
+    BYTES_PER_SAMPLE,
+    SimConfig,
+    SimResult,
+    _add_noise,
+    _analytic_theta_coefficient,
+    _draw_joint,
+    _mean_square,
+    _sum_of_squares,
+    simulate_policy,
+)
 
 M = validate_model(1.0, 0.6, 1.0)
 N = 200_000
@@ -159,19 +170,24 @@ def test_channel_outside_channel_setting_refused(setting):
 
 
 def test_kernel_peak_memory():
-    # every draw (encoder and channel noise) runs; the chain holds four arrays
+    # every draw (encoder and channel noise) runs; a fresh thread allocates its
+    # workspace inside the trace, so the peak counts the chain's three rows;
+    # a first call here loads what numpy imports on first use
     n = 200_000
     ch = ChannelSpec(p_t=1.0, sigma_z2=1.0)
     policy = EncoderPolicy(alpha=-0.3, noise_var=0.2, beta=0.8)
     cfg = SimConfig(samples=n, seed=4, setting=Setting.CHANNEL)
     simulate_policy(M, policy, ch, 0.7, cfg)
-    tracemalloc.start()
-    try:
-        simulate_policy(M, policy, ch, 0.7, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * 8 * n
+
+    def first_call_peak():
+        tracemalloc.start()
+        try:
+            simulate_policy(M, policy, ch, 0.7, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert in_new_thread(first_call_peak) <= 3.5 * 8 * n
 
 
 def in_new_thread(f):
@@ -255,14 +271,117 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
 
-        assert in_new_thread(growth_peak) <= 4.5 * 8 * 2 * n
+        assert in_new_thread(growth_peak) <= 3.5 * 8 * 2 * n
 
 
 def test_samples_beyond_physical_memory_rejected(monkeypatch):
-    monkeypatch.setattr(privcomm.model, "physical_memory", lambda: 32 * 1000)
+    monkeypatch.setattr(privcomm.model, "physical_memory", lambda: BYTES_PER_SAMPLE * 1000)
     SimConfig(samples=1000, seed=0, setting=Setting.SIMPLE)
     with pytest.raises(ValueError, match="physical memory"):
         SimConfig(samples=1001, seed=0, setting=Setting.SIMPLE)
+
+
+def four_row_chain(model, policy, channel, decoder_gain, config):
+    """The signal chain as whole-row numpy calls on four float64 rows, the
+    fourth a scratch row: what the blocked three-row chain must reproduce."""
+    n = config.samples
+    rng = np.random.default_rng(config.seed)
+    ws = np.empty((4, n))
+    x, theta = ws[:2]
+    rng.standard_normal(out=ws[:2])
+    theta *= math.sqrt(model.r - model.rho**2)
+    theta += np.multiply(x, model.rho, out=ws[2])
+    theta *= math.sqrt(model.sigma_x2)
+    x *= math.sqrt(model.sigma_x2)
+    y = np.multiply(theta, policy.alpha, out=ws[2])
+    y += x
+    e = ws[3]
+    if policy.noise_var > 0.0:
+        rng.standard_normal(out=e)
+        e *= math.sqrt(policy.noise_var)
+        y += e
+    power_hat = None
+    if channel is not None:
+        y *= policy.beta
+        power_hat = float(np.mean(np.square(y, out=e)))
+        rng.standard_normal(out=e)
+        e *= math.sqrt(channel.sigma_z2)
+        y += e
+
+    def squared_error(target, gain):
+        return np.square(target - y * gain)
+
+    def mean_stderr(a):
+        return float(np.mean(a)), float(np.std(a, ddof=1)) / math.sqrt(n)
+
+    d_c, stderr_dc = mean_stderr(squared_error(x, decoder_gain))
+    d_p, stderr_dp = mean_stderr(
+        squared_error(theta, _analytic_theta_coefficient(model, policy, channel)))
+    c_hat = float(np.add.reduce(theta * y) / np.add.reduce(y * y))
+    d_p_reg = float(np.mean(squared_error(theta, c_hat)))
+    return SimResult(d_c, d_p, d_p_reg, power_hat, gaussian_conditional_entropy(d_p),
+                     stderr_dc, stderr_dp)
+
+
+#: Sizes around numpy's pairwise-sum leaf (8, 128) and around the block.
+PARITY_SIZES = [2, 7, 8, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 200_000]
+
+
+class TestThreeRowParity:
+    """The blocked three-row chain gives every output of the whole-row chain,
+    bit for bit."""
+
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    @pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+    @pytest.mark.parametrize("alpha, noise_var", [(-0.3, 0.2), (-0.3, 0.0), (0.0, 0.0)],
+                             ids=["noise", "noiseless", "alpha-0"])
+    def test_simulate_equals_four_row_chain(self, n, setting, alpha, noise_var):
+        channel, beta = None, 1.0
+        if setting is Setting.CHANNEL:
+            channel, beta = ChannelSpec(p_t=1.0, sigma_z2=1.0), 0.8
+        args = (M, EncoderPolicy(alpha, beta, noise_var), channel, 0.7,
+                SimConfig(n, n + 17, setting))
+        assert simulate_policy(*args) == four_row_chain(*args)
+
+    @pytest.mark.parametrize("n", [*PARITY_SIZES, 1_000_003])
+    def test_blocked_sum_of_squares_is_numpys(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-150.0, 150.0, n)
+        assert _sum_of_squares(a, np.empty(BLOCK)) == np.add.reduce(np.square(a))
+
+    @pytest.mark.parametrize("n", [n for n in [*PARITY_SIZES, 1_000_003] if n > 128])
+    def test_blocked_sum_splits_where_numpy_does(self, n):
+        # q = fl(a^2) < ulp(1)/2 < 2q: 1 + q + q is 1 where q meets 1 first,
+        # 1 + 2^-52 where the two q's meet first; they straddle numpy's split
+        half = n // 2 - (n // 2) % 8
+        a = np.zeros(n)
+        a[0] = 1.0
+        a[half - 1] = a[half] = 1.2 * 2.0**-27
+        assert np.add.reduce(np.square(a)) == 1.0
+        assert _sum_of_squares(a, np.empty(BLOCK)) == 1.0
+
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_block_draws_are_one_whole_row_draw(self, n):
+        row = np.empty(n)
+        whole = np.random.default_rng(n)
+        whole.standard_normal(out=row)
+        blocked = np.random.default_rng(n)
+        y = np.zeros(n)
+        _add_noise(y, 1.0, blocked, np.empty(BLOCK))
+        assert np.array_equal(y, row)
+        assert blocked.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("late, message", [(1e154, "in reduce"), (1e155, "in square")],
+                             ids=["sum", "square"])
+    def test_power_overflow_names_what_the_whole_row_would(self, late, message):
+        # the first leaf's sum overflows; a later square overflows as well or not
+        y = np.full(3 * BLOCK, 1e154)
+        y[-1] = late
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match=message):
+                np.mean(np.square(y))
+            with pytest.raises(FloatingPointError, match=message):
+                _mean_square(y, np.empty(BLOCK))
 
 
 def test_output_independent_of_blas_threads():

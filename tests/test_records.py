@@ -189,7 +189,7 @@ def test_sim_config_refuses_samples_beyond_physical_memory(monkeypatch):
     with pytest.raises(ValueError) as info:
         SimConfig(10**6, 0, Setting.SIMPLE)
     assert str(info.value) == (
-        "samples=1000000 needs 31 MiB, more than the 1 MiB of physical memory"
+        "samples=1000000 needs 23 MiB, more than the 1 MiB of physical memory"
     )
 
 
