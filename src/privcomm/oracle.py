@@ -1,18 +1,18 @@
 """Brute-force verification of the closed-form equilibria, without numpy.
 
 Independence is layered: (a) a from-first-principles covariance evaluator
-cross-checks the printed distortion/privacy formulas; (b) a search over the
-linear-plus-noise encoders, a golden-section pass over the encoder noise with
-a bisection onto the constraint boundary at each noise, confirms that the
-closed-form solutions are true constrained minimizers in that family and that
-encoder noise buys nothing; and (c) in the simple and channel settings, a
-converse bound that holds for every encoder, nonlinear and randomized ones
-included, confirms that no encoder does better (see ``converse_dc``).  A
-target is feasible by the solvers' own rule, at most dp_max * (1 +
-ENDPOINT_RTOL); compression holds its noise, so its search is the bisection
-alone.  The searches and the multiplier scan work on the canonical model
-(1, c, 1) that every model rescales to, so one search box and one tolerance
-serve every scale (see ``_canonical``).
+cross-checks the printed distortion/privacy formulas; (b) a bisection onto
+the constraint boundary over the linear encoders, at the setting's own
+encoder noise (none in the simple and channel settings, the held sigma_N^2
+in compression), confirms that the closed-form solutions are true
+constrained minimizers in that family; and (c) in the simple and channel
+settings, a converse bound that holds for every encoder, nonlinear and
+randomized ones included, confirms that no encoder does better, so that no
+encoder noise helps either (see ``converse_dc``).  A target is feasible by
+the solvers' own rule, at most dp_max * (1 + ENDPOINT_RTOL).  The search and
+the multiplier scan work on the canonical model (1, c, 1) that every model
+rescales to, so one search box and one tolerance serve every scale (see
+``_canonical``).
 """
 
 from __future__ import annotations
@@ -36,16 +36,15 @@ from .model import Record, SourceModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Largest |D_C gap| to the oracle optimum and to the converse bound, and
-#: encoder noise at the optimum, that ``verify_equilibrium`` passes, in units
-#: of sigma_x2.
+#: Largest |D_C gap| to the oracle optimum and to the converse bound that
+#: ``verify_equilibrium`` passes, in units of sigma_x2.
 VERIFY_TOL = 1e-5
 
 #: Bracket width at which the refinement's golden-section and bisection
 #: passes stop, in canonical units; no bracket is wider than 4.
 REFINE_TOL = 1e-7
 
-#: Largest searched encoder noise, in units of sigma_x2.
+#: Largest encoder noise that the multiplier scan searches, in units of sigma_x2.
 NOISE_MAX = 4.0
 
 
@@ -138,17 +137,17 @@ def covariance_evaluate(
                          f"alpha={alpha!r}, beta={beta!r}") from None
 
 
-def _evaluator(canon, setting, channel):
-    """(alpha, noise) -> canonical (d_c, d_p) of one setting.
+def _evaluator(canon, setting, channel, noise):
+    """alpha -> canonical (d_c, d_p) of one setting at encoder noise ``noise``.
 
     For the channel setting the transmit gain is pinned by the power
     constraint, so channel noise referred to the source scale depends on the
     transmit variance.
     """
     if setting is not Setting.CHANNEL:
-        return lambda alpha, noise: second_order_dc_dp(canon, alpha, noise)
+        return lambda alpha: second_order_dc_dp(canon, alpha, noise)
     z, p_t = channel.sigma_z2, channel.p_t
-    return lambda alpha, noise: second_order_dc_dp(
+    return lambda alpha: second_order_dc_dp(
         canon, alpha, noise + z * (mixing_gain(canon, alpha) + noise) / p_t)
 
 
@@ -177,8 +176,8 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return (a + b) / 2.0
 
 
-def _boundary_alpha(dc_dp, c, noise_var, d_p_target):
-    """The feasible canonical alpha with minimal distortion at fixed encoder noise.
+def _boundary_alpha(dc_dp, c, d_p_target):
+    """The feasible canonical alpha with minimal distortion.
 
     D_P decreases monotonically from dp_max at alpha = -c to the noise floor
     at alpha = 0, while D_C decreases toward alpha = 0; the constrained
@@ -187,14 +186,14 @@ def _boundary_alpha(dc_dp, c, noise_var, d_p_target):
     alpha = -c when even max privacy misses it, which after ``grid_search``'s
     feasibility test only a target within rounding of dp_max does.
     """
-    if dc_dp(0.0, noise_var)[1] >= d_p_target:
+    if dc_dp(0.0)[1] >= d_p_target:
         return 0.0
     lo, hi = -c, 0.0
-    if dc_dp(lo, noise_var)[1] < d_p_target:
+    if dc_dp(lo)[1] < d_p_target:
         return lo
     while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        if dc_dp(mid, noise_var)[1] >= d_p_target:
+        if dc_dp(mid)[1] >= d_p_target:
             lo = mid
         else:
             hi = mid
@@ -211,18 +210,17 @@ def grid_search(
     """Constrained brute-force minimizer of D_C subject to D_P >= d_p_target.
 
     A target above dp_max * (1 + ENDPOINT_RTOL), the solvers' bound, or NaN
-    raises ``InfeasiblePrivacyTarget``.  Compression holds the noise at
-    sigma_n2, so its search is one bisection onto the constraint boundary in
-    alpha.  The other settings search the canonical model by a golden-section
-    pass over the encoder noise in [0, NOISE_MAX * sigma_x2], with that
-    bisection at each noise, and keep zero noise unless it loses.
+    raises ``InfeasiblePrivacyTarget``.  The search is one bisection onto the
+    constraint boundary in alpha, on the canonical model, at the setting's
+    own encoder noise: the held sigma_n2 in compression and none in the
+    simple and channel settings, where ``verify_equilibrium``'s converse
+    bound covers every noisy encoder.
     """
     if setting is Setting.CHANNEL:
         if channel is None:
             raise ValueError("channel setting requires a ChannelSpec")
-        # A <= 2.25 for every canonical alpha in [alpha_lo, 0.5], which holds the
-        # searched [-c, 0], and n' <= NOISE_MAX bound the channel's noise
-        if not math.isfinite(channel.sigma_z2 * (2.25 + NOISE_MAX) / channel.p_t):
+        # A <= 1 on the searched [-c, 0] without encoder noise bounds the channel's noise
+        if not math.isfinite(channel.sigma_z2 / channel.p_t):
             raise ValueError(f"the oracle cannot resolve a channel with sigma_z2/P_T = "
                              f"{channel.sigma_z2 / channel.p_t!r}")
     canon, _, back = _canonical(model)
@@ -233,27 +231,17 @@ def grid_search(
                              f"got sigma_n2={sigma_n2!r}")
     elif canon.degenerate:
         raise DegenerateModelError(model, _SENDS_NOTHING.format("the oracle's search"))
+    else:
+        sigma_n2 = noise = 0.0
     dp_max = model.sigma_x2 * model.r
     if not d_p_target <= dp_max * (1.0 + ENDPOINT_RTOL):  # NaN fails too
         raise InfeasiblePrivacyTarget(f"target {d_p_target} exceeds dp_max={dp_max}")
     # with r = 0, D_P = 0 for every encoder, and only a target <= 0 is left
     target = d_p_target / model.sigma_x2 / model.r if model.r else -math.inf
-    dc_dp = _evaluator(canon, setting, channel)
-
-    if setting is Setting.COMPRESSION:
-        alpha = _boundary_alpha(dc_dp, canon.rho, noise, target)
-        alpha, _, d_c_opt, d_p_opt = back(alpha, noise, *dc_dp(alpha, noise))
-        return OracleOptimum(alpha, sigma_n2, d_c_opt, d_p_opt)  # the noise is held
-
-    def constrained_dc(noise_var: float) -> float:
-        return dc_dp(_boundary_alpha(dc_dp, canon.rho, noise_var, target), noise_var)[0]
-
-    noise = _golden_min(constrained_dc, 0.0, NOISE_MAX)
-    # the minimum typically sits on the lower edge of the noise range
-    if constrained_dc(0.0) <= constrained_dc(noise):
-        noise = 0.0
-    alpha = _boundary_alpha(dc_dp, canon.rho, noise, target)
-    return OracleOptimum(*back(alpha, noise, *dc_dp(alpha, noise)))
+    dc_dp = _evaluator(canon, setting, channel, noise)
+    alpha = _boundary_alpha(dc_dp, canon.rho, target)
+    alpha, _, d_c, d_p = back(alpha, noise, *dc_dp(alpha))
+    return OracleOptimum(alpha, sigma_n2, d_c, d_p)  # the noise is held
 
 
 def converse_dc(model: SourceModel, d_p: float, w: float) -> float:
@@ -294,11 +282,11 @@ def verify_equilibrium(
     """Compare the closed-form equilibrium against the brute-force optimum.
 
     It passes when the closed form's D_C lies within ``VERIFY_TOL`` * sigma_x2
-    of the oracle's.  In the simple and channel settings the oracle's optimum
-    must also use no more encoder noise than that, and the closed form's D_C
-    must lie that close to sigma_x2 * ``converse_dc`` at max(d_p_target, its
-    D_P), the least D_C of any encoder.  Compression at a fixed noise limits
-    no rate, so the bound does not cover it.
+    of the oracle's.  In the simple and channel settings the closed form's D_C
+    must also lie that close to sigma_x2 * ``converse_dc`` at max(d_p_target,
+    its D_P), the least D_C of any encoder, noisy and nonlinear ones
+    included.  Compression at a fixed noise limits no rate, so the bound does
+    not cover it.
     """
     if setting is Setting.SIMPLE:
         closed = solve_setting1(model, d_p_target)
@@ -317,7 +305,7 @@ def verify_equilibrium(
     if setting is not Setting.COMPRESSION:
         w = 1.0 if setting is Setting.SIMPLE else channel.p_t / (channel.p_t + channel.sigma_z2)
         bound = model.sigma_x2 * converse_dc(model, max(d_p_target, closed.d_p), w)
-        passed = passed and optimum.noise_var <= tol and abs(closed.d_c - bound) <= tol
+        passed = passed and abs(closed.d_c - bound) <= tol
     return VerificationReport(
         oracle_optimum=optimum,
         closed_form=closed,
@@ -341,8 +329,8 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     point: the first round whose noise pass returns the noise it began from.
     The passes' costs write ``second_order_dc_dp``'s arithmetic inline, in
     its order, with what a pass holds fixed worked out once per pass, so an
-    evaluation is one Python frame; ``grid_search`` still calls the
-    evaluator, as does the scan for each point it returns.
+    evaluation is one Python frame; the scan calls it for each point it
+    returns, as ``grid_search`` does through ``_evaluator``.
     The optimum must sit at zero encoder noise; a noisy minimizer, or a
     lam*r beyond the float range, means that lam is too large for floating
     point to resolve the frontier point, and raises ``ValueError``.
@@ -350,7 +338,6 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     canon, lo_a, back = _canonical(model)
     if canon.degenerate:
         raise DegenerateModelError(model, _SENDS_NOTHING.format("the scan's alpha range"))
-    dc_dp = _evaluator(canon, Setting.SIMPLE, None)
     rho, r, s2 = canon.rho, canon.r, canon.sigma_x2
     gap = r - rho**2
 
@@ -388,7 +375,7 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
             noise = _golden_min(noise_cost, 0.0, NOISE_MAX)
             if noise == start:
                 break
-        alpha, noise_var, d_c, d_p = back(alpha, noise, *dc_dp(alpha, noise))
+        alpha, noise_var, d_c, d_p = back(alpha, noise, *second_order_dc_dp(canon, alpha, noise))
         if noise > 1e-4:
             raise ValueError(_TOO_LARGE.format(
                 lam, f"the scan's minimizer has encoder noise {noise_var}"))

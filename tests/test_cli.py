@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import warnings
@@ -39,8 +40,8 @@ GOLDENS = [
                                     "--pt", "1", "--sigma-z2", "1", "--grid", "9"]),
     ("solve_compression.json", ["solve", "--setting", "compression", *MODEL_FLAGS,
                                 "--dp", "0.92", "--sigma-n2", "0.7"]),
-    # the oracle in each setting: the noise search and the converse bound for simple
-    # and channel, and the one bisection of compression
+    # the oracle in each setting: one bisection at the setting's own encoder noise,
+    # and the converse bound for simple and channel
     ("verify_simple.json", ["verify", "--setting", "simple", *MODEL_FLAGS, "--dp", "0.84"]),
     ("verify_compression.json", ["verify", "--setting", "compression", *MODEL_FLAGS,
                                  "--dp", "0.92", "--sigma-n2", "0.7"]),
@@ -98,6 +99,15 @@ class TestGolden:
     def test_console_entry_in_fresh_interpreter(self, golden, argv):
         numpy = "no-numpy" if argv in NUMPY_FREE else "numpy"
         proc = run_process(argv, entry=("-c", CONSOLE, numpy))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (GOLDEN / golden).read_text()
+
+    def test_installed_script(self, golden, argv):
+        # the console script that installing the package writes; CI installs it
+        script = shutil.which("privcomm")
+        if script is None:
+            pytest.skip("no privcomm script is installed")
+        proc = subprocess.run([script, *argv], capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == (GOLDEN / golden).read_text()
 
@@ -212,6 +222,33 @@ class TestRejectedInputs:
         code, out, err = run([*argv, "--config", str(cfg)])
         assert (code, out) == (1, "")
         assert err == f"error: {cfg}:1: unknown key {flag[2:]!r}\n"
+
+    REQUIRED = [
+        (["solve", "--setting", "simple", "--rho", "0.6", "--r", "1", "--dp", "0.84"],
+         "missing required model parameter --sigma-x2"),
+        (["verify", "--setting", "simple", "--sigma-x2", "1", "--r", "1", "--dp", "0.84"],
+         "missing required model parameter --rho"),
+        (["scan", "--sigma-x2", "1", "--rho", "0.6"], "missing required model parameter --r"),
+        (["tradeoff", *MODEL_FLAGS], "missing required --setting"),
+        (["simulate", "--setting", "simple", *MODEL_FLAGS], "missing required --dp"),
+        (["rate", *MODEL_FLAGS, "--dp", "0.9"], "missing required --noise-grid"),
+        (["solve", "--setting", "compression", *MODEL_FLAGS, "--dp", "0.9"],
+         "compression setting requires --sigma-n2"),
+        (["verify", "--setting", "channel", *MODEL_FLAGS, "--dp", "0.92", "--sigma-z2", "1"],
+         "channel setting requires --pt and --sigma-z2"),
+        (["tradeoff", "--setting", "channel", *MODEL_FLAGS, "--pt", "1"],
+         "channel setting requires --pt and --sigma-z2"),
+        (["scan", *MODEL_FLAGS, "--lambdas", "0,x"], "bad --lambdas value: '0,x'"),
+        (["rate", *MODEL_FLAGS, "--dp", "0.9", "--noise-grid", "0.5,y"],
+         "bad --noise-grid value: '0.5,y'"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", REQUIRED, ids=[
+        "sigma-x2", "rho", "r", "setting", "dp", "noise-grid", "sigma-n2", "pt", "sigma-z2",
+        "lambdas-item", "noise-grid-item"])
+    def test_missing_or_bad_input_exits_1(self, argv, message):
+        code, out, err = run(argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     DEGENERATE = ["--sigma-x2", "1", "--rho", "1", "--r", "1"]
 

@@ -558,3 +558,18 @@ class TestNoiseForRate:
         m = validate_model(1.0, 0.6, 0.36)
         with pytest.raises(DegenerateModelError, match="every noise"):
             noise_for_rate(m, 0.3, 0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sweep_privacy_distortion(M, Setting.CHANNEL),
+     "channel setting requires a ChannelSpec"),
+    (lambda: sweep_privacy_distortion(M, Setting.COMPRESSION),
+     "no privacy-target sweep for setting Setting.COMPRESSION"),
+    (lambda: sweep_privacy_distortion(M, Setting.SIMPLE, grid=1), "grid must be >= 2, got 1"),
+    (lambda: sweep_rate_distortion(M, 0.9, []), "noise_grid must be non-empty"),
+    (lambda: sweep_rate_distortion(M, 0.9, [0.5, 0.0]), "all sigma_n2 values must be positive"),
+], ids=["channel-without-spec", "compression", "grid-1", "empty-noise-grid", "zero-noise"])
+def test_sweep_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

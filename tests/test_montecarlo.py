@@ -397,3 +397,15 @@ def test_output_independent_of_blas_threads():
         proc = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("setting, channel, beta, message", [
+    (Setting.CHANNEL, None, 1.0, "channel setting requires a ChannelSpec"),
+    (Setting.SIMPLE, None, 2.0, "settings 1/2 use a unit transmit gain"),
+    (Setting.COMPRESSION, None, 0.5, "settings 1/2 use a unit transmit gain"),
+], ids=["channel-without-spec", "simple-gain", "compression-gain"])
+def test_signal_chain_refusals(setting, channel, beta, message):
+    policy = EncoderPolicy(-0.3, beta)
+    with pytest.raises(ValueError) as info:
+        simulate_policy(M, policy, channel, 0.5, SimConfig(1000, 0, setting))
+    assert str(info.value) == message

@@ -135,6 +135,57 @@ class TestGridSearch:
         assert noisy.d_c > base.d_c + 1e-6
 
 
+@pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+@pytest.mark.parametrize("model", [M, validate_model(2.5, 0.3, 0.4),
+                                   validate_model(300.0, 1e-3, 2e-6)],
+                         ids=["unit", "scaled", "small-r"])
+def test_one_bisection_per_search(setting, model, monkeypatch):
+    # every setting searches alpha alone, at its own encoder noise: two end probes,
+    # the halvings of [-c, 0] down to REFINE_TOL and the point returned
+    calls = []
+
+    def counted(canon, alpha, noise):
+        calls.append(noise)
+        return second_order_dc_dp(canon, alpha, noise)
+
+    monkeypatch.setattr(oracle, "second_order_dc_dp", counted)
+    c = _canonical(model)[0].rho
+    most = 2 + max(0, math.ceil(math.log2(c / oracle.REFINE_TOL))) + 1
+    s2, r = model.sigma_x2, model.r
+    channel = ChannelSpec(1.5 * s2, 0.5 * s2) if setting is Setting.CHANNEL else None
+    sigma_n2 = 0.3 * s2 if setting is Setting.COMPRESSION else None
+    lo, hi = s2 * (r - model.rho**2), s2 * r
+    for target in (lo, lo + 0.5 * (hi - lo), lo + 0.9 * (hi - lo), hi,
+                   hi * (1.0 + ENDPOINT_RTOL)):
+        calls.clear()
+        opt = grid_search(model, setting, channel, target, sigma_n2)
+        assert 0 < len(calls) <= most, target
+        assert opt.noise_var == (sigma_n2 or 0.0)
+        if setting is not Setting.CHANNEL:  # the channel adds its own referred noise
+            assert set(calls) == {sigma_n2 / s2 if sigma_n2 else 0.0}
+
+
+@pytest.mark.parametrize("setting", [Setting.SIMPLE, Setting.CHANNEL], ids=lambda s: s.value)
+def test_benchmark_range_verifies_without_noise(setting):
+    # 300 models drawn as the benchmark's verify items draw them: each passes, and
+    # its oracle optimum uses no encoder noise, since the converse bound covers noise
+    rng = np.random.default_rng(33)
+    failed = []
+    for _ in range(300):
+        s2, r = rng.uniform(0.1, 10.0), rng.uniform(0.05, 4.0)
+        model = validate_model(s2, rng.uniform(0.05, 0.99) * math.sqrt(r), r)
+        target = s2 * (r - model.rho**2) + rng.uniform(0.1, 0.9) * s2 * model.rho**2
+        channel = None
+        if setting is Setting.CHANNEL:
+            channel = ChannelSpec(rng.uniform(0.5, 4.0), rng.uniform(0.1, 2.0))
+            w = channel.p_t / (channel.p_t + channel.sigma_z2)
+            target = max(target, s2 * (r - model.rho**2 * w) + 1e-6 * s2)
+        report = verify_equilibrium(model, setting, channel, target)
+        if not (report.passed and report.oracle_optimum.noise_var == 0.0):
+            failed.append((model, target, report.oracle_optimum.noise_var, report.dc_gap))
+    assert failed == []
+
+
 class TestVerifyEquilibrium:
     def test_simple_passes(self):
         report = verify_equilibrium(M, Setting.SIMPLE, None, 0.84)
@@ -153,6 +204,11 @@ class TestVerifyEquilibrium:
     def test_channel_requires_a_channel_spec(self):
         with pytest.raises(ValueError, match="channel setting requires a ChannelSpec"):
             verify_equilibrium(M, Setting.CHANNEL, None, 0.92)
+
+    def test_compression_requires_sigma_n2(self):
+        with pytest.raises(ValueError) as info:
+            verify_equilibrium(M, Setting.COMPRESSION, None, 0.9)
+        assert str(info.value) == "compression verification requires sigma_n2"
 
     @given(source_models(min_rho=0.1))
     @settings(max_examples=15, deadline=None)
@@ -477,6 +533,6 @@ def test_effective_noise_channel_consistency():
     # channel-referred noise reproduces the closed-form solution's distortions
     ch = ChannelSpec(p_t=2.0, sigma_z2=0.7)
     sol = solve_setting3(M, 0.9, ch)
-    d_c, d_p = _evaluator(M, Setting.CHANNEL, ch)(sol.policy.alpha, 0.0)
+    d_c, d_p = _evaluator(M, Setting.CHANNEL, ch, 0.0)(sol.policy.alpha)
     assert d_c == pytest.approx(sol.d_c, rel=1e-10)
     assert d_p == pytest.approx(sol.d_p, rel=1e-10)
