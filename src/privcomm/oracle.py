@@ -176,6 +176,16 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return (a + b) / 2.0
 
 
+#: The noise pass's answer when every comparison keeps the left part (a cost
+#: rising in the noise) or the right part (a falling one), by its own arithmetic.
+_NOISE_RISING = _golden_min(float, 0.0, NOISE_MAX)
+_NOISE_FALLING = _golden_min(lambda s: -s, 0.0, NOISE_MAX)
+
+#: Smallest |K|/(1 + lam') at which the scan takes the noise pass's answer from the
+#: sign of K, its cost's slope numerator, without evaluating it (``lagrangian_scan``).
+_SLOPE_TOL = 1e-4
+
+
 def _boundary_alpha(dc_dp, c, d_p_target):
     """The feasible canonical alpha with minimal distortion.
 
@@ -327,6 +337,23 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     noise n, so the noise pass returns the same value from any start.  A
     pass depends only on where it starts, so the rounds stop at their fixed
     point: the first round whose noise pass returns the noise it began from.
+    The sign of the slope also fixes the pass's answer, so it is read off
+    instead of evaluated where rounding cannot turn a comparison.  With
+    mix = A and dc_num = g*alpha^2, the slope is K/(mix + n), where
+    K = (1 - lam')*mix - (dc_num - lam'*g), and two costs differ by
+    f(d) - f(c) = K*(d - c)/((mix + c)*(mix + d)).  As mix - dc_num =
+    (1 + alpha*c)^2 and mix - g = (alpha + c)^2, both of the cost's ratios
+    are at most 1, so an evaluation errs by at most 5u*(1 + lam'), u = 2^-53,
+    and a comparison of two by 10u*(1 + lam').  A pass that keeps the left
+    part at every comparison, or the right part, visits one fixed sequence
+    of points, with d - c >= 2.36e-8; with mix <= 2.25 on the alpha range and
+    n <= 4, a rising cost keeps every left part once K > 2.4e-7*(1 + lam'),
+    and a falling one every right part once K < -1.8e-6*(1 + lam').  So where
+    |K| > ``_SLOPE_TOL``*(1 + lam'), 54x the larger bound, the round takes
+    ``_NOISE_RISING`` or ``_NOISE_FALLING``, the pass's own floats; where |K|
+    is within it, is not finite (lam' near the float limit) or mix <= 0, it
+    runs the pass, so every flat-cost answer and every refusal is reached
+    as before.
     The passes' costs write ``second_order_dc_dp``'s arithmetic inline, in
     its order, with what a pass holds fixed worked out once per pass, so an
     evaluation is one Python frame; the scan calls it for each point it
@@ -351,7 +378,7 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
             raise ValueError(_TOO_LARGE.format(lam, "lam*r overflows"))
 
         # the cost's slope in the noise has one sign at fixed alpha: any start will do
-        noise = 0.0
+        noise, slope_tol = 0.0, _SLOPE_TOL * (1.0 + lam_c)
         for _ in range(4):
             start = noise
             dp_num = s2 * (gap + r * noise)
@@ -365,14 +392,17 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
             alpha = _golden_min(alpha_cost, lo_a, 0.5)
             mix = 1.0 + 2.0 * alpha * rho + alpha * alpha * r
             dc_num = alpha * alpha * gap
+            slope = (1.0 - lam_c) * mix - (dc_num - lam_c * gap)  # s2 = r = 1
+            if mix > 0.0 and slope_tol < abs(slope) < math.inf:
+                noise = _NOISE_RISING if slope > 0.0 else _NOISE_FALLING
+            else:
+                def noise_cost(s):
+                    den = mix + s
+                    if den <= 0.0:
+                        raise RuntimeError("nonpositive output variance; invalid policy")
+                    return s2 * (dc_num + s) / den - lam_c * (s2 * (gap + r * s) / den)
 
-            def noise_cost(s):
-                den = mix + s
-                if den <= 0.0:
-                    raise RuntimeError("nonpositive output variance; invalid policy")
-                return s2 * (dc_num + s) / den - lam_c * (s2 * (gap + r * s) / den)
-
-            noise = _golden_min(noise_cost, 0.0, NOISE_MAX)
+                noise = _golden_min(noise_cost, 0.0, NOISE_MAX)
             if noise == start:
                 break
         alpha, noise_var, d_c, d_p = back(alpha, noise, *second_order_dc_dp(canon, alpha, noise))

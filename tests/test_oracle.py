@@ -413,13 +413,20 @@ class TestScanFixedPoint:
     @given(case=scan_cases())
     def test_objectives_are_the_evaluators_cost(self, case):
         # every cost a pass evaluates equals D_C - lam'*D_P of second_order_dc_dp, bit
-        # for bit, at the alpha and noise the scan has reached
+        # for bit, at the alpha and noise the scan has reached. A noise pass certified
+        # from the slope's sign evaluates nothing, so each alpha pass's noise is read
+        # from its closure: zero, a noise pass's answer or a certified constant
         model, lam = case
         canon, lam_c = _canonical(model)[0], lam * model.r
-        golden_min, at = oracle._golden_min, {"noise": 0.0}
+        golden_min, at = oracle._golden_min, {}
+        reached = {0.0, oracle._NOISE_RISING, oracle._NOISE_FALLING}
 
         def checked(f, lo, hi):
             alpha_pass = f.__name__ == "alpha_cost"
+            if alpha_pass:
+                held = dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))
+                assert held["noise"] in reached
+                at["noise"] = held["noise"]
 
             def g(x):
                 if alpha_pass:
@@ -430,7 +437,11 @@ class TestScanFixedPoint:
                 assert cost.hex() == (d_c - lam_c * d_p).hex()
                 return cost
 
-            at["alpha" if alpha_pass else "noise"] = x = golden_min(g, lo, hi)
+            x = golden_min(g, lo, hi)
+            if alpha_pass:
+                at["alpha"] = x
+            else:
+                reached.add(x)
             return x
 
         with pytest.MonkeyPatch.context() as mp:
@@ -453,11 +464,200 @@ class TestScanFixedPoint:
 
         monkeypatch.setattr(oracle, "_golden_min", counted)
         lagrangian_scan(M, DEFAULT_SCAN)
-        assert len(evaluations) == 1386
+        # two alpha passes per multiplier; every noise pass is certified from its slope
+        assert len(evaluations) == 684
         evaluations.clear()
         for lam in DEFAULT_SCAN:
             four_round_scan(M, lam, 41)
         assert len(evaluations) == 2772  # four rounds at every multiplier
+
+
+def reference_scan(model, lambda_grid):
+    """``lagrangian_scan`` with every round's noise pass run: the scan as it was
+    before the pass's answer was read off the sign of its slope."""
+    canon, lo_a, back = oracle._canonical(model)
+    if canon.degenerate:
+        raise oracle.DegenerateModelError(
+            model, oracle._SENDS_NOTHING.format("the scan's alpha range"))
+    rho, r, s2 = canon.rho, canon.r, canon.sigma_x2
+    gap = r - rho**2
+
+    out = []
+    for lam in lambda_grid:
+        lam = float(lam)
+        if not 0.0 <= lam < math.inf:  # NaN fails too
+            raise ValueError(f"lam={lam} outside [0, inf)")
+        lam_c = lam * model.r
+        if lam_c == math.inf:
+            raise ValueError(oracle._TOO_LARGE.format(lam, "lam*r overflows"))
+
+        noise = 0.0
+        for _ in range(4):
+            start = noise
+            dp_num = s2 * (gap + r * noise)
+
+            def alpha_cost(a):
+                den = 1.0 + 2.0 * a * rho + a * a * r + noise
+                if den <= 0.0:
+                    raise RuntimeError("nonpositive output variance; invalid policy")
+                return s2 * (a * a * gap + noise) / den - lam_c * (dp_num / den)
+
+            alpha = oracle._golden_min(alpha_cost, lo_a, 0.5)
+            mix = 1.0 + 2.0 * alpha * rho + alpha * alpha * r
+            dc_num = alpha * alpha * gap
+
+            def noise_cost(s):
+                den = mix + s
+                if den <= 0.0:
+                    raise RuntimeError("nonpositive output variance; invalid policy")
+                return s2 * (dc_num + s) / den - lam_c * (s2 * (gap + r * s) / den)
+
+            noise = oracle._golden_min(noise_cost, 0.0, oracle.NOISE_MAX)
+            if noise == start:
+                break
+        alpha, noise_var, d_c, d_p = back(alpha, noise, *second_order_dc_dp(canon, alpha, noise))
+        if noise > 1e-4:
+            raise ValueError(oracle._TOO_LARGE.format(
+                lam, f"the scan's minimizer has encoder noise {noise_var}"))
+        out.append(oracle.ScanPoint(lam=lam, alpha=alpha, noise_var=noise_var, d_c=d_c, d_p=d_p))
+    return out
+
+
+def scan_outcome(scan, model, lam):
+    """The repr of ``scan``'s point at lam, or the class and message of its refusal."""
+    try:
+        (pt,) = scan(model, [lam])
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(pt)
+
+
+def scan_at_alpha(monkeypatch, scan, model, lam, alpha):
+    """``scan_outcome`` with every alpha pass answering ``alpha``, and the number
+    of noise passes that ran."""
+    golden_min, noise_passes = oracle._golden_min, []
+
+    def forced(f, lo, hi):
+        if f.__name__ == "alpha_cost":
+            return alpha
+        noise_passes.append(f)
+        return golden_min(f, lo, hi)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_golden_min", forced)
+        return scan_outcome(scan, model, lam), len(noise_passes)
+
+
+def slope_at(c, alpha, lam_c, r=1.0):
+    """The noise cost's slope numerator K = (1 - lam')*mix - (dc_num - lam'*g) on the
+    canonical model (1, c, 1), and mix, in the scan's arithmetic."""
+    gap = r - c**2
+    mix = 1.0 + 2.0 * alpha * c + alpha * alpha * r
+    return (1.0 - lam_c) * mix - (alpha * alpha * gap - lam_c * gap), mix
+
+
+class TestNoiseCertificate:
+    """Where |K| > _SLOPE_TOL*(1 + lam'), the scan takes the noise pass's answer from
+    the sign of K; everywhere else it runs the pass."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("multiple", [1.0, 2.0, 10.0, 1e4])
+    def test_full_pass_returns_the_taken_answer_at_the_margin(self, monkeypatch, multiple, sign):
+        # K = (1 + alpha*c)^2 - lam'*(alpha + c)^2, so lam' below puts K at
+        # k*(1 + lam'); K/(1 + lam') lies in [-(alpha + c)^2, (1 + alpha*c)^2], within
+        # [-2.25, 2.25] on the scan's alpha range, so no multiple beyond 2.25e4 exists
+        rng = np.random.default_rng([int(multiple), int(sign > 0)])
+        k = sign * multiple * oracle._SLOPE_TOL
+        taken = oracle._NOISE_RISING if sign > 0 else oracle._NOISE_FALLING
+        cases = 0
+        while cases < 20:
+            c = rng.uniform(0.0, 0.99)
+            alpha = rng.uniform(-2.0 * c - 0.5, 0.5)
+            lam_c = ((1.0 + alpha * c) ** 2 - k) / ((alpha + c) ** 2 + k)
+            if not 0.0 <= lam_c < math.inf:
+                continue
+            cases += 1
+            slope, _ = slope_at(c, alpha, lam_c)
+            assert slope / (k * (1.0 + lam_c)) == pytest.approx(1.0, rel=1e-6)
+            canon = validate_model(1.0, c, 1.0)
+
+            def cost(s):
+                d_c, d_p = second_order_dc_dp(canon, alpha, s)
+                return d_c - lam_c * d_p
+
+            assert oracle._golden_min(cost, 0.0, oracle.NOISE_MAX).hex() == taken.hex()
+            got, passes = scan_at_alpha(monkeypatch, lagrangian_scan, canon, lam_c, alpha)
+            assert got == scan_at_alpha(monkeypatch, reference_scan, canon, lam_c, alpha)[0]
+            if multiple > 1.0:  # at 1x, rounding may leave K within the tolerance
+                assert passes == 0
+
+    @pytest.mark.parametrize("c, alpha, lam_c", [
+        # K = +-0.5*_SLOPE_TOL*(1 + lam'), lam' solved as in the margin test
+        (0.6, -0.3, (0.82**2 - 0.5e-4) / (0.3**2 + 0.5e-4)),
+        (0.6, -0.3, (0.82**2 + 0.5e-4) / (0.3**2 - 0.5e-4)),
+        # (1 - lam')*mix overflows, so K = -inf, while K/(1 + lam') is about -4e-16:
+        # the pass returns 3.0021730594617995, not _NOISE_FALLING
+        (0.0, 2e-8, sys.float_info.max),
+    ], ids=["within-rising", "within-falling", "overflow"])
+    def test_uncertified_slope_runs_the_pass(self, monkeypatch, c, alpha, lam_c):
+        slope, mix = slope_at(c, alpha, lam_c)
+        assert mix > 0.0
+        assert abs(slope) <= oracle._SLOPE_TOL * (1.0 + lam_c) or slope == -math.inf
+        model = validate_model(1.0, c, 1.0)
+        got, passes = scan_at_alpha(monkeypatch, lagrangian_scan, model, lam_c, alpha)
+        assert passes == 2  # two rounds, each with its noise pass
+        assert got == scan_at_alpha(monkeypatch, reference_scan, model, lam_c, alpha)[0]
+
+    @pytest.mark.parametrize("rho, r, alpha, lam_c", [
+        # mix = 1 - 4.5 + 2.25 = -1.25 while K = 1.5625: the pass runs and is refused
+        (1.5, 1.0, -1.5, 0.0),
+        # g = 2: (1 - lam')*mix and lam'*g both overflow, so K is NaN
+        (0.0, 2.0, 0.5, 1.5e308),
+    ], ids=["nonpositive-mix", "nan-slope"])
+    def test_stand_in_runs_the_pass(self, monkeypatch, rho, r, alpha, lam_c):
+        # a canonical model has c < 1, which has given no mix <= 0, and g = 1 - c^2 <= 1,
+        # so lam'*g cannot overflow: a stand-in for (1, c, 1) reaches both
+        slope, mix = slope_at(rho, alpha, lam_c, r)
+        assert mix <= 0.0 < slope or math.isnan(slope)
+        back = _canonical(M)[2]
+        stand_in = types.SimpleNamespace(degenerate=False, rho=rho, r=r, sigma_x2=1.0)
+        monkeypatch.setattr(oracle, "_canonical", lambda model: (stand_in, -3.5, back))
+        got = scan_at_alpha(monkeypatch, lagrangian_scan, M, lam_c, alpha)
+        assert got[1] >= 1
+        assert got == scan_at_alpha(monkeypatch, reference_scan, M, lam_c, alpha)
+
+
+def test_scan_equals_the_reference_on_a_corpus(monkeypatch):
+    # seeded models: the benchmark's ranges, rho/sqrt(r) in U(0.99, 1) and
+    # 1 - 10^U(-12, -2); the default 9 multipliers on [0, 1/rho^2] and three
+    # lam in 10^U(-3, 12)/r each. Every point and every refusal must be the same.
+    rng = np.random.default_rng(20261021)
+    golden_min, passes = oracle._golden_min, {"alpha_cost": 0, "noise_cost": 0}
+
+    def counted(f, lo, hi):
+        passes[f.__name__] += 1
+        return golden_min(f, lo, hi)
+
+    outcomes, differing = [], []
+    for i in range(600):
+        r = rng.uniform(0.05, 4.0)
+        c = (rng.uniform(0.05, 0.99), rng.uniform(0.99, 1.0),
+             1.0 - 10.0 ** rng.uniform(-12.0, -2.0))[i % 3]
+        model = validate_model(rng.uniform(0.1, 10.0), c * math.sqrt(r), r)
+        lams = [*np.linspace(0.0, 1.0 / model.rho**2, 9), *(10.0 ** rng.uniform(-3.0, 12.0, 3) / r)]
+        for lam in lams:
+            expected = scan_outcome(reference_scan, model, lam)
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "_golden_min", counted)
+                got = scan_outcome(lagrangian_scan, model, lam)
+            outcomes.append(got)
+            if got != expected:
+                differing.append((model, lam, got, expected))
+    assert differing == []
+    refused = sum(isinstance(o, tuple) for o in outcomes)
+    assert 0 < refused < len(outcomes) == 7200
+    # both of the rule's ways are taken: noise passes certified, and noise passes run
+    assert 0 < passes["noise_cost"] < passes["alpha_cost"]
 
 
 def multiplier_map(model, lam):
@@ -502,12 +702,16 @@ def test_scans_lie_on_the_multiplier_map():
 
 
 def test_scan_objective_makes_no_python_call():
+    # at lam = 1e4 on M the slope in the noise lies within _SLOPE_TOL: its noise pass runs
+    def scan():
+        return lagrangian_scan(M, DEFAULT_SCAN + [1e4])
+
     objectives = [c for c in lagrangian_scan.__code__.co_consts if isinstance(c, types.CodeType)]
     assert sorted(c.co_name for c in objectives) == ["alpha_cost", "noise_cost"]
-    python, builtin = calls_from(oracle._golden_min, lambda: lagrangian_scan(M, DEFAULT_SCAN))
+    python, builtin = calls_from(oracle._golden_min, scan)
     assert sorted(set(python)) == ["alpha_cost", "noise_cost"] and builtin == []
     for code in objectives:
-        assert calls_from(code, lambda: lagrangian_scan(M, DEFAULT_SCAN)) == ([], [])
+        assert calls_from(code, scan) == ([], [])
 
 
 def test_alpha_range_without_theta():
