@@ -354,6 +354,22 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     is within it, is not finite (lam' near the float limit) or mix <= 0, it
     runs the pass, so every flat-cost answer and every refusal is reached
     as before.
+    The zero-noise round is decided in advance from the multiplier map: its
+    alpha pass minimizes f0 = g*(alpha^2 - lam')/mix, least at alpha* =
+    -2*lam'*c/((1 + lam') + sqrt((1 - lam')^2 + 4*lam'*g)).  By identities
+    derived in ``tests/test_scan_identities.py``, K = (1 + c*alpha)^2 -
+    lam'*(alpha + c)^2 <= mix, K(alpha*) = (1 + c*alpha*)*mix >= g^2, and
+    f0(alpha) - f0(alpha*) = (g - f0(alpha*))*(alpha - alpha*)^2/mix with
+    f0(alpha*) <= 0.  So within g/2 of alpha*, two points 0.236*w apart on one
+    side of it differ in cost by at least 0.0055*g^2*w^2, while an evaluation
+    errs by at most 16u*(1 + lam')/g: no comparison turns until the bracket w
+    is below 8.1e-7*sqrt((1 + lam')/g^3), and the pass ends within Delta =
+    1e-7 + 1e-6*sqrt((1 + lam')/g^3) of alpha* (the tests check this band on
+    seeded corpora).  Where Delta < g/2 and K exceeds 2*``_SLOPE_TOL``*(1 + lam')
+    on all of [alpha* - Delta, alpha* + Delta] (K is a quadratic, at least
+    K(alpha*) - |K'(alpha*)|*Delta + min(c^2 - lam', 0)*Delta^2 there), the
+    round would end in ``_NOISE_RISING``, so the scan starts there with three
+    rounds left; every other case, bounds that are not finite included, runs it.
     The passes' costs write ``second_order_dc_dp``'s arithmetic inline, in
     its order, with what a pass holds fixed worked out once per pass, so an
     evaluation is one Python frame; the scan calls it for each point it
@@ -378,8 +394,19 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
             raise ValueError(_TOO_LARGE.format(lam, "lam*r overflows"))
 
         # the cost's slope in the noise has one sign at fixed alpha: any start will do
-        noise, slope_tol = 0.0, _SLOPE_TOL * (1.0 + lam_c)
-        for _ in range(4):
+        noise, rounds, slope_tol = 0.0, 4, _SLOPE_TOL * (1.0 + lam_c)
+        # the map's alpha* decides the zero-noise round where K clears 2*slope_tol on
+        # its band; products, not **, so that an overflow gives inf, not an error
+        if gap > 0.0:
+            a = -2.0 * lam_c * rho / (
+                (1.0 + lam_c) + math.sqrt((1.0 - lam_c) * (1.0 - lam_c) + 4.0 * lam_c * gap))
+            band = 1e-7 + 1e-6 * math.sqrt((1.0 + lam_c) / gap / gap / gap)
+            k = (1.0 + rho * a) * (1.0 + rho * a) - lam_c * ((a + rho) * (a + rho))
+            dk = 2.0 * (rho * (1.0 + rho * a) - lam_c * (a + rho))
+            low = k - abs(dk) * band + min(rho * rho - lam_c, 0.0) * band * band  # K on the band
+            if band < 0.5 * gap and low > 2.0 * slope_tol:
+                noise, rounds = _NOISE_RISING, 3
+        for _ in range(rounds):
             start = noise
             dp_num = s2 * (gap + r * noise)
 

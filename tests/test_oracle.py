@@ -464,8 +464,9 @@ class TestScanFixedPoint:
 
         monkeypatch.setattr(oracle, "_golden_min", counted)
         lagrangian_scan(M, DEFAULT_SCAN)
-        # two alpha passes per multiplier; every noise pass is certified from its slope
-        assert len(evaluations) == 684
+        # one alpha pass per multiplier: the multiplier map decides the zero-noise
+        # round, and every noise pass is certified from its slope
+        assert len(evaluations) == 342
         evaluations.clear()
         for lam in DEFAULT_SCAN:
             four_round_scan(M, lam, 41)
@@ -592,8 +593,9 @@ class TestNoiseCertificate:
                 assert passes == 0
 
     @pytest.mark.parametrize("c, alpha, lam_c", [
-        # K = +-0.5*_SLOPE_TOL*(1 + lam'), lam' solved as in the margin test
-        (0.6, -0.3, (0.82**2 - 0.5e-4) / (0.3**2 + 0.5e-4)),
+        # K = +-0.5*_SLOPE_TOL*(1 + lam'), lam' solved as in the margin test; at
+        # alpha = -0.59, lam' is 2782, where the map's alpha does not certify round 1
+        (0.6, -0.59, (0.646**2 - 0.5e-4) / (0.01**2 + 0.5e-4)),
         (0.6, -0.3, (0.82**2 + 0.5e-4) / (0.3**2 - 0.5e-4)),
         # (1 - lam')*mix overflows, so K = -inf, while K/(1 + lam') is about -4e-16:
         # the pass returns 3.0021730594617995, not _NOISE_FALLING
@@ -625,6 +627,76 @@ class TestNoiseCertificate:
         got = scan_at_alpha(monkeypatch, lagrangian_scan, M, lam_c, alpha)
         assert got[1] >= 1
         assert got == scan_at_alpha(monkeypatch, reference_scan, M, lam_c, alpha)
+
+
+def first_round_noise(monkeypatch, model, lam):
+    """The noise that the scan's first alpha pass holds at lam: 0.0 where it runs
+    the zero-noise round, ``_NOISE_RISING`` where the multiplier map certifies it."""
+    golden_min, held = oracle._golden_min, []
+
+    def recorded(f, lo, hi):
+        if f.__name__ == "alpha_cost" and not held:
+            held.append(f.__closure__[f.__code__.co_freevars.index("noise")].cell_contents)
+        return golden_min(f, lo, hi)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_golden_min", recorded)
+        scan_outcome(lagrangian_scan, model, lam)
+    return held[0]
+
+
+class TestMapCertificate:
+    """Where K exceeds 2*_SLOPE_TOL*(1 + lam') on the band of half-width Delta around
+    the map's alpha*, the scan skips the zero-noise round and starts at
+    ``_NOISE_RISING``; the zero-noise pass must then end in that band, at a slope
+    that certifies its noise pass."""
+
+    def test_zero_noise_pass_ends_in_the_band(self, monkeypatch):
+        # seeded c: the benchmark's U(0.05, 0.99) and 1 - 10^U(-6, -2); lam' on the
+        # default grid [0, 1/c^2] plus three in 10^U(-3, 6)
+        rng = np.random.default_rng(20261022)
+        certified = benchmark_grid = 0
+        worst = 0.0
+        for i in range(400):
+            c = rng.uniform(0.05, 0.99) if i % 2 else 1.0 - 10.0 ** rng.uniform(-6.0, -2.0)
+            canon = validate_model(1.0, c, 1.0)
+            c, g = canon.rho, 1.0 - canon.rho**2
+            grid = [float(x) for x in np.linspace(0.0, 1.0 / c**2, 9)]
+            for j, lam_c in enumerate([*grid, *(10.0 ** rng.uniform(-3.0, 6.0, 3))]):
+                if first_round_noise(monkeypatch, canon, lam_c) == 0.0:
+                    continue
+                certified += 1
+                benchmark_grid += i % 2 == 1 and j < 9
+
+                def cost(a):
+                    d_c, d_p = second_order_dc_dp(canon, a, 0.0)
+                    return d_c - lam_c * d_p
+
+                alpha = oracle._golden_min(cost, -2.0 * c - 0.5, 0.5)
+                band = 1e-7 + 1e-6 * math.sqrt((1.0 + lam_c) / g**3)
+                worst = max(worst, abs(alpha - multiplier_map(canon, lam_c)) / band)
+                slope, mix = slope_at(c, alpha, lam_c)
+                assert mix > 0.0 and slope > oracle._SLOPE_TOL * (1.0 + lam_c)
+        assert worst <= 1.0
+        # every default-grid multiplier of a benchmark-range model is certified
+        assert benchmark_grid == 200 * 9 and certified < 400 * 12
+
+    @pytest.mark.parametrize("lam, noise", [
+        # on M, K at alpha* lies below 2*_SLOPE_TOL*(1 + lam') at 1e4 and 1e6
+        (1e4, 0.0), (1e6, 0.0), (1.0, oracle._NOISE_RISING),
+    ])
+    def test_uncertified_multiplier_runs_the_zero_noise_pass(self, monkeypatch, lam, noise):
+        assert first_round_noise(monkeypatch, M, lam) == noise
+
+    @pytest.mark.parametrize("c, lam", [
+        (0.0, sys.float_info.max), (0.0, 0.0), (0.0, 1e300),
+        (0.6, sys.float_info.max), (1.0 - 1e-15, sys.float_info.max),
+    ])
+    def test_certificate_never_raises(self, c, lam):
+        # an overflow in the certificate gives inf or NaN, which runs the zero-noise round
+        model = validate_model(1.0, c, 1.0)
+        assert scan_outcome(lagrangian_scan, model, lam) == scan_outcome(
+            reference_scan, model, lam)
 
 
 def test_scan_equals_the_reference_on_a_corpus(monkeypatch):
