@@ -1,18 +1,19 @@
 """Brute-force verification of the closed-form equilibria, without numpy.
 
-Independence is layered: (a) a from-first-principles covariance evaluator
-cross-checks the printed distortion/privacy formulas; (b) a bisection onto
-the constraint boundary over the linear encoders, at the setting's own
-encoder noise (none in the simple and channel settings, the held sigma_N^2
-in compression), confirms that the closed-form solutions are true
-constrained minimizers in that family; and (c) in the simple and channel
-settings, a converse bound that holds for every encoder, nonlinear and
-randomized ones included, confirms that no encoder does better, so that no
-encoder noise helps either (see ``converse_dc``).  A target is feasible by
-the solvers' own rule, at most dp_max * (1 + ENDPOINT_RTOL).  The search and
-the multiplier scan work on the canonical model (1, c, 1) that every model
-rescales to, so one search box and one tolerance serve every scale (see
-``_canonical``).
+Independence is layered: (a) a bisection onto the constraint boundary over
+the linear encoders, at the setting's own encoder noise (none in the simple
+and channel settings, the held sigma_N^2 in compression), confirms that the
+closed-form solutions are true constrained minimizers in that family; and
+(b) in the simple and channel settings, a converse bound that holds for
+every encoder, nonlinear and randomized ones included, confirms that no
+encoder does better, so that no encoder noise helps either (see
+``converse_dc``).  Nothing here calls ``covariance_evaluate``, a
+from-first-principles covariance evaluator: it is the reference that the
+tests and the benchmark check the printed formulas against.  A target is
+feasible by the solvers' own rule, at most dp_max * (1 + ENDPOINT_RTOL).
+The search and the multiplier scan work on the canonical model (1, c, 1)
+that every model rescales to, so one search box and one tolerance serve
+every scale (see ``_canonical``).
 """
 
 from __future__ import annotations
@@ -194,15 +195,18 @@ def _boundary_alpha(dc_dp, c, d_p_target):
     minimizer is therefore the boundary root of D_P = target, found by
     bisection, or alpha = 0 when the noise alone satisfies the target, or
     alpha = -c when even max privacy misses it, which after ``grid_search``'s
-    feasibility test only a target within rounding of dp_max does.
+    feasibility test only a target within rounding of dp_max does.  The
+    bisection stops at ``REFINE_TOL``, or at adjacent floats where
+    (1 - c)*(1 + c) <= 1e-4: D_C there moves by up to ~0.65/sqrt(1 - c^2)
+    per unit of alpha, more than ``VERIFY_TOL`` across a 1e-7 bracket.
     """
     if dc_dp(0.0)[1] >= d_p_target:
         return 0.0
     lo, hi = -c, 0.0
     if dc_dp(lo)[1] < d_p_target:
         return lo
-    while hi - lo > REFINE_TOL:
-        mid = 0.5 * (lo + hi)
+    width = REFINE_TOL if (1.0 - c) * (1.0 + c) > 1e-4 else 0.0
+    while hi - lo > width and lo < (mid := 0.5 * (lo + hi)) < hi:
         if dc_dp(mid)[1] >= d_p_target:
             lo = mid
         else:
@@ -331,12 +335,16 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     gives the free floor, and the point runs to max privacy as lam grows.
     For each multiplier, alternating golden-section passes over alpha and
     the noise (at most four rounds) minimize the cost on the canonical
-    model, at lam' = lam*r, starting from zero noise.  No start can do
-    better: at fixed alpha the cost (g*(alpha^2 - lam') + (1 - lam')*n)/(A + n),
-    with g = 1 - c^2 and A = 1 + 2*alpha*c + alpha^2, is monotone in the
-    noise n, so the noise pass returns the same value from any start.  A
-    pass depends only on where it starts, so the rounds stop at their fixed
-    point: the first round whose noise pass returns the noise it began from.
+    model, at lam' = lam*r, starting from the leftover noise
+    ``_NOISE_RISING``, the noise pass's answer on a cost that rises with the
+    noise.  Any start will do: at fixed alpha the cost
+    (g*(alpha^2 - lam') + (1 - lam')*n)/(A + n), with g = 1 - c^2 and
+    A = 1 + 2*alpha*c + alpha^2, is monotone in the noise n, so the noise
+    pass returns the same value from any start.  A pass depends only on
+    where it starts, so the rounds stop at their fixed point: the first
+    round whose noise pass returns the noise it began from.  This start is
+    usually that point, because at zero noise the cost rises with the noise
+    at the frontier's alpha (``tests/test_scan_identities.py``).
     The sign of the slope also fixes the pass's answer, so it is read off
     instead of evaluated where rounding cannot turn a comparison.  With
     mix = A and dc_num = g*alpha^2, the slope is K/(mix + n), where
@@ -352,24 +360,12 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
     |K| > ``_SLOPE_TOL``*(1 + lam'), 54x the larger bound, the round takes
     ``_NOISE_RISING`` or ``_NOISE_FALLING``, the pass's own floats; where |K|
     is within it, is not finite (lam' near the float limit) or mix <= 0, it
-    runs the pass, so every flat-cost answer and every refusal is reached
-    as before.
-    The zero-noise round is decided in advance from the multiplier map: its
-    alpha pass minimizes f0 = g*(alpha^2 - lam')/mix, least at alpha* =
-    -2*lam'*c/((1 + lam') + sqrt((1 - lam')^2 + 4*lam'*g)).  By identities
-    derived in ``tests/test_scan_identities.py``, K = (1 + c*alpha)^2 -
-    lam'*(alpha + c)^2 <= mix, K(alpha*) = (1 + c*alpha*)*mix >= g^2, and
-    f0(alpha) - f0(alpha*) = (g - f0(alpha*))*(alpha - alpha*)^2/mix with
-    f0(alpha*) <= 0.  So within g/2 of alpha*, two points 0.236*w apart on one
-    side of it differ in cost by at least 0.0055*g^2*w^2, while an evaluation
-    errs by at most 16u*(1 + lam')/g: no comparison turns until the bracket w
-    is below 8.1e-7*sqrt((1 + lam')/g^3), and the pass ends within Delta =
-    1e-7 + 1e-6*sqrt((1 + lam')/g^3) of alpha* (the tests check this band on
-    seeded corpora).  Where Delta < g/2 and K exceeds 2*``_SLOPE_TOL``*(1 + lam')
-    on all of [alpha* - Delta, alpha* + Delta] (K is a quadratic, at least
-    K(alpha*) - |K'(alpha*)|*Delta + min(c^2 - lam', 0)*Delta^2 there), the
-    round would end in ``_NOISE_RISING``, so the scan starts there with three
-    rounds left; every other case, bounds that are not finite included, runs it.
+    runs the pass, so every flat-cost answer and every refusal is the pass's.
+    Where g <= ``_NOISE_RISING``, the leftover noise outweighs every D_C on
+    the frontier, which spans g, and an alpha pass held at it runs to the
+    end of the range; there the scan starts at zero noise, and every noise
+    answer equal to ``_NOISE_RISING``, taken from the slope or returned by a
+    pass, becomes 0.0.
     The passes' costs write ``second_order_dc_dp``'s arithmetic inline, in
     its order, with what a pass holds fixed worked out once per pass, so an
     evaluation is one Python frame; the scan calls it for each point it
@@ -383,6 +379,8 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
         raise DegenerateModelError(model, _SENDS_NOTHING.format("the scan's alpha range"))
     rho, r, s2 = canon.rho, canon.r, canon.sigma_x2
     gap = r - rho**2
+    # leftover noise above g would outweigh every D_C on the frontier
+    rising = _NOISE_RISING if gap > _NOISE_RISING else 0.0
 
     out = []
     for lam in lambda_grid:
@@ -394,19 +392,8 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
             raise ValueError(_TOO_LARGE.format(lam, "lam*r overflows"))
 
         # the cost's slope in the noise has one sign at fixed alpha: any start will do
-        noise, rounds, slope_tol = 0.0, 4, _SLOPE_TOL * (1.0 + lam_c)
-        # the map's alpha* decides the zero-noise round where K clears 2*slope_tol on
-        # its band; products, not **, so that an overflow gives inf, not an error
-        if gap > 0.0:
-            a = -2.0 * lam_c * rho / (
-                (1.0 + lam_c) + math.sqrt((1.0 - lam_c) * (1.0 - lam_c) + 4.0 * lam_c * gap))
-            band = 1e-7 + 1e-6 * math.sqrt((1.0 + lam_c) / gap / gap / gap)
-            k = (1.0 + rho * a) * (1.0 + rho * a) - lam_c * ((a + rho) * (a + rho))
-            dk = 2.0 * (rho * (1.0 + rho * a) - lam_c * (a + rho))
-            low = k - abs(dk) * band + min(rho * rho - lam_c, 0.0) * band * band  # K on the band
-            if band < 0.5 * gap and low > 2.0 * slope_tol:
-                noise, rounds = _NOISE_RISING, 3
-        for _ in range(rounds):
+        noise, slope_tol = rising, _SLOPE_TOL * (1.0 + lam_c)
+        for _ in range(4):
             start = noise
             dp_num = s2 * (gap + r * noise)
 
@@ -430,6 +417,8 @@ def lagrangian_scan(model: SourceModel, lambda_grid) -> list[ScanPoint]:
                     return s2 * (dc_num + s) / den - lam_c * (s2 * (gap + r * s) / den)
 
                 noise = _golden_min(noise_cost, 0.0, NOISE_MAX)
+            if noise == _NOISE_RISING:
+                noise = rising
             if noise == start:
                 break
         alpha, noise_var, d_c, d_p = back(alpha, noise, *second_order_dc_dp(canon, alpha, noise))

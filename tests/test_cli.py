@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from privcomm import ChannelSpec, validate_model
 from privcomm.cli import main
+from privcomm.oracle import VERIFY_TOL
 
 from conftest import exact_channel_dc_dp
 
@@ -681,6 +682,17 @@ class TestOracleScaleRegressions:
         lam, alpha, noise_var, d_p, d_c = map(float, out.splitlines()[1].split(","))
         frontier = solve_setting1(validate_model(s2, 0.6, 1.0), d_p)
         assert abs(d_c - frontier.d_c) <= 1e-7 * s2
+
+    def test_scan_below_the_leftover_noise_answers_the_free_point(self):
+        # g = 1 - rho^2/r is 2e-9, below the scan's leftover noise 3.7e-8, which
+        # would draw its lam = 0 alpha pass to the range's end
+        s2 = 1.0
+        code, out, _ = run(["scan", "--sigma-x2", repr(s2), "--rho", "0.999999999", "--r", "1",
+                            "--lambda-count", "3"])
+        assert code == 0
+        lam, alpha, noise_var, d_p, d_c = map(float, out.splitlines()[1].split(","))
+        assert lam == 0.0 and noise_var == 0.0
+        assert d_c <= VERIFY_TOL * s2 and abs(alpha) <= 1e-6
 
     # rho/sqrt(r) rounds to 1: the canonical model is degenerate
     @pytest.mark.parametrize("argv", [

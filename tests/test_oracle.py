@@ -13,6 +13,7 @@ from privcomm import (
     EquilibriumSolution,
     InfeasiblePrivacyTarget,
     Setting,
+    SolveError,
     solve_setting1,
     solve_setting2,
     solve_setting3,
@@ -244,6 +245,21 @@ class TestVerifyEquilibrium:
         assert report.dc_gap == 0.0 if oracle_agrees else report.dc_gap < -0.01
         assert not report.passed
 
+    def test_planted_noisy_encoder_fails_the_bound(self, monkeypatch):
+        # a simple answer that adds encoder noise meets its target above the least
+        # D_C; a search held at that noise accepts it, and only the converse bound,
+        # which covers noisy encoders, fails it
+        sigma_n2 = 0.5
+        noisy = solve_setting2(M, 0.84, sigma_n2)
+        monkeypatch.setattr(oracle, "solve_setting1", lambda model, target: noisy)
+        search = oracle.grid_search
+        monkeypatch.setattr(oracle, "grid_search", lambda model, setting, channel, target, _:
+                            search(model, Setting.COMPRESSION, None, target, sigma_n2))
+        report = verify_equilibrium(M, Setting.SIMPLE, None, 0.84)
+        assert abs(report.dc_gap) <= oracle.VERIFY_TOL
+        assert noisy.d_c - oracle.converse_dc(M, noisy.d_p, 1.0) > 0.01
+        assert not report.passed
+
     def test_planted_wrong_channel_target_fails(self, monkeypatch):
         # the effective target d' = d - (r - d)*sigma_z2/P_T taken over P_T + sigma_z2:
         # a frontier point, but at more privacy than the target asks
@@ -302,6 +318,80 @@ def test_max_privacy_targets_pass(setting):
             if not report.passed:
                 failed.append((model, target, report.dc_gap / s2))
     assert failed == []
+
+
+def test_near_degenerate_models_verify():
+    # 400 seeded models, rho/sqrt(r) cycling U(0.05, 0.99), U(0, 0.05), U(0.99, 1) and
+    # 1 - 10^U(-12, -4), sigma_x2 and r in 10^U(-3, 3); six targets in the simple and
+    # channel settings each. Where the closed form lies on the converse bound, the
+    # oracle must find it too: near c = 1, D_C is so steep in alpha that a bracket
+    # 1e-7 wide left the search up to 6.7e-4*sigma_x2 above it
+    rng = np.random.default_rng(3302)
+    failed, checked = [], 0
+    for i in range(400):
+        s2, r = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        c = (rng.uniform(0.05, 0.99), rng.uniform(0.0, 0.05), rng.uniform(0.99, 1.0),
+             1.0 - 10.0 ** rng.uniform(-12.0, -4.0))[i % 4]
+        model = validate_model(s2, c * math.sqrt(r), r)
+        channel = ChannelSpec(rng.uniform(0.5, 4.0) * s2, rng.uniform(0.1, 2.0) * s2)
+        fractions = rng.uniform(0.0, 1.0, 6)
+        for setting, w in ((Setting.SIMPLE, 1.0),
+                           (Setting.CHANNEL, channel.p_t / (channel.p_t + channel.sigma_z2))):
+            lo = s2 * (r - model.rho**2 * w)
+            for target in lo + fractions * (s2 * r - lo):
+                try:
+                    report = verify_equilibrium(
+                        model, setting, channel if setting is Setting.CHANNEL else None, target)
+                except SolveError:  # the solver refuses: nothing to verify
+                    continue
+                closed = report.closed_form
+                bound = s2 * oracle.converse_dc(model, max(target, closed.d_p), w)
+                if abs(closed.d_c - bound) > oracle.VERIFY_TOL * s2:
+                    continue  # the closed form itself is off: a solver defect, not the oracle's
+                checked += 1
+                if not report.passed:
+                    failed.append((model, setting.value, target, report.dc_gap / s2))
+    assert failed == []
+    assert checked > 4000
+
+
+@pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+def test_search_returns_the_last_feasible_alpha(setting, monkeypatch):
+    # every optimum meets its target, and one bracket step toward alpha = 0 would not:
+    # REFINE_TOL, or the adjacent float where (1 - c)*(1 + c) <= 1e-4. Seeded models
+    # with rho/sqrt(r) in U(0.05, 0.99) or 1 - 10^U(-12, -4)
+    boundary, found = oracle._boundary_alpha, []
+
+    def recorded(dc_dp, c, d_p_target):
+        found.append(boundary(dc_dp, c, d_p_target))
+        return found[-1]
+
+    monkeypatch.setattr(oracle, "_boundary_alpha", recorded)
+    rng = np.random.default_rng(21)
+    stepped = 0
+    for i in range(100):
+        s2, r = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        c = rng.uniform(0.05, 0.99) if i % 2 else 1.0 - 10.0 ** rng.uniform(-12.0, -4.0)
+        model = validate_model(s2, c * math.sqrt(r), r)
+        channel = ChannelSpec(rng.uniform(0.5, 4.0) * s2, rng.uniform(0.1, 2.0) * s2)
+        sigma_n2 = rng.uniform(0.1, 2.0) * s2
+        canon = _canonical(model)[0]
+        c = canon.rho
+        noise = sigma_n2 / s2 if setting is Setting.COMPRESSION else 0.0
+        dc_dp = _evaluator(canon, setting, channel, noise)
+        lo = s2 * (r - model.rho**2)
+        for target in lo + rng.uniform(0.01, 0.99, 3) * (s2 * r - lo):
+            opt = grid_search(model, setting, channel, target, sigma_n2)
+            alpha, target_c = found[-1], target / s2 / r
+            assert dc_dp(alpha)[1] >= target_c
+            # rescaling the target and the answer rounds four times
+            assert opt.d_p >= target * (1.0 - 4.0 * sys.float_info.epsilon)
+            if alpha < 0.0:  # alpha = 0 is free: the noise meets the target
+                step = (math.nextafter(alpha, 0.0) if (1.0 - c) * (1.0 + c) <= 1e-4
+                        else alpha + oracle.REFINE_TOL)
+                assert dc_dp(step)[1] < target_c, (model, target)
+                stepped += 1
+    assert stepped > 150
 
 
 class TestLagrangianScan:
@@ -392,8 +482,8 @@ def scan_cases(draw):
 
 
 class TestScanFixedPoint:
-    """The scan starts from zero noise and stops once a round repeats itself;
-    its answers must equal four rounds from the grid minimizer's noise."""
+    """The scan starts from the leftover noise and stops once a round repeats
+    itself; its answers must equal four rounds from the grid minimizer's noise."""
 
     @pytest.mark.parametrize("grid", [41, 401])
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -464,8 +554,8 @@ class TestScanFixedPoint:
 
         monkeypatch.setattr(oracle, "_golden_min", counted)
         lagrangian_scan(M, DEFAULT_SCAN)
-        # one alpha pass per multiplier: the multiplier map decides the zero-noise
-        # round, and every noise pass is certified from its slope
+        # one alpha pass per multiplier: each starts at the leftover noise, and
+        # every noise pass is certified from its slope
         assert len(evaluations) == 342
         evaluations.clear()
         for lam in DEFAULT_SCAN:
@@ -474,8 +564,9 @@ class TestScanFixedPoint:
 
 
 def reference_scan(model, lambda_grid):
-    """``lagrangian_scan`` with every round's noise pass run: the scan as it was
-    before the pass's answer was read off the sign of its slope."""
+    """``lagrangian_scan`` with every round's noise pass run, from zero noise: the
+    scan as it was before the pass's answer was read off the sign of its slope,
+    with its rule that the leftover noise is 0.0 where g = 1 - c^2 is no larger."""
     canon, lo_a, back = oracle._canonical(model)
     if canon.degenerate:
         raise oracle.DegenerateModelError(
@@ -514,6 +605,8 @@ def reference_scan(model, lambda_grid):
                 return s2 * (dc_num + s) / den - lam_c * (s2 * (gap + r * s) / den)
 
             noise = oracle._golden_min(noise_cost, 0.0, oracle.NOISE_MAX)
+            if noise == oracle._NOISE_RISING and gap <= oracle._NOISE_RISING:
+                noise = 0.0
             if noise == start:
                 break
         alpha, noise_var, d_c, d_p = back(alpha, noise, *second_order_dc_dp(canon, alpha, noise))
@@ -592,22 +685,22 @@ class TestNoiseCertificate:
             if multiple > 1.0:  # at 1x, rounding may leave K within the tolerance
                 assert passes == 0
 
-    @pytest.mark.parametrize("c, alpha, lam_c", [
-        # K = +-0.5*_SLOPE_TOL*(1 + lam'), lam' solved as in the margin test; at
-        # alpha = -0.59, lam' is 2782, where the map's alpha does not certify round 1
-        (0.6, -0.59, (0.646**2 - 0.5e-4) / (0.01**2 + 0.5e-4)),
-        (0.6, -0.3, (0.82**2 + 0.5e-4) / (0.3**2 - 0.5e-4)),
+    @pytest.mark.parametrize("c, alpha, lam_c, rounds", [
+        # K = +-0.5*_SLOPE_TOL*(1 + lam'), lam' solved as in the margin test; a
+        # rising cost's pass returns the leftover noise that the scan starts from
+        (0.6, -0.59, (0.646**2 - 0.5e-4) / (0.01**2 + 0.5e-4), 1),
+        (0.6, -0.3, (0.82**2 + 0.5e-4) / (0.3**2 - 0.5e-4), 2),
         # (1 - lam')*mix overflows, so K = -inf, while K/(1 + lam') is about -4e-16:
         # the pass returns 3.0021730594617995, not _NOISE_FALLING
-        (0.0, 2e-8, sys.float_info.max),
+        (0.0, 2e-8, sys.float_info.max, 2),
     ], ids=["within-rising", "within-falling", "overflow"])
-    def test_uncertified_slope_runs_the_pass(self, monkeypatch, c, alpha, lam_c):
+    def test_uncertified_slope_runs_the_pass(self, monkeypatch, c, alpha, lam_c, rounds):
         slope, mix = slope_at(c, alpha, lam_c)
         assert mix > 0.0
         assert abs(slope) <= oracle._SLOPE_TOL * (1.0 + lam_c) or slope == -math.inf
         model = validate_model(1.0, c, 1.0)
         got, passes = scan_at_alpha(monkeypatch, lagrangian_scan, model, lam_c, alpha)
-        assert passes == 2  # two rounds, each with its noise pass
+        assert passes == rounds  # a noise pass in every round
         assert got == scan_at_alpha(monkeypatch, reference_scan, model, lam_c, alpha)[0]
 
     @pytest.mark.parametrize("rho, r, alpha, lam_c", [
@@ -630,8 +723,7 @@ class TestNoiseCertificate:
 
 
 def first_round_noise(monkeypatch, model, lam):
-    """The noise that the scan's first alpha pass holds at lam: 0.0 where it runs
-    the zero-noise round, ``_NOISE_RISING`` where the multiplier map certifies it."""
+    """The noise that the scan's first alpha pass holds at lam."""
     golden_min, held = oracle._golden_min, []
 
     def recorded(f, lo, hi):
@@ -645,55 +737,44 @@ def first_round_noise(monkeypatch, model, lam):
     return held[0]
 
 
-class TestMapCertificate:
-    """Where K exceeds 2*_SLOPE_TOL*(1 + lam') on the band of half-width Delta around
-    the map's alpha*, the scan skips the zero-noise round and starts at
-    ``_NOISE_RISING``; the zero-noise pass must then end in that band, at a slope
-    that certifies its noise pass."""
+class TestSingleStart:
+    """Every multiplier starts at the leftover noise ``_NOISE_RISING``, or at zero
+    noise where g = 1 - c^2 is no larger, and runs at most four rounds from there."""
 
-    def test_zero_noise_pass_ends_in_the_band(self, monkeypatch):
+    @pytest.mark.parametrize("lam", [1.0, 1e4, 1e6])
+    def test_first_alpha_pass_holds_the_leftover_noise(self, monkeypatch, lam):
+        # at 1e4 and 1e6 on M, the slope at the first pass's alpha is flat enough
+        # that its noise pass runs
+        assert first_round_noise(monkeypatch, M, lam) == oracle._NOISE_RISING
+
+    @pytest.mark.parametrize("c", [1.0 - 1e-8, 1.0 - 1e-12])
+    def test_below_the_leftover_noise_starts_at_zero(self, monkeypatch, c):
+        canon = validate_model(1.0, c, 1.0)
+        assert 1.0 - canon.rho**2 <= oracle._NOISE_RISING
+        for lam in (0.0, 0.5, 1e4):
+            assert first_round_noise(monkeypatch, canon, lam) == 0.0
+
+    def test_scans_equal_the_reference(self):
         # seeded c: the benchmark's U(0.05, 0.99) and 1 - 10^U(-6, -2); lam' on the
         # default grid [0, 1/c^2] plus three in 10^U(-3, 6)
         rng = np.random.default_rng(20261022)
-        certified = benchmark_grid = 0
-        worst = 0.0
+        differing = []
         for i in range(400):
             c = rng.uniform(0.05, 0.99) if i % 2 else 1.0 - 10.0 ** rng.uniform(-6.0, -2.0)
             canon = validate_model(1.0, c, 1.0)
-            c, g = canon.rho, 1.0 - canon.rho**2
-            grid = [float(x) for x in np.linspace(0.0, 1.0 / c**2, 9)]
-            for j, lam_c in enumerate([*grid, *(10.0 ** rng.uniform(-3.0, 6.0, 3))]):
-                if first_round_noise(monkeypatch, canon, lam_c) == 0.0:
-                    continue
-                certified += 1
-                benchmark_grid += i % 2 == 1 and j < 9
-
-                def cost(a):
-                    d_c, d_p = second_order_dc_dp(canon, a, 0.0)
-                    return d_c - lam_c * d_p
-
-                alpha = oracle._golden_min(cost, -2.0 * c - 0.5, 0.5)
-                band = 1e-7 + 1e-6 * math.sqrt((1.0 + lam_c) / g**3)
-                worst = max(worst, abs(alpha - multiplier_map(canon, lam_c)) / band)
-                slope, mix = slope_at(c, alpha, lam_c)
-                assert mix > 0.0 and slope > oracle._SLOPE_TOL * (1.0 + lam_c)
-        assert worst <= 1.0
-        # every default-grid multiplier of a benchmark-range model is certified
-        assert benchmark_grid == 200 * 9 and certified < 400 * 12
-
-    @pytest.mark.parametrize("lam, noise", [
-        # on M, K at alpha* lies below 2*_SLOPE_TOL*(1 + lam') at 1e4 and 1e6
-        (1e4, 0.0), (1e6, 0.0), (1.0, oracle._NOISE_RISING),
-    ])
-    def test_uncertified_multiplier_runs_the_zero_noise_pass(self, monkeypatch, lam, noise):
-        assert first_round_noise(monkeypatch, M, lam) == noise
+            grid = [float(x) for x in np.linspace(0.0, 1.0 / canon.rho**2, 9)]
+            for lam_c in [*grid, *(10.0 ** rng.uniform(-3.0, 6.0, 3))]:
+                got = scan_outcome(lagrangian_scan, canon, lam_c)
+                if got != scan_outcome(reference_scan, canon, lam_c):
+                    differing.append((c, lam_c, got))
+        assert differing == []
 
     @pytest.mark.parametrize("c, lam", [
         (0.0, sys.float_info.max), (0.0, 0.0), (0.0, 1e300),
         (0.6, sys.float_info.max), (1.0 - 1e-15, sys.float_info.max),
     ])
-    def test_certificate_never_raises(self, c, lam):
-        # an overflow in the certificate gives inf or NaN, which runs the zero-noise round
+    def test_extreme_multiplier_matches_the_reference(self, c, lam):
+        # lam' near the float limit overflows the slope, so its noise passes run
         model = validate_model(1.0, c, 1.0)
         assert scan_outcome(lagrangian_scan, model, lam) == scan_outcome(
             reference_scan, model, lam)
